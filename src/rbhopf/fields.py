@@ -33,8 +33,10 @@ def _is_prime(n: int) -> bool:
 class Fp:
     """An element of F_p, stored as the residue in [0, p).
 
-    Mixing residues with different moduli raises `FieldMismatchError`;
-    ints are lifted mod p.
+    Mixing residues with different moduli raises `FieldMismatchError`, in
+    comparisons too; ints are lifted mod p in arithmetic.  Equality with an int is exact:
+    `Fp(1, 5) == 1` but `Fp(1, 5) != 6`, so equal values hash alike
+    (`hash(Fp(r, p)) == hash(r)`).
     """
 
     __slots__ = ("residue", "p")
@@ -108,13 +110,15 @@ class Fp:
         return Fp(pow(self.residue, n, self.p), self.p)
 
     def __eq__(self, other):
+        if isinstance(other, int):
+            return other == self.residue
         r = self._residue_of(other)
         if r is None:
             return NotImplemented
         return self.residue == r
 
     def __hash__(self):
-        return hash((self.residue, self.p))
+        return hash(self.residue)
 
     def __bool__(self):
         return self.residue != 0

@@ -24,7 +24,11 @@ Sections by kind:
                action r c v / coaction r c v
     sigma:     hopf REF / sigma i j v
 
-(`v` stands for `num den` over Q, one residue over F_p.)  REF is either
+(`v` stands for `num den` over Q, one residue over F_p.)  Dense maps
+(operator, action, coaction, antipode, sigma) are allocated in full, so a
+file may declare at most `MAX_DENSE_ENTRIES` entries for each; a larger
+declaration is a `FormatError` raised before anything is allocated.  The
+sparse sections (mul, comul, ccomul) have no such bound.  REF is either
 `builtin:<name>`, instantiated over the document's field, or a path to a
 companion file, resolved relative to the referring file.  Saving writes
 sections in the order above with entries sorted by index, so canonical
@@ -46,6 +50,11 @@ from .structures import AlgebraicStructure, builtin
 from .ydsmash import CoquasitriangularForm, YDModuleCoalgebra
 
 FORMAT_VERSION = "1"
+
+# Largest rows x cols of one dense map a file may declare: 2048 x 2048.  The
+# biggest map any builtin construction saves is the 36 x 216 action of the
+# smash coproduct over group:S3.
+MAX_DENSE_ENTRIES = 1 << 22
 
 STRUCTURE_KINDS = ("algebra", "coalgebra", "bialgebra", "hopf")
 ALL_KINDS = STRUCTURE_KINDS + ("prelie", "operator", "module", "comodule",
@@ -162,7 +171,15 @@ def _entry_table(field, rows, n_indices, dims):
     return out
 
 
-def _matrix_from_rows(field, rows, shape):
+def _check_dense_size(shape, lineno=None):
+    if shape[0] * shape[1] > MAX_DENSE_ENTRIES:
+        raise FormatError(
+            f"dense map of {shape[0]} x {shape[1]} entries exceeds the limit "
+            f"of {MAX_DENSE_ENTRIES}", lineno)
+
+
+def _matrix_from_rows(field, rows, shape, lineno=None):
+    _check_dense_size(shape, lineno)
     table = _entry_table(field, rows, 2, shape)
     m = [[field.zero] * shape[1] for _ in range(shape[0])]
     for (r, c), v in table.items():
@@ -204,7 +221,7 @@ def loads(text: str, base_dir: str = ".") -> Document:
         lineno, tokens = lines.expect("cols")
         ncols = _parse_int(tokens[1], lineno)
         payload = _matrix_from_rows(field, lines.take_section("entry"),
-                                    (nrows, ncols))
+                                    (nrows, ncols), lineno)
     elif kind in ("module", "comodule"):
         lineno, tokens = lines.expect("side")
         side = tokens[1]
@@ -216,9 +233,9 @@ def loads(text: str, base_dir: str = ".") -> Document:
         h = hopf.dim
         if kind == "module":
             action = _matrix_from_rows(field, lines.take_section("action"),
-                                       (m_dim, m_dim * h))
+                                       (m_dim, m_dim * h), lineno)
             coaction = _matrix_from_rows(field, lines.take_section("coaction"),
-                                         (m_dim * h, m_dim))
+                                         (m_dim * h, m_dim), lineno)
             mul_rows = lines.take_section("mul")
             comul_rows = lines.take_section("comul")
             mul = (Tensor3(field, (m_dim,) * 3,
@@ -231,12 +248,12 @@ def loads(text: str, base_dir: str = ".") -> Document:
                                  mul=mul, comul=comul)
         else:
             coaction = _matrix_from_rows(field, lines.take_section("coaction"),
-                                         (m_dim * h, m_dim))
+                                         (m_dim * h, m_dim), lineno)
             payload = Comodule(hopf, m_dim, coaction, side)
     elif kind == "yd":
         hopf = hopf_ref()
-        lineno, tokens = lines.expect("cdim")
-        c_dim = _parse_int(tokens[1], lineno)
+        cdim_line, tokens = lines.expect("cdim")
+        c_dim = _parse_int(tokens[1], cdim_line)
         h = hopf.dim
         ccomul = Tensor3(field, (c_dim,) * 3,
                          _entry_table(field, lines.take_section("ccomul"), 3,
@@ -250,14 +267,15 @@ def loads(text: str, base_dir: str = ".") -> Document:
                 row[i] = v
             ccounit = Mat(field, (row,))
         action = _matrix_from_rows(field, lines.take_section("action"),
-                                   (c_dim, h * c_dim))
+                                   (c_dim, h * c_dim), cdim_line)
         coaction = _matrix_from_rows(field, lines.take_section("coaction"),
-                                     (h * c_dim, c_dim))
+                                     (h * c_dim, c_dim), cdim_line)
         cstr = AlgebraicStructure(c_dim, field, comul=ccomul, counit=ccounit)
         payload = YDModuleCoalgebra(hopf, cstr, action, coaction)
     elif kind == "sigma":
         hopf = hopf_ref()
         h = hopf.dim
+        _check_dense_size((h, h))
         table = _entry_table(field, lines.take_section("sigma"), 2, (h, h))
         row = [field.zero] * (h * h)
         for (i, j), v in table.items():
@@ -270,8 +288,8 @@ def loads(text: str, base_dir: str = ".") -> Document:
 
 
 def _load_structure_body(lines: _Lines, field, kind: str):
-    lineno, tokens = lines.expect("dim")
-    dim = _parse_int(tokens[1], lineno)
+    dim_line, tokens = lines.expect("dim")
+    dim = _parse_int(tokens[1], dim_line)
     names = None
     lineno, tokens = lines.peek()
     if tokens is not None and tokens[0] == "names":
@@ -306,7 +324,7 @@ def _load_structure_body(lines: _Lines, field, kind: str):
     antipode = None
     antipode_rows = lines.take_section("antipode")
     if antipode_rows:
-        antipode = _matrix_from_rows(field, antipode_rows, (dim, dim))
+        antipode = _matrix_from_rows(field, antipode_rows, (dim, dim), dim_line)
     if kind == "prelie":
         if comul is None:
             comul = Tensor3(field, (dim,) * 3, {})

@@ -11,6 +11,11 @@ A bialgebra C with a projection onto a Hopf algebra H (bialgebra maps
 i: H→C, π: C→H, π∘i = id) becomes such a module via c·h = c·i(h) and
 ρ(c) = c₁⊗π(c₂); the associated projection is the convolution
 Π = id ⋆ (i∘S∘π).
+
+The constructed maps (convolutions, the action and coaction of that module,
+coinvariant projections) are built one column at a time by pushing a basis
+vector through the same `TermSum` rewrites the checkers use, so no Kronecker
+product of dense matrices is ever formed.
 """
 
 from __future__ import annotations
@@ -232,6 +237,13 @@ def check_hopf_module_coalgebra(hm: HopfModule) -> AxiomVerdict:
     ])
 
 
+def _matrix_of(field, in_dims: tuple[int, ...], rows: int, image) -> Mat:
+    """The matrix whose column for basis index `idx` of `in_dims` is image(e_idx)."""
+    columns = [image(TermSum.basis(field, in_dims, idx)).to_vec()
+               for idx in product(*map(range, in_dims))]
+    return Mat.from_columns(field, columns, rows=rows)
+
+
 def coinvariant_projection(hm: HopfModule) -> Mat:
     """P_R(m) = m₍₀₎·S(m₍₁₎) for right modules, P_L(m) = S(m₍₋₁₎)·m₍₀₎ for left.
 
@@ -239,10 +251,12 @@ def coinvariant_projection(hm: HopfModule) -> Mat:
     coinvariants {m : ρ(m) = m⊗1} (resp. {m : ρ(m) = 1⊗m}).
     """
     antipode = hm.hopf.require("antipode")
-    eye = Mat.identity(hm.field, hm.m_dim)
-    if hm.side == "right":
-        return hm.action * (eye @ antipode) * hm.coaction
-    return hm.action * (antipode @ eye) * hm.coaction
+    out_dims = hm.coaction_dims()
+    h_pos = 1 if hm.side == "right" else 0
+    return _matrix_of(hm.field, (hm.m_dim,), hm.m_dim, lambda t: (
+        t.split_map_at(0, hm.coaction, out_dims)
+        .map_at(h_pos, antipode)
+        .merge_map_at(0, hm.action)))
 
 
 def verify_projection_rb(hm: HopfModule) -> tuple[Mat, RBVerdict]:
@@ -267,7 +281,8 @@ def convolution(f: Mat, g: Mat, s: AlgebraicStructure) -> Mat:
     for op in (f, g):
         if (op.rows, op.cols) != (s.dim, s.dim) or op.field != s.field:
             raise ShapeError(f"convolution operands must be {s.dim} x {s.dim}")
-    return mul.mul_matrix() * (f @ g) * comul.comul_matrix()
+    return _matrix_of(s.field, (s.dim,), s.dim, lambda t: (
+        t.split_at(0, comul).map_at(0, f).map_at(1, g).merge_at(0, mul)))
 
 
 @dataclass(frozen=True)
@@ -303,14 +318,14 @@ def hopf_module_from_projection(pb: ProjectionBialgebra,
     coalgebra checks.
     """
     big, hopf = pb.big, pb.hopf
-    eye = Mat.identity(big.field, big.dim)
-    if side == "right":
-        action = big.mul.mul_matrix() * (eye @ pb.embed)
-        coaction = (eye @ pb.project) * big.comul.comul_matrix()
-    else:
-        action = big.mul.mul_matrix() * (pb.embed @ eye)
-        coaction = (pb.project @ eye) * big.comul.comul_matrix()
-    return HopfModule(hopf, big.dim, action, coaction, side,
+    field, n = big.field, big.dim
+    h_pos = 1 if side == "right" else 0
+    in_dims = (n, hopf.dim) if side == "right" else (hopf.dim, n)
+    action = _matrix_of(field, in_dims, n, lambda t: (
+        t.map_at(h_pos, pb.embed).merge_at(0, big.mul)))
+    coaction = _matrix_of(field, (n,), n * hopf.dim, lambda t: (
+        t.split_at(0, big.comul).map_at(h_pos, pb.project)))
+    return HopfModule(hopf, n, action, coaction, side,
                       mul=big.mul, comul=big.comul)
 
 

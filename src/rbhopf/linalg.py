@@ -6,6 +6,13 @@ place this is spelled out; every other tensor computation goes through it.
 
 On `Mat`, `*` is composition (matrix product) and `@` is the Kronecker
 product, so (f⊗g)∘(h⊗k) = (f∘h)⊗(g∘k) reads (f @ g) * (h @ k) == (f * h) @ (g * k).
+
+`Mat` stores its entries densely but also offers the sparse view the rewrite
+engine works in: `Mat.by_col()`, the cached nonzero fan-out of each column,
+like `Tensor3.by_first`/`by_pair`.  The public constructors validate shapes
+and coerce every scalar; `Mat._trusted` is an internal constructor for
+results built from entries that are already field elements of a known shape
+(matrix products), and skips both.
 """
 
 from __future__ import annotations
@@ -128,7 +135,7 @@ class Mat:
     of the j-th basis vector.
     """
 
-    __slots__ = ("field", "entries", "rows", "cols")
+    __slots__ = ("field", "entries", "rows", "cols", "_by_col")
 
     def __init__(self, field, rows_of_entries, cols: int | None = None):
         coerce = field.coerce
@@ -139,10 +146,24 @@ class Mat:
                 raise ShapeError("ragged rows in matrix")
         else:
             ncols = 0 if cols is None else cols
+        self._set_state(field, rows, ncols)
+
+    def _set_state(self, field, rows: tuple, ncols: int):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "entries", rows)
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", ncols)
+        object.__setattr__(self, "_by_col", None)
+
+    @classmethod
+    def _trusted(cls, field, rows: tuple, ncols: int) -> "Mat":
+        """Internal: wrap a tuple of `ncols`-tuples of field elements as is.
+
+        No scalar is coerced and no shape is checked; callers guarantee both.
+        """
+        m = object.__new__(cls)
+        m._set_state(field, rows, ncols)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("Mat is immutable")
@@ -188,6 +209,22 @@ class Mat:
     def columns(self):
         return [self.col(j) for j in range(self.cols)]
 
+    def by_col(self) -> tuple:
+        """((i, value), ...) per column j: the nonzero entries of the image of e_j.
+
+        Built once per matrix and cached; the rewrite engine reads maps
+        through it, so applying a map to a basis term costs its column's
+        nonzero count, not its row count.
+        """
+        if self._by_col is None:
+            cols: list = [[] for _ in range(self.cols)]
+            for i, row in enumerate(self.entries):
+                for j, a in enumerate(row):
+                    if a:
+                        cols[j].append((i, a))
+            object.__setattr__(self, "_by_col", tuple(map(tuple, cols)))
+        return self._by_col
+
     def __mul__(self, other):
         if isinstance(other, Mat):
             _check_same_field(self, other)
@@ -196,17 +233,20 @@ class Mat:
                     f"cannot compose {self.rows}x{self.cols} with "
                     f"{other.rows}x{other.cols}")
             zero = self.field.zero
-            out = [[zero] * other.cols for _ in range(self.rows)]
-            oent = other.entries
-            for i, arow in enumerate(self.entries):
-                orow = out[i]
+            ncols = other.cols
+            sparse_rows = [[(j, b) for j, b in enumerate(row) if b]
+                           for row in other.entries]
+            out = []
+            for arow in self.entries:
+                orow = [None] * ncols
                 for k, a in enumerate(arow):
                     if not a:
                         continue
-                    for j, b in enumerate(oent[k]):
-                        if b:
-                            orow[j] = orow[j] + a * b
-            return Mat(self.field, out, cols=other.cols)
+                    for j, b in sparse_rows[k]:
+                        prev = orow[j]
+                        orow[j] = a * b if prev is None else prev + a * b
+                out.append(tuple(zero if x is None else x for x in orow))
+            return Mat._trusted(self.field, tuple(out), ncols)
         if isinstance(other, Vec):
             return self.apply(other)
         s = self.field.coerce(other)

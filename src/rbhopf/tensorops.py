@@ -10,6 +10,13 @@ identities are written in.
 
 Structure constants are sparse, so a chain of rewrites stays sparse: the
 fan-out of each step is bounded by the nonzero count of the map applied.
+Every map is read through its sparse fan-out (`Tensor3.by_first`/`by_pair`,
+`Mat.by_col`), so a step never scans the zero entries of a dense `Mat`.
+
+The public `TermSum(...)` constructor checks every key against the shape and
+coerces every value.  The rewrites build their results through the internal
+`TermSum._trusted`, which only drops zero values: their keys come from valid
+keys and fan-outs, and their values are products and sums of field elements.
 """
 
 from __future__ import annotations
@@ -38,6 +45,15 @@ class TermSum:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _trusted(cls, field, dims: tuple, terms: dict) -> "TermSum":
+        """Internal: wrap valid keys and field-element values, dropping zeros."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "field", field)
+        object.__setattr__(t, "dims", dims)
+        object.__setattr__(t, "terms", {k: v for k, v in terms.items() if v})
+        return t
+
     def __setattr__(self, name, value):
         raise AttributeError("TermSum is immutable")
 
@@ -56,7 +72,7 @@ class TermSum:
         return self.dims[pos]
 
     def _check_field(self, other):
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise FieldMismatchError(
                 f"mixed fields {self.field!r} and {other.field!r}")
 
@@ -66,18 +82,17 @@ class TermSum:
         if m.cols != self._factor_dim(pos):
             raise ShapeError(
                 f"map with {m.cols} columns applied to factor of dim {self.dims[pos]}")
+        fan = m.by_col()
         out: dict = {}
-        ment = m.entries
+        get = out.get
         for key, val in self.terms.items():
-            j = key[pos]
-            for i in range(m.rows):
-                a = ment[i][j]
-                if not a:
-                    continue
-                nk = key[:pos] + (i,) + key[pos + 1:]
-                out[nk] = out.get(nk, self.field.zero) + a * val
+            head, tail = key[:pos], key[pos + 1:]
+            for i, a in fan[key[pos]]:
+                nk = head + (i,) + tail
+                prev = get(nk)
+                out[nk] = a * val if prev is None else prev + a * val
         dims = self.dims[:pos] + (m.rows,) + self.dims[pos + 1:]
-        return TermSum(self.field, dims, out)
+        return TermSum._trusted(self.field, dims, out)
 
     def split_at(self, pos: int, comul: Tensor3) -> "TermSum":
         """Replace factor `pos` by two factors through a comultiplication."""
@@ -88,12 +103,15 @@ class TermSum:
                 f"comultiplication of dim {d} applied to factor of dim {self.dims[pos]}")
         fan = comul.by_first()
         out: dict = {}
+        get = out.get
         for key, val in self.terms.items():
+            head, tail = key[:pos], key[pos + 1:]
             for j, k, coeff in fan.get(key[pos], ()):
-                nk = key[:pos] + (j, k) + key[pos + 1:]
-                out[nk] = out.get(nk, self.field.zero) + coeff * val
+                nk = head + (j, k) + tail
+                prev = get(nk)
+                out[nk] = coeff * val if prev is None else prev + coeff * val
         dims = self.dims[:pos] + (a, b) + self.dims[pos + 1:]
-        return TermSum(self.field, dims, out)
+        return TermSum._trusted(self.field, dims, out)
 
     def split_map_at(self, pos: int, m: Mat, out_dims: tuple[int, int]) -> "TermSum":
         """Replace factor `pos` by two factors through a map V → A ⊗ B."""
@@ -102,19 +120,17 @@ class TermSum:
         if m.rows != a * b or m.cols != self._factor_dim(pos):
             raise ShapeError(
                 f"{m.rows}x{m.cols} map does not send dim {self.dims[pos]} to {a}x{b}")
+        fan = m.by_col()
         out: dict = {}
-        ment = m.entries
+        get = out.get
         for key, val in self.terms.items():
-            j = key[pos]
-            for flat in range(m.rows):
-                coeff = ment[flat][j]
-                if not coeff:
-                    continue
-                u, v = divmod(flat, b)
-                nk = key[:pos] + (u, v) + key[pos + 1:]
-                out[nk] = out.get(nk, self.field.zero) + coeff * val
+            head, tail = key[:pos], key[pos + 1:]
+            for flat, coeff in fan[key[pos]]:
+                nk = head + divmod(flat, b) + tail
+                prev = get(nk)
+                out[nk] = coeff * val if prev is None else prev + coeff * val
         dims = self.dims[:pos] + (a, b) + self.dims[pos + 1:]
-        return TermSum(self.field, dims, out)
+        return TermSum._trusted(self.field, dims, out)
 
     def merge_at(self, pos: int, mul: Tensor3) -> "TermSum":
         """Combine factors `pos`, `pos+1` through a multiplication."""
@@ -128,12 +144,15 @@ class TermSum:
                 f"({self.dims[pos]},{self.dims[pos + 1]})")
         fan = mul.by_pair()
         out: dict = {}
+        get = out.get
         for key, val in self.terms.items():
-            for k, coeff in fan.get((key[pos], key[pos + 1]), ()):
-                nk = key[:pos] + (k,) + key[pos + 2:]
-                out[nk] = out.get(nk, self.field.zero) + coeff * val
+            head, tail = key[:pos], key[pos + 2:]
+            for k, coeff in fan.get(key[pos:pos + 2], ()):
+                nk = head + (k,) + tail
+                prev = get(nk)
+                out[nk] = coeff * val if prev is None else prev + coeff * val
         dims = self.dims[:pos] + (c,) + self.dims[pos + 2:]
-        return TermSum(self.field, dims, out)
+        return TermSum._trusted(self.field, dims, out)
 
     def merge_map_at(self, pos: int, m: Mat) -> "TermSum":
         """Combine factors `pos`, `pos+1` through a map A ⊗ B → V."""
@@ -145,18 +164,17 @@ class TermSum:
             raise ShapeError(
                 f"map with {m.cols} columns applied to factors "
                 f"({self.dims[pos]},{b})")
+        fan = m.by_col()
         out: dict = {}
-        ment = m.entries
+        get = out.get
         for key, val in self.terms.items():
-            flat = key[pos] * b + key[pos + 1]
-            for i in range(m.rows):
-                a = ment[i][flat]
-                if not a:
-                    continue
-                nk = key[:pos] + (i,) + key[pos + 2:]
-                out[nk] = out.get(nk, self.field.zero) + a * val
+            head, tail = key[:pos], key[pos + 2:]
+            for i, a in fan[key[pos] * b + key[pos + 1]]:
+                nk = head + (i,) + tail
+                prev = get(nk)
+                out[nk] = a * val if prev is None else prev + a * val
         dims = self.dims[:pos] + (m.rows,) + self.dims[pos + 2:]
-        return TermSum(self.field, dims, out)
+        return TermSum._trusted(self.field, dims, out)
 
     def pair_at(self, pos: int, form: Mat) -> "TermSum":
         """Contract factors `pos`, `pos+1` through a bilinear form (1 × a·b)."""
@@ -170,36 +188,39 @@ class TermSum:
                 f"({self.dims[pos]},{b})")
         row = form.entries[0]
         out: dict = {}
+        get = out.get
         for key, val in self.terms.items():
             coeff = row[key[pos] * b + key[pos + 1]]
             if not coeff:
                 continue
             nk = key[:pos] + key[pos + 2:]
-            out[nk] = out.get(nk, self.field.zero) + coeff * val
+            prev = get(nk)
+            out[nk] = coeff * val if prev is None else prev + coeff * val
         dims = self.dims[:pos] + self.dims[pos + 2:]
-        return TermSum(self.field, dims, out)
+        return TermSum._trusted(self.field, dims, out)
 
     def insert_at(self, pos: int, vec: Vec) -> "TermSum":
         """Insert a fixed vector as a new factor at position `pos`."""
         self._check_field(vec)
         if not 0 <= pos <= len(self.dims):
             raise ShapeError(f"insert position {pos} out of range")
+        fan = [(i, x) for i, x in enumerate(vec.entries) if x]
         out: dict = {}
         for key, val in self.terms.items():
-            for i, x in enumerate(vec.entries):
-                if x:
-                    nk = key[:pos] + (i,) + key[pos:]
-                    out[nk] = out.get(nk, self.field.zero) + x * val
+            head, tail = key[:pos], key[pos:]
+            for i, x in fan:
+                out[head + (i,) + tail] = x * val
         dims = self.dims[:pos] + (vec.dim,) + self.dims[pos:]
-        return TermSum(self.field, dims, out)
+        return TermSum._trusted(self.field, dims, out)
 
     def drop_at(self, pos: int) -> "TermSum":
         """Remove a one-dimensional factor."""
         if self._factor_dim(pos) != 1:
             raise ShapeError(f"factor {pos} has dim {self.dims[pos]}, cannot drop")
         dims = self.dims[:pos] + self.dims[pos + 1:]
-        return TermSum(self.field, dims,
-                       {key[:pos] + key[pos + 1:]: v for key, v in self.terms.items()})
+        return TermSum._trusted(self.field, dims,
+                                {key[:pos] + key[pos + 1:]: v
+                                 for key, v in self.terms.items()})
 
     def swap_at(self, pos: int) -> "TermSum":
         """Exchange adjacent factors `pos`, `pos+1`."""
@@ -215,29 +236,43 @@ class TermSum:
         if sorted(order) != list(range(len(self.dims))):
             raise ShapeError(f"{order} is not a permutation of the factors")
         dims = tuple(self.dims[o] for o in order)
-        return TermSum(self.field, dims,
-                       {tuple(key[o] for o in order): v
-                        for key, v in self.terms.items()})
+        return TermSum._trusted(self.field, dims,
+                                {tuple(key[o] for o in order): v
+                                 for key, v in self.terms.items()})
 
     def scale(self, scalar) -> "TermSum":
         s = self.field.coerce(scalar)
-        return TermSum(self.field, self.dims,
-                       {k: s * v for k, v in self.terms.items()})
+        return TermSum._trusted(self.field, self.dims,
+                                {k: s * v for k, v in self.terms.items()})
 
-    def __add__(self, other: "TermSum") -> "TermSum":
+    def _check_same_shape(self, other: "TermSum"):
         self._check_field(other)
         if self.dims != other.dims:
             raise ShapeError(f"shapes {self.dims} and {other.dims} differ")
+
+    def __add__(self, other: "TermSum") -> "TermSum":
+        self._check_same_shape(other)
         out = dict(self.terms)
+        get = out.get
         for k, v in other.terms.items():
-            out[k] = out.get(k, self.field.zero) + v
-        return TermSum(self.field, self.dims, out)
+            prev = get(k)
+            out[k] = v if prev is None else prev + v
+        return TermSum._trusted(self.field, self.dims, out)
 
     def __sub__(self, other: "TermSum") -> "TermSum":
-        return self + other.scale(-1) if other.terms else self
+        self._check_same_shape(other)
+        if self.terms == other.terms:
+            return TermSum._trusted(self.field, self.dims, {})
+        out = dict(self.terms)
+        get = out.get
+        for k, v in other.terms.items():
+            prev = get(k)
+            out[k] = -v if prev is None else prev - v
+        return TermSum._trusted(self.field, self.dims, out)
 
     def __neg__(self) -> "TermSum":
-        return self.scale(-1)
+        return TermSum._trusted(self.field, self.dims,
+                                {k: -v for k, v in self.terms.items()})
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -57,3 +57,16 @@ def random_mat(field, rows, cols):
         scal = st.integers(min_value=0, max_value=field.p - 1).map(field.from_int)
     return st.lists(st.lists(scal, min_size=cols, max_size=cols),
                     min_size=rows, max_size=rows).map(lambda e: Mat(field, e))
+
+
+def random_sparse_mat(field, rows, cols):
+    """Hypothesis strategy for a mostly-zero rows x cols matrix over QQ or F_p."""
+    from hypothesis import strategies as st
+    if field is QQ or field == QQ:
+        nonzero = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    else:
+        nonzero = st.integers(min_value=1, max_value=field.p - 1).map(field.from_int)
+    entry = st.one_of(st.just(field.zero), st.just(field.zero), nonzero)
+    return st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows).map(
+                        lambda e: Mat(field, e, cols=cols))

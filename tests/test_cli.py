@@ -46,6 +46,17 @@ def test_verify_corrupted_file_exit_2(tmp_path):
     assert "line 4" in err
 
 
+def test_huge_dense_operator_rejected_before_allocation(tmp_path):
+    big = tmp_path / "big.rbh"
+    big.write_text("rbhopf 1 operator\nfield Q\nrows 30000\ncols 30000\n"
+                   "entry 0 0 1 1\n")
+    code, out, err = run("rb-check", "builtin:example54", "--side", "algebra",
+                         "--operator", str(big), "--weight", "0")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: line 4: dense map of 30000 x 30000")
+
+
 def test_verify_missing_file_exit_2():
     code, _, err = run("verify", "/does/not/exist.rbh")
     assert code == 2 and "error" in err

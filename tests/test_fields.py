@@ -27,7 +27,7 @@ def test_fp_arithmetic():
     assert a * b == f5.from_int(2)
     assert a - b == f5.from_int(4)
     assert -a == f5.from_int(2)
-    assert a / b == 3 * pow(4, -1, 5)
+    assert a / b == f5.from_int(3 * pow(4, -1, 5))
     assert a ** 4 == f5.one
     assert bool(f5.zero) is False and bool(a) is True
 
@@ -38,7 +38,28 @@ def test_fp_int_interop():
     assert 1 + a == f7.from_int(4)
     assert 2 * a == f7.from_int(6)
     assert 10 - a == f7.zero
-    assert a == 10
+    assert a == 3 and a != 10 and a != -4
+
+
+_fp_or_int = st.one_of(
+    st.builds(Fp, st.integers(-20, 20), st.just(5)),
+    st.integers(-20, 20))
+
+
+@given(_fp_or_int, _fp_or_int)
+def test_fp_equality_implies_equal_hash(a, b):
+    if a == b:
+        assert hash(a) == hash(b)
+    assert (a == b) == (b == a)
+
+
+def test_fp_and_its_residue_are_one_set_element():
+    assert {Fp(1, 5), 1} == {1}
+    assert len({Fp(1, 5), 1}) == 1
+    assert len({Fp(1, 5), 6}) == 2
+    assert Fp(1, 5) != 6 and Fp(4, 5) != -1
+    with pytest.raises(FieldMismatchError):
+        {Fp(1, 3), Fp(1, 5)}
 
 
 def test_fp_modulus_mixing_is_an_error():

@@ -2,8 +2,9 @@ import pytest
 
 from rbhopf import (GF, QQ, FormatError, Mat, PreLieCoalgebra, Tensor3,
                     adjoint_yd, builtin, coquasitriangular_form,
-                    example54_q, regular_hopf_module)
-from rbhopf.fileformat import Comodule, Document, dumps, load, loads, save
+                    example54_q, regular_hopf_module, smash_hopf_module_left)
+from rbhopf.fileformat import (MAX_DENSE_ENTRIES, Comodule, Document, dumps,
+                               load, loads, save)
 
 
 STRUCTS = ["group:C2", "group:C3", "group:S3", "sweedler4", "example54",
@@ -173,3 +174,36 @@ def test_field_mismatch_between_files(tmp_path):
     (tmp_path / "m.rbh").write_text(text)
     with pytest.raises(FormatError):
         load(tmp_path / "m.rbh")
+
+
+def test_dense_declarations_over_the_limit_rejected():
+    side = 1
+    while side * side <= MAX_DENSE_ENTRIES:
+        side *= 2
+    for text in (
+            f"rbhopf 1 operator\nfield Q\nrows {side}\ncols {side}\n",
+            f"rbhopf 1 module\nfield Q\nside right\nhopf builtin:trivial\n"
+            f"mdim {side}\n",
+            f"rbhopf 1 hopf\nfield Q\ndim {side}\nantipode 0 0 1 1\n"):
+        with pytest.raises(FormatError, match="exceeds the limit"):
+            loads(text)
+    # exactly at the limit is accepted
+    rows = MAX_DENSE_ENTRIES // 4
+    doc = loads(f"rbhopf 1 operator\nfield Fp:2\nrows {rows}\ncols 4\n")
+    assert (doc.payload.rows, doc.payload.cols) == (rows, 4)
+
+
+def test_sparse_sections_of_large_dim_still_load():
+    n = 30000
+    doc = loads(f"rbhopf 1 coalgebra\nfield Q\ndim {n}\n"
+                f"comul {n - 1} {n - 1} {n - 1} 1 1\n")
+    assert doc.payload.dim == n and len(doc.payload.comul.entries) == 1
+
+
+def test_largest_builtin_smash_files_fit_the_dense_limit(tmp_path):
+    hm, p, _ = smash_hopf_module_left(adjoint_yd(builtin("group:S3")))
+    assert hm.action.rows * hm.action.cols <= MAX_DENSE_ENTRIES
+    save(hm, tmp_path / "smash.rbh", refs={"hopf": "builtin:group:S3"})
+    save(p, tmp_path / "p.rbh")
+    assert load(tmp_path / "smash.rbh").payload == hm
+    assert load(tmp_path / "p.rbh").payload == p

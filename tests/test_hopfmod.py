@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from rbhopf import (QQ, HopfModule, Mat, PreconditionError, Vec, builtin,
@@ -217,3 +219,72 @@ def test_dim_zero_module_vacuous(c2):
     assert check_hopf_module_coalgebra(hm).passed
     p, verdict = verify_projection_rb(hm)
     assert verdict.passed
+
+
+# Oracle for the constructions, which are built from TermSum rewrites: the
+# dense Kronecker-product formulas for the same maps.
+
+_ORACLE_HOPFS = ("sweedler4", "group:S3")
+
+
+def _identity_projection(name):
+    h = builtin(name)
+    eye = Mat.identity(QQ, h.dim)
+    return projection_bialgebra(h, h, eye, eye)
+
+
+_PROJECTIONS = {
+    **{name: (lambda n=name: _identity_projection(n)) for name in _ORACLE_HOPFS},
+    **{f"{name}^2": (lambda n=name: tensor_square_projection(builtin(n)))
+       for name in _ORACLE_HOPFS},
+}
+
+
+def _sparse_endomorphism(n, seed):
+    rng = random.Random(seed)
+    return Mat(QQ, [[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(n)]
+                    for _ in range(n)])
+
+
+@pytest.mark.parametrize("name", _ORACLE_HOPFS)
+def test_convolution_matches_kronecker_formula(name):
+    s = builtin(name)
+    f, g = _sparse_endomorphism(s.dim, 1), _sparse_endomorphism(s.dim, 2)
+    mul, comul = s.mul.mul_matrix(), s.comul.comul_matrix()
+    for a, b in ((f, g), (g, f), (s.antipode, f)):
+        assert convolution(a, b, s) == mul * (a @ b) * comul
+
+
+@pytest.mark.parametrize("label", sorted(_PROJECTIONS))
+def test_projection_constructions_match_kronecker_formulas(label):
+    pb = _PROJECTIONS[label]()
+    big = pb.big
+    eye = Mat.identity(QQ, big.dim)
+    mul, comul = big.mul.mul_matrix(), big.comul.comul_matrix()
+    isp = pb.embed * pb.hopf.antipode * pb.project
+    assert convolution(eye, isp, big) == mul * (eye @ isp) * comul
+    assert convolution(isp, eye, big) == mul * (isp @ eye) * comul
+    antipode = pb.hopf.antipode
+    for side in ("right", "left"):
+        hm = hopf_module_from_projection(pb, side)
+        if side == "right":
+            action = mul * (eye @ pb.embed)
+            coaction = (eye @ pb.project) * comul
+            projection = action * (eye @ antipode) * coaction
+        else:
+            action = mul * (pb.embed @ eye)
+            coaction = (pb.project @ eye) * comul
+            projection = action * (antipode @ eye) * coaction
+        assert hm.action == action and hm.coaction == coaction
+        assert coinvariant_projection(hm) == projection
+        assert pi_operator(pb, side) == projection
+
+
+@pytest.mark.parametrize("name", _ORACLE_HOPFS)
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_regular_coinvariant_projection_matches_kronecker_formula(name, side):
+    h = builtin(name)
+    hm = regular_hopf_module(h, side)
+    eye = Mat.identity(QQ, h.dim)
+    middle = eye @ h.antipode if side == "right" else h.antipode @ eye
+    assert coinvariant_projection(hm) == hm.action * middle * hm.coaction

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from rbhopf import (GF, QQ, FieldMismatchError, Mat, ShapeError, Tensor3, Vec,
                     builtin, column_space_basis, flip_matrix, kron_index,
                     nullspace, rref, solve_linear, unkron_index)
-from conftest import random_mat
+from conftest import random_mat, random_sparse_mat
 
 
 def test_kron_index_values():
@@ -48,6 +48,41 @@ def test_kron_respects_composition_over_f5(data):
     h = data.draw(random_mat(f5, 2, 2))
     k = data.draw(random_mat(f5, 2, 2))
     assert (f @ h) * (g @ k) == (f * g) @ (h * k)
+
+
+@settings(max_examples=30)
+@given(st.sampled_from([QQ, GF(5)]), st.data())
+def test_by_col_matches_columns(field, data):
+    rows, cols = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+    m = data.draw(random_sparse_mat(field, rows, cols))
+    fan = m.by_col()
+    assert len(fan) == m.cols
+    for j in range(m.cols):
+        assert fan[j] == tuple((i, m.entries[i][j]) for i in range(m.rows)
+                               if m.entries[i][j])
+    assert m.by_col() is fan
+
+
+@settings(max_examples=30)
+@given(st.sampled_from([QQ, GF(5)]), st.data())
+def test_product_matches_entrywise_sum(field, data):
+    n, k, m = (data.draw(st.integers(0, 4)) for _ in range(3))
+    a = data.draw(random_sparse_mat(field, n, k))
+    b = data.draw(random_sparse_mat(field, k, m))
+    expected = Mat(field, [[sum((a.entries[i][t] * b.entries[t][j]
+                                 for t in range(k)), field.zero)
+                            for j in range(m)] for i in range(n)], cols=m)
+    assert a * b == expected
+    assert (a * b).cols == m
+
+
+def test_public_constructor_still_validates():
+    with pytest.raises(ShapeError):
+        Mat(QQ, ((1, 2), (3,)))
+    with pytest.raises(FieldMismatchError):
+        Mat(QQ, ((GF(5).one,),))
+    with pytest.raises(FieldMismatchError):
+        Mat(GF(5), ((Fraction(1, 2),),))
 
 
 def test_matrix_vector_apply_and_tensor():

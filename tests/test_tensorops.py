@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rbhopf import QQ, Mat, ShapeError, TermSum, Vec, builtin
+from rbhopf import (GF, QQ, FieldMismatchError, Mat, ShapeError, TermSum, Vec,
+                    builtin)
+from conftest import random_sparse_mat
 
 
 def test_basis_and_flatten():
@@ -84,3 +87,96 @@ def test_shape_mismatch_rejected():
         a + b
     with pytest.raises(ShapeError):
         a.map_at(0, Mat.identity(QQ, 3))
+
+
+def _random_termsum(data, field, dims):
+    keys = st.tuples(*(st.integers(0, d - 1) for d in dims))
+    if field == QQ:
+        vals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    else:
+        vals = st.integers(0, field.p - 1)
+    return TermSum(field, dims, data.draw(st.dictionaries(keys, vals, max_size=6)))
+
+
+def _around(field, dims, pos, width, m):
+    """Dense I ⊗ m ⊗ I acting on factors pos..pos+width-1 of `dims`."""
+    left = right = 1
+    for d in dims[:pos]:
+        left *= d
+    for d in dims[pos + width:]:
+        right *= d
+    return Mat.identity(field, left) @ m @ Mat.identity(field, right)
+
+
+_fields = st.sampled_from([QQ, GF(5)])
+_dims3 = st.tuples(*(st.integers(1, 3) for _ in range(3)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_fields, _dims3, st.data())
+def test_map_at_matches_dense_apply(field, dims, data):
+    t = _random_termsum(data, field, dims)
+    pos = data.draw(st.integers(0, 2))
+    m = data.draw(random_sparse_mat(field, data.draw(st.integers(1, 3)), dims[pos]))
+    out = t.map_at(pos, m)
+    assert out.to_vec() == _around(field, dims, pos, 1, m).apply(t.to_vec())
+    assert all(out.terms.values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(_fields, _dims3, st.data())
+def test_split_map_at_matches_dense_apply(field, dims, data):
+    t = _random_termsum(data, field, dims)
+    pos = data.draw(st.integers(0, 2))
+    a, b = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    m = data.draw(random_sparse_mat(field, a * b, dims[pos]))
+    out = t.split_map_at(pos, m, (a, b))
+    assert out.dims == dims[:pos] + (a, b) + dims[pos + 1:]
+    assert out.to_vec() == _around(field, dims, pos, 1, m).apply(t.to_vec())
+    assert all(out.terms.values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(_fields, _dims3, st.data())
+def test_merge_map_at_matches_dense_apply(field, dims, data):
+    t = _random_termsum(data, field, dims)
+    pos = data.draw(st.integers(0, 1))
+    m = data.draw(random_sparse_mat(field, data.draw(st.integers(1, 3)),
+                                    dims[pos] * dims[pos + 1]))
+    out = t.merge_map_at(pos, m)
+    assert out.to_vec() == _around(field, dims, pos, 2, m).apply(t.to_vec())
+    assert all(out.terms.values())
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)])
+def test_cancelling_rewrite_leaves_no_zero_terms(field):
+    t = TermSum(field, (2, 2), {(0, 1): 1, (1, 1): 1})
+    minus_one = field.coerce(-1)
+    m = Mat(field, ((1, minus_one), (1, 1)))
+    for out in (t.map_at(0, m), t.merge_map_at(0, Mat(field, ((0, 1, 0, minus_one),))),
+                t.split_map_at(0, Mat(field, ((1, minus_one),)), (1, 1))):
+        assert 0 not in out.terms.values()
+        assert all(out.terms.values())
+    cancelled = t.map_at(0, Mat(field, ((1, minus_one),)))
+    assert cancelled.terms == {} and cancelled.is_zero()
+    assert (t - t).is_zero() and (t - t).dims == t.dims
+    assert (t + (-t)).terms == {}
+    assert t.scale(0).terms == {}
+
+
+def test_sub_checks_shape_and_field_even_when_equal():
+    a = TermSum.basis(QQ, (2,), (0,))
+    with pytest.raises(ShapeError):
+        a - TermSum(QQ, (3,), {})
+    with pytest.raises(FieldMismatchError):
+        a - TermSum.basis(GF(5), (2,), (0,))
+
+
+def test_public_constructor_still_validates():
+    with pytest.raises(ShapeError):
+        TermSum(QQ, (2,), {(2,): 1})
+    with pytest.raises(ShapeError):
+        TermSum(QQ, (2, 2), {(0,): 1})
+    with pytest.raises(FieldMismatchError):
+        TermSum(QQ, (2,), {(0,): GF(5).one})
+    assert TermSum(GF(5), (2,), {(0,): 5, (1,): 6}).terms == {(1,): GF(5).one}
