@@ -1,6 +1,7 @@
 #!/bin/sh
 # End-to-end tour of the command-line interface and the file format.
-# Exit codes: 0 pass, 1 check failed, 2 input error, 3 budget exceeded.
+# Exit codes: 0 pass, 1 check failed, 2 input error, 3 budget exceeded,
+# 4 internal error.
 set -e
 workdir=$(mktemp -d)
 trap 'rm -rf "$workdir"' EXIT

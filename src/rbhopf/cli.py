@@ -3,7 +3,9 @@
 Subcommands: verify, rb-check, construct, search, builtin-list.  Structures
 are file paths or `builtin:<name>` references; `--field Fp:<p>` re-grounds a
 builtin over a prime field.  Exit codes are a stable contract: 0 all checks
-passed, 1 a check failed, 2 input/parse error, 3 resource budget exceeded.
+passed, 1 a check failed, 2 input/parse error, 3 resource budget exceeded,
+4 internal error (an unexpected exception, reported as one line on stderr
+instead of a traceback).
 
 `--report machine` emits a deterministic line-oriented key-value report
 (no timestamps); `--report human` is free-form and includes timing.
@@ -537,6 +539,9 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
+    except Exception as exc:
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return 4
     sys.stdout.write(report.render(args.report))
     return report.exit_code
 

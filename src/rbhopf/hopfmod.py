@@ -13,23 +13,24 @@ i: H→C, π: C→H, π∘i = id) becomes such a module via c·h = c·i(h) and
 Π = id ⋆ (i∘S∘π).
 
 The constructed maps (convolutions, the action and coaction of that module,
-coinvariant projections) are built one column at a time by pushing a basis
-vector through the same `TermSum` rewrites the checkers use, so no Kronecker
-product of dense matrices is ever formed.
+coinvariant projections) are built by pushing every basis vector at once,
+each tagged with its own index, through the same `TermSum` rewrites the
+checkers use, so no Kronecker product of dense matrices is ever formed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from math import prod
 
 from .errors import PreconditionError, ShapeError
-from .linalg import Mat, Tensor3
+from .linalg import Mat, Tensor3, flatten_index
 from .rb import RBVerdict, check_rb_coalgebra
-from .structures import (AlgebraicStructure, AxiomVerdict, _first_failure,
-                         check_bialgebra_map, check_coassociativity,
-                         check_comodule, check_module, tensor_product)
-from .tensorops import TermSum
+from .structures import (AlgebraicStructure, AxiomVerdict, _batched,
+                         _first_failure, _verdict, check_bialgebra_map,
+                         check_coassociativity, check_comodule, check_module,
+                         tensor_product)
+from .tensorops import tagged_basis
 
 
 @dataclass(frozen=True)
@@ -101,35 +102,28 @@ def check_hopf_module(hm: HopfModule) -> AxiomVerdict:
     hopf = hm.hopf
     comul = hopf.require("comul")
     mul = hopf.require("mul")
-    field = hm.field
-    m_dim, h = hm.m_dim, hopf.dim
     out_dims = hm.coaction_dims()
+    right = hm.side == "right"
 
-    def compat():
-        if hm.side == "right":
-            for m, x in product(range(m_dim), range(h)):
-                t = TermSum.basis(field, (m_dim, h), (m, x))
-                lhs = t.merge_map_at(0, hm.action).split_map_at(
-                    0, hm.coaction, out_dims)
-                rhs = (t.split_at(1, comul)
-                       .split_map_at(0, hm.coaction, out_dims)
-                       .permute((0, 2, 1, 3))
-                       .merge_map_at(0, hm.action)
-                       .merge_at(1, mul))
-                yield (m, x), lhs - rhs
+    def compat(t):
+        lhs = t.merge_map_at(0, hm.action).split_map_at(0, hm.coaction, out_dims)
+        if right:
+            rhs = (t.split_at(1, comul)
+                   .split_map_at(0, hm.coaction, out_dims)
+                   .permute((0, 2, 1, 3))
+                   .merge_map_at(0, hm.action)
+                   .merge_at(1, mul))
         else:
-            for x, m in product(range(h), range(m_dim)):
-                t = TermSum.basis(field, (h, m_dim), (x, m))
-                lhs = t.merge_map_at(0, hm.action).split_map_at(
-                    0, hm.coaction, out_dims)
-                rhs = (t.split_at(0, comul)
-                       .split_map_at(2, hm.coaction, out_dims)
-                       .permute((0, 2, 1, 3))
-                       .merge_at(0, mul)
-                       .merge_map_at(1, hm.action))
-                yield (x, m), lhs - rhs
+            rhs = (t.split_at(0, comul)
+                   .split_map_at(2, hm.coaction, out_dims)
+                   .permute((0, 2, 1, 3))
+                   .merge_at(0, mul)
+                   .merge_map_at(1, hm.action))
+        return lhs - rhs
 
-    return _first_failure([(f"{hm.side}-hopf-module-compatibility", compat())])
+    dims = (hm.m_dim, hopf.dim) if right else (hopf.dim, hm.m_dim)
+    return _verdict(*_batched(f"{hm.side}-hopf-module-compatibility",
+                              hm.field, dims, compat))
 
 
 def check_hopf_module_algebra(hm: HopfModule) -> AxiomVerdict:
@@ -145,39 +139,34 @@ def check_hopf_module_algebra(hm: HopfModule) -> AxiomVerdict:
         return v
     mmul = hm.mul
     hmul = hm.hopf.require("mul")
-    field = hm.field
     m_dim, h = hm.m_dim, hm.hopf.dim
     out_dims = hm.coaction_dims()
+    right = hm.side == "right"
 
-    def action_compat():
-        if hm.side == "right":
-            for m1, m2, x in product(range(m_dim), range(m_dim), range(h)):
-                t = TermSum.basis(field, (m_dim, m_dim, h), (m1, m2, x))
-                lhs = t.merge_at(0, mmul).merge_map_at(0, hm.action)
-                rhs = t.merge_map_at(1, hm.action).merge_at(0, mmul)
-                yield (m1, m2, x), lhs - rhs
+    def action_compat(t):
+        if right:
+            return (t.merge_at(0, mmul).merge_map_at(0, hm.action)
+                    - t.merge_map_at(1, hm.action).merge_at(0, mmul))
+        return (t.merge_at(1, mmul).merge_map_at(0, hm.action)
+                - t.merge_map_at(0, hm.action).merge_at(0, mmul))
+
+    def coaction_compat(t):
+        lhs = t.merge_at(0, mmul).split_map_at(0, hm.coaction, out_dims)
+        both = (t.split_map_at(0, hm.coaction, out_dims)
+                .split_map_at(2, hm.coaction, out_dims)
+                .permute((0, 2, 1, 3)))
+        if right:
+            rhs = both.merge_at(0, mmul).merge_at(1, hmul)
         else:
-            for x, m1, m2 in product(range(h), range(m_dim), range(m_dim)):
-                t = TermSum.basis(field, (h, m_dim, m_dim), (x, m1, m2))
-                lhs = t.merge_at(1, mmul).merge_map_at(0, hm.action)
-                rhs = t.merge_map_at(0, hm.action).merge_at(0, mmul)
-                yield (x, m1, m2), lhs - rhs
+            rhs = both.merge_at(0, hmul).merge_at(1, mmul)
+        return lhs - rhs
 
-    def coaction_compat():
-        for m1, m2 in product(range(m_dim), repeat=2):
-            t = TermSum.basis(field, (m_dim, m_dim), (m1, m2))
-            lhs = t.merge_at(0, mmul).split_map_at(0, hm.coaction, out_dims)
-            both = (t.split_map_at(0, hm.coaction, out_dims)
-                    .split_map_at(2, hm.coaction, out_dims))
-            if hm.side == "right":
-                rhs = both.permute((0, 2, 1, 3)).merge_at(0, mmul).merge_at(1, hmul)
-            else:
-                rhs = both.permute((0, 2, 1, 3)).merge_at(0, hmul).merge_at(1, mmul)
-            yield (m1, m2), lhs - rhs
-
+    action_dims = (m_dim, m_dim, h) if right else (h, m_dim, m_dim)
     return _first_failure([
-        (f"{hm.side}-module-algebra-action", action_compat()),
-        (f"{hm.side}-module-algebra-coaction", coaction_compat()),
+        _batched(f"{hm.side}-module-algebra-action", hm.field, action_dims,
+                 action_compat),
+        _batched(f"{hm.side}-module-algebra-coaction", hm.field, (m_dim, m_dim),
+                 coaction_compat),
     ])
 
 
@@ -198,50 +187,49 @@ def check_hopf_module_coalgebra(hm: HopfModule) -> AxiomVerdict:
         return v
     mcomul = hm.comul
     hcomul = hm.hopf.require("comul")
-    field = hm.field
     m_dim, h = hm.m_dim, hm.hopf.dim
     out_dims = hm.coaction_dims()
+    right = hm.side == "right"
 
-    def coaction_compat():
-        for m in range(m_dim):
-            t = TermSum.basis(field, (m_dim,), (m,))
-            if hm.side == "right":
-                lhs = t.split_map_at(0, hm.coaction, out_dims).split_at(0, mcomul)
-                rhs = t.split_at(0, mcomul).split_map_at(1, hm.coaction, out_dims)
-            else:
-                lhs = t.split_map_at(0, hm.coaction, out_dims).split_at(1, mcomul)
-                rhs = t.split_at(0, mcomul).split_map_at(0, hm.coaction, out_dims)
-            yield (m,), lhs - rhs
-
-    def action_compat():
-        if hm.side == "right":
-            for m, x in product(range(m_dim), range(h)):
-                t = TermSum.basis(field, (m_dim, h), (m, x))
-                lhs = t.merge_map_at(0, hm.action).split_at(0, mcomul)
-                rhs = (t.split_at(0, mcomul).split_at(2, hcomul)
-                       .permute((0, 2, 1, 3))
-                       .merge_map_at(0, hm.action).merge_map_at(1, hm.action))
-                yield (m, x), lhs - rhs
+    def coaction_compat(t):
+        if right:
+            lhs = t.split_map_at(0, hm.coaction, out_dims).split_at(0, mcomul)
+            rhs = t.split_at(0, mcomul).split_map_at(1, hm.coaction, out_dims)
         else:
-            for x, m in product(range(h), range(m_dim)):
-                t = TermSum.basis(field, (h, m_dim), (x, m))
-                lhs = t.merge_map_at(0, hm.action).split_at(0, mcomul)
-                rhs = (t.split_at(0, hcomul).split_at(2, mcomul)
-                       .permute((0, 2, 1, 3))
-                       .merge_map_at(0, hm.action).merge_map_at(1, hm.action))
-                yield (x, m), lhs - rhs
+            lhs = t.split_map_at(0, hm.coaction, out_dims).split_at(1, mcomul)
+            rhs = t.split_at(0, mcomul).split_map_at(0, hm.coaction, out_dims)
+        return lhs - rhs
+
+    def action_compat(t):
+        # Split M (Δ_M) and H (Δ_H) where they sit in the input.
+        first, second = (mcomul, hcomul) if right else (hcomul, mcomul)
+        lhs = t.merge_map_at(0, hm.action).split_at(0, mcomul)
+        rhs = (t.split_at(0, first).split_at(2, second)
+               .permute((0, 2, 1, 3))
+               .merge_map_at(0, hm.action).merge_map_at(1, hm.action))
+        return lhs - rhs
 
     return _first_failure([
-        (f"{hm.side}-module-coalgebra-coaction", coaction_compat()),
-        (f"{hm.side}-module-coalgebra-action", action_compat()),
+        _batched(f"{hm.side}-module-coalgebra-coaction", hm.field, (m_dim,),
+                 coaction_compat),
+        _batched(f"{hm.side}-module-coalgebra-action", hm.field,
+                 (m_dim, h) if right else (h, m_dim), action_compat),
     ])
 
 
-def _matrix_of(field, in_dims: tuple[int, ...], rows: int, image) -> Mat:
-    """The matrix whose column for basis index `idx` of `in_dims` is image(e_idx)."""
-    columns = [image(TermSum.basis(field, in_dims, idx)).to_vec()
-               for idx in product(*map(range, in_dims))]
-    return Mat.from_columns(field, columns, rows=rows)
+def _matrix_of(field, in_dims: tuple[int, ...], image) -> Mat:
+    """The matrix whose column for basis index `idx` of `in_dims` is image(e_idx).
+
+    `image` runs once, on every basis input at once (`tagged_basis`); the
+    tags of an output term name its column.
+    """
+    res = image(tagged_basis(field, in_dims))
+    k = len(in_dims)
+    out_dims, cols = res.dims[:-k], prod(in_dims)
+    rows = [[field.zero] * cols for _ in range(prod(out_dims))]
+    for key, val in res.terms.items():
+        rows[flatten_index(key[:-k], out_dims)][flatten_index(key[-k:], in_dims)] = val
+    return Mat(field, rows, cols=cols)
 
 
 def coinvariant_projection(hm: HopfModule) -> Mat:
@@ -253,7 +241,7 @@ def coinvariant_projection(hm: HopfModule) -> Mat:
     antipode = hm.hopf.require("antipode")
     out_dims = hm.coaction_dims()
     h_pos = 1 if hm.side == "right" else 0
-    return _matrix_of(hm.field, (hm.m_dim,), hm.m_dim, lambda t: (
+    return _matrix_of(hm.field, (hm.m_dim,), lambda t: (
         t.split_map_at(0, hm.coaction, out_dims)
         .map_at(h_pos, antipode)
         .merge_map_at(0, hm.action)))
@@ -281,7 +269,7 @@ def convolution(f: Mat, g: Mat, s: AlgebraicStructure) -> Mat:
     for op in (f, g):
         if (op.rows, op.cols) != (s.dim, s.dim) or op.field != s.field:
             raise ShapeError(f"convolution operands must be {s.dim} x {s.dim}")
-    return _matrix_of(s.field, (s.dim,), s.dim, lambda t: (
+    return _matrix_of(s.field, (s.dim,), lambda t: (
         t.split_at(0, comul).map_at(0, f).map_at(1, g).merge_at(0, mul)))
 
 
@@ -321,9 +309,9 @@ def hopf_module_from_projection(pb: ProjectionBialgebra,
     field, n = big.field, big.dim
     h_pos = 1 if side == "right" else 0
     in_dims = (n, hopf.dim) if side == "right" else (hopf.dim, n)
-    action = _matrix_of(field, in_dims, n, lambda t: (
+    action = _matrix_of(field, in_dims, lambda t: (
         t.map_at(h_pos, pb.embed).merge_at(0, big.mul)))
-    coaction = _matrix_of(field, (n,), n * hopf.dim, lambda t: (
+    coaction = _matrix_of(field, (n,), lambda t: (
         t.split_at(0, big.comul).map_at(h_pos, pb.project)))
     return HopfModule(hopf, n, action, coaction, side,
                       mul=big.mul, comul=big.comul)

@@ -214,14 +214,16 @@ class Mat:
 
         Built once per matrix and cached; the rewrite engine reads maps
         through it, so applying a map to a basis term costs its column's
-        nonzero count, not its row count.
+        nonzero count, not its row count.  Values equal to 1 are stored as
+        the field's `one`, which the engine recognises by identity.
         """
         if self._by_col is None:
+            one = self.field.one
             cols: list = [[] for _ in range(self.cols)]
             for i, row in enumerate(self.entries):
                 for j, a in enumerate(row):
                     if a:
-                        cols[j].append((i, a))
+                        cols[j].append((i, one if a == one else a))
             object.__setattr__(self, "_by_col", tuple(map(tuple, cols)))
         return self._by_col
 
@@ -407,23 +409,26 @@ class Tensor3:
     def __repr__(self):
         return f"Tensor3(dims={self.dims}, nnz={len(self.entries)})"
 
-    # Fan-out indexes used by the sparse expression evaluator.
+    # Fan-out indexes used by the sparse expression evaluator; values equal
+    # to 1 are stored as the field's `one`, which it recognises by identity.
 
     def by_first(self) -> dict:
         """{i: [(j, k, value)]}: comultiplication fan-out of e_i."""
         if self._by_first is None:
+            one = self.field.one
             out: dict = {}
             for (i, j, k), v in sorted(self.entries.items()):
-                out.setdefault(i, []).append((j, k, v))
+                out.setdefault(i, []).append((j, k, one if v == one else v))
             self._by_first = out
         return self._by_first
 
     def by_pair(self) -> dict:
         """{(i, j): [(k, value)]}: multiplication fan-out of e_i e_j."""
         if self._by_pair is None:
+            one = self.field.one
             out: dict = {}
             for (i, j, k), v in sorted(self.entries.items()):
-                out.setdefault((i, j), []).append((k, v))
+                out.setdefault((i, j), []).append((k, one if v == one else v))
             self._by_pair = out
         return self._by_pair
 

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 from .errors import PreconditionError
 from .linalg import Mat, Tensor3
-from .structures import AlgebraicStructure, AxiomVerdict, _verdict
+from .structures import AlgebraicStructure, AxiomVerdict, _batched, _verdict
 from .rb import check_rb_coalgebra
-from .tensorops import TermSum
+from .tensorops import tagged_basis
 
 
 @dataclass(frozen=True)
@@ -35,15 +35,13 @@ def check_pre_lie(comul: Tensor3) -> AxiomVerdict:
     n, b, c = comul.dims
     if (b, c) != (n, n):
         raise ValueError(f"comultiplication tensor must be cubical, got {comul.dims}")
-    field = comul.field
 
-    def residuals():
-        for i in range(n):
-            t = TermSum.basis(field, (n,), (i,)).split_at(0, comul)
-            coassociator = t.split_at(0, comul) - t.split_at(1, comul)
-            yield (i,), coassociator - coassociator.swap_at(0)
+    def residual(t):
+        t = t.split_at(0, comul)
+        coassociator = t.split_at(0, comul) - t.split_at(1, comul)
+        return coassociator - coassociator.swap_at(0)
 
-    return _verdict("pre-lie", residuals())
+    return _verdict(*_batched("pre-lie", comul.field, (n,), residual))
 
 
 def twisted_comul(s: AlgebraicStructure, q: Mat, include_comul_term: bool) -> Tensor3:
@@ -54,16 +52,12 @@ def twisted_comul(s: AlgebraicStructure, q: Mat, include_comul_term: bool) -> Te
     """
     comul = s.require("comul")
     n = s.dim
-    field = s.field
-    entries: dict = {}
-    for i in range(n):
-        t = s.basis_term(i).split_at(0, comul)
-        out = t.map_at(0, q) - t.map_at(1, q).swap_at(0)
-        if include_comul_term:
-            out = out - t
-        for (j, k), v in out.terms.items():
-            entries[(i, j, k)] = v
-    return Tensor3(field, (n, n, n), entries)
+    t = tagged_basis(s.field, (n,)).split_at(0, comul)
+    out = t.map_at(0, q) - t.map_at(1, q).swap_at(0)
+    if include_comul_term:
+        out = out - t
+    return Tensor3(s.field, (n, n, n),
+                   {(i, j, k): v for (j, k, i), v in out.terms.items()})
 
 
 def _gated(s: AlgebraicStructure, q: Mat, weight,

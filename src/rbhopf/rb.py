@@ -16,7 +16,7 @@ from itertools import product
 from .errors import BudgetExceededError, ShapeError
 from .fields import PrimeField
 from .linalg import Mat
-from .structures import AlgebraicStructure, DefectReport, _verdict
+from .structures import AlgebraicStructure, DefectReport, _batched, _verdict
 
 
 @dataclass(frozen=True)
@@ -66,18 +66,15 @@ def check_rb_algebra(s: AlgebraicStructure, p: Mat, weight) -> RBVerdict:
     mul = s.require("mul")
     _check_operator_shape(s, p)
     lam = s.field.coerce(weight)
-    n = s.dim
 
-    def residuals():
-        for i, j in product(range(n), repeat=2):
-            t = s.basis_term(i, j)
-            lhs = t.map_at(0, p).map_at(1, p).merge_at(0, mul)
-            r1 = t.map_at(1, p).merge_at(0, mul).map_at(0, p)
-            r2 = t.map_at(0, p).merge_at(0, mul).map_at(0, p)
-            r3 = t.merge_at(0, mul).map_at(0, p).scale(lam)
-            yield (i, j), lhs - r1 - r2 - r3
+    def residual(t):
+        lhs = t.map_at(0, p).map_at(1, p).merge_at(0, mul)
+        r1 = t.map_at(1, p).merge_at(0, mul).map_at(0, p)
+        r2 = t.map_at(0, p).merge_at(0, mul).map_at(0, p)
+        r3 = t.merge_at(0, mul).map_at(0, p).scale(lam)
+        return lhs - r1 - r2 - r3
 
-    v = _verdict("rb-algebra", residuals())
+    v = _verdict(*_batched("rb-algebra", s.field, (s.dim, s.dim), residual))
     return RBVerdict(v.passed, lam, "algebra", v.defect)
 
 
@@ -87,16 +84,13 @@ def check_rb_coalgebra(s: AlgebraicStructure, q: Mat, weight,
     comul = s.require("comul")
     _check_operator_shape(s, q)
     gamma = s.field.coerce(weight)
-    n = s.dim
 
-    def residuals():
-        for i in range(n):
-            t = s.basis_term(i)
-            lhs = t.split_at(0, comul).map_at(0, q).map_at(1, q)
-            dq = t.map_at(0, q).split_at(0, comul)
-            yield (i,), lhs - dq.map_at(1, q) - dq.map_at(0, q) - dq.scale(gamma)
+    def residual(t):
+        lhs = t.split_at(0, comul).map_at(0, q).map_at(1, q)
+        dq = t.map_at(0, q).split_at(0, comul)
+        return lhs - dq.map_at(1, q) - dq.map_at(0, q) - dq.scale(gamma)
 
-    v = _verdict("rb-coalgebra", residuals())
+    v = _verdict(*_batched("rb-coalgebra", s.field, (s.dim,), residual))
     idem = (q * q == q) if report_idempotency else None
     return RBVerdict(v.passed, gamma, "coalgebra", v.defect, idem)
 

@@ -20,7 +20,7 @@ from itertools import permutations, product
 from .errors import ShapeError
 from .fields import QQ
 from .linalg import Mat, Tensor3, Vec, nullspace, solve_linear
-from .tensorops import TermSum
+from .tensorops import TermSum, basis_batches
 
 
 @dataclass(frozen=True)
@@ -49,29 +49,49 @@ class AxiomVerdict:
         return self.passed
 
 
-def _verdict(identity: str, residuals) -> AxiomVerdict:
-    """Collect per-basis residual TermSums into a verdict.
+def _verdict(identity: str, residuals, tags: int = 0) -> AxiomVerdict:
+    """Collect residual TermSums into a verdict.
 
-    `residuals` yields (input index tuple, TermSum) in lexicographic input
-    order, which makes the reported witness deterministic.
+    `residuals` yields (input prefix tuple, TermSum).  The last `tags` factors of
+    each TermSum are the rest of the input indices (see `basis_batches`);
+    they move in front of the output indices, so every residual key reads
+    (input indices..., output indices...) however the inputs were batched.
+    The residual is sorted by key and the witness is its first key.
     """
     entries: dict = {}
-    witness = None
-    for in_idx, res in residuals:
-        for key, val in res.items():
-            full = tuple(in_idx) + key
-            entries[full] = val
-            if witness is None:
-                witness = full
+    for prefix, res in residuals:
+        for key, val in res.terms.items():
+            if tags:
+                key = key[-tags:] + key[:-tags]
+            entries[prefix + key] = val
     if not entries:
         return AxiomVerdict(True)
-    return AxiomVerdict(False, DefectReport(identity, entries, witness))
+    entries = dict(sorted(entries.items()))
+    return AxiomVerdict(False, DefectReport(identity, entries, next(iter(entries))))
+
+
+def _batched(identity: str, field, dims: tuple, residual):
+    """A lazy verdict part: `residual` run on tagged batches of basis inputs.
+
+    `residual` is written for one basis tensor of shape `dims`; it receives
+    each tagged batch of `basis_batches` instead: one per leading basis
+    index when there are several input factors (a batch then holds
+    dim^(k-1) inputs), a single batch of all inputs when there is one.
+    Returns the arguments of `_verdict`.
+    """
+    lead = 1 if len(dims) > 1 else 0
+    batches = ((p, residual(t)) for p, t in basis_batches(field, dims, lead))
+    return identity, batches, len(dims) - lead
 
 
 def _first_failure(parts) -> AxiomVerdict:
-    """Run named identity parts in order; the first failure wins."""
-    for identity, gen in parts:
-        v = _verdict(identity, gen)
+    """Run identity parts in order; the first failure wins.
+
+    Each part is (identity, residuals) or (identity, residuals, tags), as
+    `_verdict` takes them.
+    """
+    for part in parts:
+        v = _verdict(*part)
         if not v.passed:
             return v
     return AxiomVerdict(True)
@@ -145,9 +165,6 @@ class AlgebraicStructure:
             raise ValueError(f"structure has no {attr}")
         return val
 
-    def basis_term(self, *idx) -> TermSum:
-        return TermSum.basis(self.field, (self.dim,) * len(idx), idx)
-
     @property
     def kind(self) -> str:
         """The richest kind this structure's maps support."""
@@ -165,64 +182,45 @@ class AlgebraicStructure:
 def check_associativity(s: AlgebraicStructure) -> AxiomVerdict:
     """(ab)c = a(bc) on all basis triples."""
     mul = s.require("mul")
-    n = s.dim
 
-    def residuals():
-        for i, j, k in product(range(n), repeat=3):
-            t = s.basis_term(i, j, k)
-            yield (i, j, k), (t.merge_at(0, mul).merge_at(0, mul)
-                              - t.merge_at(1, mul).merge_at(0, mul))
+    def residual(t):
+        return (t.merge_at(0, mul).merge_at(0, mul)
+                - t.merge_at(1, mul).merge_at(0, mul))
 
-    return _verdict("associativity", residuals())
+    return _verdict(*_batched("associativity", s.field, (s.dim,) * 3, residual))
 
 
 def check_coassociativity(s: AlgebraicStructure) -> AxiomVerdict:
     """(Δ⊗id)Δ = (id⊗Δ)Δ on all basis vectors."""
     comul = s.require("comul")
-    n = s.dim
 
-    def residuals():
-        for i in range(n):
-            t = s.basis_term(i).split_at(0, comul)
-            yield (i,), t.split_at(0, comul) - t.split_at(1, comul)
+    def residual(t):
+        t = t.split_at(0, comul)
+        return t.split_at(0, comul) - t.split_at(1, comul)
 
-    return _verdict("coassociativity", residuals())
+    return _verdict(*_batched("coassociativity", s.field, (s.dim,), residual))
 
 
 def check_unit_counit(s: AlgebraicStructure) -> AxiomVerdict:
     """1·a = a·1 = a and (ε⊗id)Δ = (id⊗ε)Δ = id, for the maps present."""
     if s.unit is None and s.counit is None:
         raise ValueError("structure has neither unit nor counit")
-    n = s.dim
+    field, dims = s.field, (s.dim,)
     parts = []
     if s.unit is not None:
         mul, unit = s.mul, s.unit
-
-        def left_unit():
-            for i in range(n):
-                t = s.basis_term(i)
-                yield (i,), t.insert_at(0, unit).merge_at(0, mul) - t
-
-        def right_unit():
-            for i in range(n):
-                t = s.basis_term(i)
-                yield (i,), t.insert_at(1, unit).merge_at(0, mul) - t
-
-        parts += [("left-unit", left_unit()), ("right-unit", right_unit())]
+        parts += [
+            _batched("left-unit", field, dims,
+                     lambda t: t.insert_at(0, unit).merge_at(0, mul) - t),
+            _batched("right-unit", field, dims,
+                     lambda t: t.insert_at(1, unit).merge_at(0, mul) - t)]
     if s.counit is not None:
         comul, counit = s.comul, s.counit
-
-        def left_counit():
-            for i in range(n):
-                t = s.basis_term(i)
-                yield (i,), (t.split_at(0, comul).map_at(0, counit).drop_at(0) - t)
-
-        def right_counit():
-            for i in range(n):
-                t = s.basis_term(i)
-                yield (i,), (t.split_at(0, comul).map_at(1, counit).drop_at(1) - t)
-
-        parts += [("left-counit", left_counit()), ("right-counit", right_counit())]
+        parts += [
+            _batched("left-counit", field, dims, lambda t: (
+                t.split_at(0, comul).map_at(0, counit).drop_at(0) - t)),
+            _batched("right-counit", field, dims, lambda t: (
+                t.split_at(0, comul).map_at(1, counit).drop_at(1) - t))]
     return _first_failure(parts)
 
 
@@ -234,29 +232,20 @@ def check_bialgebra(s: AlgebraicStructure) -> AxiomVerdict:
     """
     mul = s.require("mul")
     comul = s.require("comul")
-    n = s.dim
-    parts = []
+    field, dims = s.field, (s.dim, s.dim)
 
-    def comul_mult():
-        for i, j in product(range(n), repeat=2):
-            t = s.basis_term(i, j)
-            lhs = t.merge_at(0, mul).split_at(0, comul)
-            rhs = (t.split_at(0, comul).split_at(2, comul)
-                   .permute((0, 2, 1, 3)).merge_at(0, mul).merge_at(1, mul))
-            yield (i, j), lhs - rhs
+    def comul_mult(t):
+        lhs = t.merge_at(0, mul).split_at(0, comul)
+        rhs = (t.split_at(0, comul).split_at(2, comul)
+               .permute((0, 2, 1, 3)).merge_at(0, mul).merge_at(1, mul))
+        return lhs - rhs
 
-    parts.append(("comul-multiplicative", comul_mult()))
+    parts = [_batched("comul-multiplicative", field, dims, comul_mult)]
     if s.counit is not None:
         counit = s.counit
-
-        def counit_mult():
-            for i, j in product(range(n), repeat=2):
-                t = s.basis_term(i, j)
-                lhs = t.merge_at(0, mul).map_at(0, counit)
-                rhs = t.map_at(0, counit).map_at(1, counit).drop_at(1)
-                yield (i, j), lhs - rhs
-
-        parts.append(("counit-multiplicative", counit_mult()))
+        parts.append(_batched("counit-multiplicative", field, dims, lambda t: (
+            t.merge_at(0, mul).map_at(0, counit)
+            - t.map_at(0, counit).map_at(1, counit).drop_at(1))))
     if s.unit is not None:
         unit = s.unit
 
@@ -269,7 +258,7 @@ def check_bialgebra(s: AlgebraicStructure) -> AxiomVerdict:
         unit, counit = s.unit, s.counit
 
         def counit_unit():
-            one = TermSum(s.field, (1,), {(0,): s.field.one})
+            one = TermSum(field, (1,), {(0,): field.one})
             yield (), TermSum.from_vec(unit).map_at(0, counit) - one
 
         parts.append(("counit-unit", counit_unit()))
@@ -280,17 +269,15 @@ def check_antipode(s: AlgebraicStructure) -> AxiomVerdict:
     """S(a₁)a₂ = ε(a)1 = a₁S(a₂) on all basis vectors."""
     antipode = s.require("antipode")
     mul, comul, unit, counit = s.mul, s.comul, s.unit, s.counit
-    n = s.dim
 
     def side(pos):
-        for i in range(n):
-            t = s.basis_term(i)
-            lhs = t.split_at(0, comul).map_at(pos, antipode).merge_at(0, mul)
-            eps = counit[0, i]
-            rhs = TermSum.from_vec(unit).scale(eps)
-            yield (i,), lhs - rhs
+        return lambda t: (
+            t.split_at(0, comul).map_at(pos, antipode).merge_at(0, mul)
+            - t.map_at(0, counit).insert_at(0, unit).drop_at(1))
 
-    return _first_failure([("antipode-left", side(0)), ("antipode-right", side(1))])
+    return _first_failure([
+        _batched("antipode-left", s.field, (s.dim,), side(0)),
+        _batched("antipode-right", s.field, (s.dim,), side(1))])
 
 
 def check_comodule(hopf: AlgebraicStructure, m_dim: int, coaction: Mat,
@@ -308,33 +295,22 @@ def check_comodule(hopf: AlgebraicStructure, m_dim: int, coaction: Mat,
     if coaction.rows != m_dim * h or coaction.cols != m_dim or \
             coaction.field != hopf.field:
         raise ShapeError(f"coaction must be {m_dim * h} x {m_dim}")
+    # Positions of H and M in ρ(m).
+    h_pos, m_pos = (1, 0) if side == "right" else (0, 1)
 
-    def coassoc():
-        for m in range(m_dim):
-            t = TermSum.basis(hopf.field, (m_dim,), (m,))
-            rho = t.split_map_at(0, coaction, out_dims)
-            if side == "right":
-                lhs = rho.split_at(1, comul)
-                rhs = rho.split_map_at(0, coaction, out_dims)
-            else:
-                lhs = rho.split_at(0, comul)
-                rhs = rho.split_map_at(1, coaction, out_dims)
-            yield (m,), lhs - rhs
+    def coassoc(t):
+        rho = t.split_map_at(0, coaction, out_dims)
+        return (rho.split_at(h_pos, comul)
+                - rho.split_map_at(m_pos, coaction, out_dims))
 
-    def counital():
-        counit = hopf.counit
-        for m in range(m_dim):
-            t = TermSum.basis(hopf.field, (m_dim,), (m,))
-            rho = t.split_map_at(0, coaction, out_dims)
-            if side == "right":
-                lhs = rho.map_at(1, counit).drop_at(1)
-            else:
-                lhs = rho.map_at(0, counit).drop_at(0)
-            yield (m,), lhs - t
+    def counital(t):
+        return (t.split_map_at(0, coaction, out_dims)
+                .map_at(h_pos, hopf.counit).drop_at(h_pos) - t)
 
-    parts = [(f"{side}-coaction-coassociativity", coassoc())]
+    dims = (m_dim,)
+    parts = [_batched(f"{side}-coaction-coassociativity", hopf.field, dims, coassoc)]
     if hopf.counit is not None:
-        parts.append((f"{side}-coaction-counital", counital()))
+        parts.append(_batched(f"{side}-coaction-counital", hopf.field, dims, counital))
     return _first_failure(parts)
 
 
@@ -348,31 +324,21 @@ def check_module(hopf: AlgebraicStructure, m_dim: int, action: Mat,
     if action.rows != m_dim or action.cols != cols or action.field != hopf.field:
         raise ShapeError(f"action must be {m_dim} x {cols}")
     field = hopf.field
+    right = side == "right"
 
-    def assoc():
-        if side == "right":
-            for m, x, y in product(range(m_dim), range(h), range(h)):
-                t = TermSum.basis(field, (m_dim, h, h), (m, x, y))
-                lhs = t.merge_map_at(0, action).merge_map_at(0, action)
-                rhs = t.merge_at(1, mul).merge_map_at(0, action)
-                yield (m, x, y), lhs - rhs
-        else:
-            for x, y, m in product(range(h), range(h), range(m_dim)):
-                t = TermSum.basis(field, (h, h, m_dim), (x, y, m))
-                lhs = t.merge_map_at(1, action).merge_map_at(0, action)
-                rhs = t.merge_at(0, mul).merge_map_at(0, action)
-                yield (x, y, m), lhs - rhs
+    def assoc(t):
+        if right:
+            return (t.merge_map_at(0, action).merge_map_at(0, action)
+                    - t.merge_at(1, mul).merge_map_at(0, action))
+        return (t.merge_map_at(1, action).merge_map_at(0, action)
+                - t.merge_at(0, mul).merge_map_at(0, action))
 
-    def unital():
-        unit = hopf.unit
-        for m in range(m_dim):
-            t = TermSum.basis(field, (m_dim,), (m,))
-            pos = 1 if side == "right" else 0
-            yield (m,), t.insert_at(pos, unit).merge_map_at(0, action) - t
-
-    parts = [(f"{side}-action-associativity", assoc())]
+    dims = (m_dim, h, h) if right else (h, h, m_dim)
+    parts = [_batched(f"{side}-action-associativity", field, dims, assoc)]
     if hopf.unit is not None:
-        parts.append((f"{side}-action-unital", unital()))
+        unit_pos = 1 if right else 0
+        parts.append(_batched(f"{side}-action-unital", field, (m_dim,), lambda t: (
+            t.insert_at(unit_pos, hopf.unit).merge_map_at(0, action) - t)))
     return _first_failure(parts)
 
 

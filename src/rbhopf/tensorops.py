@@ -12,6 +12,17 @@ Structure constants are sparse, so a chain of rewrites stays sparse: the
 fan-out of each step is bounded by the nonzero count of the map applied.
 Every map is read through its sparse fan-out (`Tensor3.by_first`/`by_pair`,
 `Mat.by_col`), so a step never scans the zero entries of a dense `Mat`.
+The fan-outs store coefficients equal to 1 as the field's `one`, and a
+rewrite skips the product when either factor is that object; equal values
+that are other objects are still multiplied, so the skip is only a shortcut.
+
+Rewrites address factors by position from the front, so a sum may carry
+extra trailing factors that no rewrite touches.  `basis_batches` uses them
+as tags: it sums many basis inputs into one TermSum, each input carrying its
+own remaining indices as trailing factors, so an identity written for one
+basis tensor is evaluated on a whole batch in one rewrite chain, and the
+tags of each output term name the input it came from.  `permute` likewise
+reorders only the leading factors its order names.
 
 The public `TermSum(...)` constructor checks every key against the shape and
 coerces every value.  The rewrites build their results through the internal
@@ -20,6 +31,9 @@ keys and fan-outs, and their values are products and sums of field elements.
 """
 
 from __future__ import annotations
+
+from itertools import product
+from operator import itemgetter
 
 from .errors import FieldMismatchError, ShapeError
 from .linalg import Mat, Tensor3, Vec, flatten_index
@@ -83,14 +97,17 @@ class TermSum:
             raise ShapeError(
                 f"map with {m.cols} columns applied to factor of dim {self.dims[pos]}")
         fan = m.by_col()
+        one = self.field.one
         out: dict = {}
         get = out.get
         for key, val in self.terms.items():
             head, tail = key[:pos], key[pos + 1:]
+            unit = val is one
             for i, a in fan[key[pos]]:
+                x = a if unit else val if a is one else a * val
                 nk = head + (i,) + tail
                 prev = get(nk)
-                out[nk] = a * val if prev is None else prev + a * val
+                out[nk] = x if prev is None else prev + x
         dims = self.dims[:pos] + (m.rows,) + self.dims[pos + 1:]
         return TermSum._trusted(self.field, dims, out)
 
@@ -102,14 +119,17 @@ class TermSum:
             raise ShapeError(
                 f"comultiplication of dim {d} applied to factor of dim {self.dims[pos]}")
         fan = comul.by_first()
+        one = self.field.one
         out: dict = {}
         get = out.get
         for key, val in self.terms.items():
             head, tail = key[:pos], key[pos + 1:]
+            unit = val is one
             for j, k, coeff in fan.get(key[pos], ()):
+                x = coeff if unit else val if coeff is one else coeff * val
                 nk = head + (j, k) + tail
                 prev = get(nk)
-                out[nk] = coeff * val if prev is None else prev + coeff * val
+                out[nk] = x if prev is None else prev + x
         dims = self.dims[:pos] + (a, b) + self.dims[pos + 1:]
         return TermSum._trusted(self.field, dims, out)
 
@@ -121,14 +141,17 @@ class TermSum:
             raise ShapeError(
                 f"{m.rows}x{m.cols} map does not send dim {self.dims[pos]} to {a}x{b}")
         fan = m.by_col()
+        one = self.field.one
         out: dict = {}
         get = out.get
         for key, val in self.terms.items():
             head, tail = key[:pos], key[pos + 1:]
+            unit = val is one
             for flat, coeff in fan[key[pos]]:
+                x = coeff if unit else val if coeff is one else coeff * val
                 nk = head + divmod(flat, b) + tail
                 prev = get(nk)
-                out[nk] = coeff * val if prev is None else prev + coeff * val
+                out[nk] = x if prev is None else prev + x
         dims = self.dims[:pos] + (a, b) + self.dims[pos + 1:]
         return TermSum._trusted(self.field, dims, out)
 
@@ -143,14 +166,17 @@ class TermSum:
                 f"multiplication {mul.dims} applied to factors "
                 f"({self.dims[pos]},{self.dims[pos + 1]})")
         fan = mul.by_pair()
+        one = self.field.one
         out: dict = {}
         get = out.get
         for key, val in self.terms.items():
             head, tail = key[:pos], key[pos + 2:]
+            unit = val is one
             for k, coeff in fan.get(key[pos:pos + 2], ()):
+                x = coeff if unit else val if coeff is one else coeff * val
                 nk = head + (k,) + tail
                 prev = get(nk)
-                out[nk] = coeff * val if prev is None else prev + coeff * val
+                out[nk] = x if prev is None else prev + x
         dims = self.dims[:pos] + (c,) + self.dims[pos + 2:]
         return TermSum._trusted(self.field, dims, out)
 
@@ -165,14 +191,17 @@ class TermSum:
                 f"map with {m.cols} columns applied to factors "
                 f"({self.dims[pos]},{b})")
         fan = m.by_col()
+        one = self.field.one
         out: dict = {}
         get = out.get
         for key, val in self.terms.items():
             head, tail = key[:pos], key[pos + 2:]
+            unit = val is one
             for i, a in fan[key[pos] * b + key[pos + 1]]:
+                x = a if unit else val if a is one else a * val
                 nk = head + (i,) + tail
                 prev = get(nk)
-                out[nk] = a * val if prev is None else prev + a * val
+                out[nk] = x if prev is None else prev + x
         dims = self.dims[:pos] + (m.rows,) + self.dims[pos + 2:]
         return TermSum._trusted(self.field, dims, out)
 
@@ -231,13 +260,22 @@ class TermSum:
         return self.permute(order)
 
     def permute(self, order) -> "TermSum":
-        """Reorder factors; `order[n]` is the old position of new factor n."""
+        """Reorder the leading `len(order)` factors; trailing factors stay put.
+
+        `order[n]` is the old position of new factor n and must be a
+        permutation of range(len(order)), at most the number of factors.
+        """
         order = tuple(order)
-        if sorted(order) != list(range(len(self.dims))):
-            raise ShapeError(f"{order} is not a permutation of the factors")
-        dims = tuple(self.dims[o] for o in order)
+        k = len(order)
+        if k > len(self.dims) or sorted(order) != list(range(k)):
+            raise ShapeError(f"{order} is not a permutation of leading factors "
+                             f"of shape {self.dims}")
+        if order == tuple(range(k)):
+            return self
+        pick = itemgetter(*order)
+        dims = pick(self.dims) + self.dims[k:]
         return TermSum._trusted(self.field, dims,
-                                {tuple(key[o] for o in order): v
+                                {pick(key) + key[k:]: v
                                  for key, v in self.terms.items()})
 
     def scale(self, scalar) -> "TermSum":
@@ -298,3 +336,32 @@ class TermSum:
 
     def __repr__(self):
         return f"TermSum(dims={self.dims}, nnz={len(self.terms)})"
+
+
+def basis_batches(field, dims, lead: int = 1):
+    """Every basis tensor of shape `dims`, summed per leading index.
+
+    Yields (prefix, TermSum) in lexicographic order of the first `lead`
+    indices.  The TermSum holds e_prefix⊗e_rest ⊗ e_rest for every completion
+    `rest`: the input's remaining indices ride along as trailing tag factors
+    of shape dims[lead:].  A rewrite chain written for one basis tensor of
+    `dims` touches only leading factors, so it evaluates the whole batch in
+    one pass, and each output term's tags name the input it came from.
+    """
+    dims = tuple(dims)
+    rests = list(product(*map(range, dims[lead:])))
+    tagged = dims + dims[lead:]
+    one = field.one
+    for prefix in product(*map(range, dims[:lead])):
+        yield prefix, TermSum._trusted(field, tagged,
+                                       {prefix + r + r: one for r in rests})
+
+
+def tagged_basis(field, dims) -> TermSum:
+    """All basis tensors of shape `dims` in one sum, each tagged with its index.
+
+    The single batch of `basis_batches(field, dims, lead=0)`: a rewrite chain
+    run on it builds every column of a linear map at once.
+    """
+    (_, batch), = basis_batches(field, dims, lead=0)
+    return batch

@@ -24,15 +24,16 @@ well-defined by coassociativity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .errors import PreconditionError, ShapeError
-from .hopfmod import HopfModule, check_hopf_module_coalgebra, coinvariant_projection
+from .hopfmod import (HopfModule, _matrix_of, check_hopf_module_coalgebra,
+                      coinvariant_projection)
 from .linalg import Mat, Tensor3, kron_index
 from .rb import RBVerdict, check_rb_coalgebra
-from .structures import (AlgebraicStructure, AxiomVerdict, _first_failure,
-                         check_coassociativity, check_comodule, check_module)
-from .tensorops import TermSum
+from .structures import (AlgebraicStructure, AxiomVerdict, _batched,
+                         _first_failure, _verdict, check_coassociativity,
+                         check_comodule, check_module)
+from .tensorops import TermSum, tagged_basis
 
 
 @dataclass(frozen=True)
@@ -77,27 +78,24 @@ def check_yd_module(hopf: AlgebraicStructure, c_dim: int, action: Mat,
         return v
     mul = hopf.require("mul")
     comul = hopf.require("comul")
-    field = hopf.field
-    h = hopf.dim
-    out_dims = (h, c_dim)
+    out_dims = (hopf.dim, c_dim)
 
-    def compat():
-        for x, c in product(range(h), range(c_dim)):
-            t = TermSum.basis(field, (h, c_dim), (x, c))
-            lhs = (t.split_at(0, comul)
-                   .split_map_at(2, coaction, out_dims)
-                   .permute((0, 2, 1, 3))
-                   .merge_at(0, mul)
-                   .merge_map_at(1, action))
-            rhs = (t.split_at(0, comul)
-                   .permute((0, 2, 1))
-                   .merge_map_at(0, action)
-                   .split_map_at(0, coaction, out_dims)
-                   .permute((0, 2, 1))
-                   .merge_at(0, mul))
-            yield (x, c), lhs - rhs
+    def compat(t):
+        lhs = (t.split_at(0, comul)
+               .split_map_at(2, coaction, out_dims)
+               .permute((0, 2, 1, 3))
+               .merge_at(0, mul)
+               .merge_map_at(1, action))
+        rhs = (t.split_at(0, comul)
+               .permute((0, 2, 1))
+               .merge_map_at(0, action)
+               .split_map_at(0, coaction, out_dims)
+               .permute((0, 2, 1))
+               .merge_at(0, mul))
+        return lhs - rhs
 
-    return _first_failure([("yetter-drinfeld-compatibility", compat())])
+    return _verdict(*_batched("yetter-drinfeld-compatibility", hopf.field,
+                              out_dims, compat))
 
 
 def check_yd_coalgebra(ydc: YDModuleCoalgebra) -> AxiomVerdict:
@@ -117,33 +115,27 @@ def check_yd_coalgebra(ydc: YDModuleCoalgebra) -> AxiomVerdict:
     ccomul = cstr.comul
     hmul = hopf.require("mul")
     hcomul = hopf.require("comul")
-    field = ydc.field
-    h, c_dim = hopf.dim, cstr.dim
-    out_dims = (h, c_dim)
+    out_dims = (hopf.dim, cstr.dim)
 
-    def module_coalgebra():
-        for x, c in product(range(h), range(c_dim)):
-            t = TermSum.basis(field, (h, c_dim), (x, c))
-            lhs = t.merge_map_at(0, ydc.action).split_at(0, ccomul)
-            rhs = (t.split_at(0, hcomul).split_at(2, ccomul)
-                   .permute((0, 2, 1, 3))
-                   .merge_map_at(0, ydc.action).merge_map_at(1, ydc.action))
-            yield (x, c), lhs - rhs
+    def module_coalgebra(t):
+        lhs = t.merge_map_at(0, ydc.action).split_at(0, ccomul)
+        rhs = (t.split_at(0, hcomul).split_at(2, ccomul)
+               .permute((0, 2, 1, 3))
+               .merge_map_at(0, ydc.action).merge_map_at(1, ydc.action))
+        return lhs - rhs
 
-    def comodule_coalgebra():
-        for c in range(c_dim):
-            t = TermSum.basis(field, (c_dim,), (c,))
-            lhs = t.split_map_at(0, ydc.coaction, out_dims).split_at(1, ccomul)
-            rhs = (t.split_at(0, ccomul)
-                   .split_map_at(0, ydc.coaction, out_dims)
-                   .split_map_at(2, ydc.coaction, out_dims)
-                   .permute((0, 2, 1, 3))
-                   .merge_at(0, hmul))
-            yield (c,), lhs - rhs
+    def comodule_coalgebra(t):
+        lhs = t.split_map_at(0, ydc.coaction, out_dims).split_at(1, ccomul)
+        rhs = (t.split_at(0, ccomul)
+               .split_map_at(0, ydc.coaction, out_dims)
+               .split_map_at(2, ydc.coaction, out_dims)
+               .permute((0, 2, 1, 3))
+               .merge_at(0, hmul))
+        return lhs - rhs
 
     return _first_failure([
-        ("module-coalgebra", module_coalgebra()),
-        ("comodule-coalgebra", comodule_coalgebra()),
+        _batched("module-coalgebra", ydc.field, out_dims, module_coalgebra),
+        _batched("comodule-coalgebra", ydc.field, (cstr.dim,), comodule_coalgebra),
     ])
 
 
@@ -158,18 +150,14 @@ def smash_coproduct(ydc: YDModuleCoalgebra) -> AlgebraicStructure:
     field = ydc.field
     h, c_dim = hopf.dim, cstr.dim
     n = c_dim * h
-    entries: dict = {}
-    for c, x in product(range(c_dim), range(h)):
-        t = (TermSum.basis(field, (c_dim, h), (c, x))
-             .split_at(0, ccomul)
-             .split_at(2, hcomul)
-             .split_map_at(1, ydc.coaction, (h, c_dim))
-             .permute((0, 1, 3, 2, 4))
-             .merge_at(1, hopf.mul))
-        col = kron_index(c, x, h)
-        for (c1, ah, c2, h2), val in t.terms.items():
-            key = (col, kron_index(c1, ah, h), kron_index(c2, h2, h))
-            entries[key] = entries.get(key, field.zero) + val
+    t = (tagged_basis(field, (c_dim, h))
+         .split_at(0, ccomul)
+         .split_at(2, hcomul)
+         .split_map_at(1, ydc.coaction, (h, c_dim))
+         .permute((0, 1, 3, 2, 4))
+         .merge_at(1, hopf.mul))
+    entries = {(kron_index(c, x, h), kron_index(c1, ah, h), kron_index(c2, h2, h)): val
+               for (c1, ah, c2, h2, c, x), val in t.terms.items()}
     counit = None
     if cstr.counit is not None and hopf.counit is not None:
         counit = cstr.counit @ hopf.counit
@@ -200,26 +188,20 @@ def projection_left_closed_form(ydc: YDModuleCoalgebra) -> Mat:
     hcomul = hopf.require("comul")
     hmul = hopf.require("mul")
     antipode = hopf.require("antipode")
-    field = ydc.field
     h, c_dim = hopf.dim, cstr.dim
-    n = c_dim * h
-    cols = []
-    for c, x in product(range(c_dim), range(h)):
-        t = (TermSum.basis(field, (c_dim, h), (c, x))
-             .split_at(1, hcomul)
-             .split_at(2, hcomul)
-             .split_map_at(0, ydc.coaction, (h, c_dim))
-             .split_at(0, hcomul))
+    return _matrix_of(ydc.field, (c_dim, h), lambda t: (
+        t.split_at(1, hcomul)
+        .split_at(2, hcomul)
+        .split_map_at(0, ydc.coaction, (h, c_dim))
+        .split_at(0, hcomul)
         # factors now (a1, a2, c0, h1, h2, h3) with a = c_{(-1)}
-        t = (t.permute((1, 4, 2, 0, 3, 5))    # (a2, h2, c0, a1, h1, h3)
-             .merge_at(0, hmul)
-             .map_at(0, antipode)
-             .merge_map_at(0, ydc.action)     # (S(a2 h2)·c0, a1, h1, h3)
-             .merge_at(1, hmul)
-             .map_at(1, antipode)
-             .merge_at(1, hmul))              # (-, S(a1 h1) h3)
-        cols.append(t.to_vec())
-    return Mat.from_columns(field, cols, rows=n)
+        .permute((1, 4, 2, 0, 3, 5))    # (a2, h2, c0, a1, h1, h3)
+        .merge_at(0, hmul)
+        .map_at(0, antipode)
+        .merge_map_at(0, ydc.action)    # (S(a2 h2)·c0, a1, h1, h3)
+        .merge_at(1, hmul)
+        .map_at(1, antipode)
+        .merge_at(1, hmul)))            # (-, S(a1 h1) h3)
 
 
 def smash_hopf_module_right(ydc: YDModuleCoalgebra) -> tuple[HopfModule, Mat, RBVerdict]:
@@ -260,30 +242,18 @@ def smash_hopf_module_left(ydc: YDModuleCoalgebra) -> tuple[HopfModule, Mat, RBV
     hmul = hopf.require("mul")
     field = ydc.field
     h, c_dim = hopf.dim, cstr.dim
-    n = c_dim * h
     smash = smash_coproduct(ydc)
-
-    act_cols = []
-    for x, c, y in product(range(h), range(c_dim), range(h)):
-        t = (TermSum.basis(field, (h, c_dim, h), (x, c, y))
-             .split_at(0, hcomul)
-             .permute((0, 2, 1, 3))
-             .merge_map_at(0, ydc.action)
-             .merge_at(1, hmul))
-        act_cols.append(t.to_vec())
-    action = Mat.from_columns(field, act_cols, rows=n)
-
-    coact_cols = []
-    for c, x in product(range(c_dim), range(h)):
-        t = (TermSum.basis(field, (c_dim, h), (c, x))
-             .split_at(1, hcomul)
-             .split_map_at(0, ydc.coaction, (h, c_dim))
-             .permute((0, 2, 1, 3))
-             .merge_at(0, hmul))
-        coact_cols.append(t.to_vec())
-    coaction = Mat.from_columns(field, coact_cols, rows=h * n)
-
-    hm = HopfModule(hopf, n, action, coaction, "left", comul=smash.comul)
+    action = _matrix_of(field, (h, c_dim, h), lambda t: (
+        t.split_at(0, hcomul)
+        .permute((0, 2, 1, 3))
+        .merge_map_at(0, ydc.action)
+        .merge_at(1, hmul)))
+    coaction = _matrix_of(field, (c_dim, h), lambda t: (
+        t.split_at(1, hcomul)
+        .split_map_at(0, ydc.coaction, (h, c_dim))
+        .permute((0, 2, 1, 3))
+        .merge_at(0, hmul)))
+    hm = HopfModule(hopf, smash.dim, action, coaction, "left", comul=smash.comul)
     v = check_hopf_module_coalgebra(hm)
     if not v.passed:
         raise PreconditionError(f"smash module structure failed: {v.defect}")
@@ -305,20 +275,14 @@ def adjoint_yd(hopf: AlgebraicStructure) -> YDModuleCoalgebra:
     comul = hopf.require("comul")
     mul = hopf.require("mul")
     antipode = hopf.require("antipode")
-    field = hopf.field
-    h = hopf.dim
-    cols = []
-    for x in range(h):
-        t = (TermSum.basis(field, (h,), (x,))
-             .split_at(0, comul)
-             .split_at(1, comul)
-             .permute((0, 2, 1))
-             .map_at(1, antipode)
-             .merge_at(0, mul))
-        cols.append(t.to_vec())
-    coaction = Mat.from_columns(field, cols, rows=h * h)
-    cstr = AlgebraicStructure(h, field, comul=comul, counit=hopf.counit,
-                              names=hopf.names)
+    coaction = _matrix_of(hopf.field, (hopf.dim,), lambda t: (
+        t.split_at(0, comul)
+        .split_at(1, comul)
+        .permute((0, 2, 1))
+        .map_at(1, antipode)
+        .merge_at(0, mul)))
+    cstr = AlgebraicStructure(hopf.dim, hopf.field, comul=comul,
+                              counit=hopf.counit, names=hopf.names)
     return YDModuleCoalgebra(hopf, cstr, mul.mul_matrix(), coaction)
 
 
@@ -389,34 +353,30 @@ def check_coquasitriangular(cq: CoquasitriangularForm) -> AxiomVerdict:
             yield (x,), (t.insert_at(0, unit).pair_at(0, sigma) - eps)
             yield (x,), (t.insert_at(1, unit).pair_at(0, sigma) - eps)
 
-    def br2():
-        for x, y, z in product(range(n), repeat=3):
-            t = TermSum.basis(field, (n, n, n), (x, y, z))
-            lhs = t.merge_at(0, mul).pair_at(0, sigma)
-            rhs = (t.split_at(2, comul)
-                   .permute((0, 2, 1, 3))
-                   .pair_at(0, sigma).pair_at(0, sigma))
-            yield (x, y, z), lhs - rhs
+    def br2(t):
+        lhs = t.merge_at(0, mul).pair_at(0, sigma)
+        rhs = (t.split_at(2, comul)
+               .permute((0, 2, 1, 3))
+               .pair_at(0, sigma).pair_at(0, sigma))
+        return lhs - rhs
 
-    def br3():
-        for x, y, z in product(range(n), repeat=3):
-            t = TermSum.basis(field, (n, n, n), (x, y, z))
-            lhs = t.merge_at(1, mul).pair_at(0, sigma)
-            rhs = (t.split_at(0, comul)
-                   .permute((0, 3, 1, 2))
-                   .pair_at(0, sigma).pair_at(0, sigma))
-            yield (x, y, z), lhs - rhs
+    def br3(t):
+        lhs = t.merge_at(1, mul).pair_at(0, sigma)
+        rhs = (t.split_at(0, comul)
+               .permute((0, 3, 1, 2))
+               .pair_at(0, sigma).pair_at(0, sigma))
+        return lhs - rhs
 
-    def br4():
-        for x, y in product(range(n), repeat=2):
-            t = (TermSum.basis(field, (n, n), (x, y))
-                 .split_at(0, comul).split_at(2, comul))
-            lhs = (t.permute((2, 0, 1, 3)).merge_at(0, mul).pair_at(1, sigma))
-            rhs = (t.permute((0, 2, 1, 3)).pair_at(0, sigma).merge_at(0, mul))
-            yield (x, y), lhs - rhs
+    def br4(t):
+        t = t.split_at(0, comul).split_at(2, comul)
+        lhs = t.permute((2, 0, 1, 3)).merge_at(0, mul).pair_at(1, sigma)
+        rhs = t.permute((0, 2, 1, 3)).pair_at(0, sigma).merge_at(0, mul)
+        return lhs - rhs
 
-    return _first_failure([("BR1", br1()), ("BR2", br2()),
-                           ("BR3", br3()), ("BR4", br4())])
+    return _first_failure([("BR1", br1()),
+                           _batched("BR2", field, (n,) * 3, br2),
+                           _batched("BR3", field, (n,) * 3, br3),
+                           _batched("BR4", field, (n, n), br4)])
 
 
 def yd_action_from_form(cq: CoquasitriangularForm, m_dim: int,
@@ -428,19 +388,14 @@ def yd_action_from_form(cq: CoquasitriangularForm, m_dim: int,
     verdict passes.
     """
     hopf = cq.hopf
-    field = hopf.field
     h = hopf.dim
     v = check_comodule(hopf, m_dim, coaction, "left")
     if not v.passed:
         raise PreconditionError(f"not a left comodule: {v.defect}")
-    cols = []
-    for x, m in product(range(h), range(m_dim)):
-        t = (TermSum.basis(field, (h, m_dim), (x, m))
-             .split_map_at(1, coaction, (h, m_dim))
-             .permute((1, 0, 2))
-             .pair_at(0, cq.form))
-        cols.append(t.to_vec())
-    action = Mat.from_columns(field, cols, rows=m_dim)
+    action = _matrix_of(hopf.field, (h, m_dim), lambda t: (
+        t.split_map_at(1, coaction, (h, m_dim))
+        .permute((1, 0, 2))
+        .pair_at(0, cq.form)))
     return action, check_yd_module(hopf, m_dim, action, coaction)
 
 
@@ -465,29 +420,23 @@ def projection_left_sigma_form(cq: CoquasitriangularForm,
     hmul = hopf.require("mul")
     antipode = hopf.require("antipode")
     sigma = cq.form
-    field = ydc.field
     h, c_dim = hopf.dim, cstr.dim
-    n = c_dim * h
-    cols = []
-    for c, x in product(range(c_dim), range(h)):
-        t = (TermSum.basis(field, (c_dim, h), (c, x))
-             .split_at(1, hcomul)
-             .split_at(2, hcomul)
-             .split_map_at(0, ydc.coaction, (h, c_dim))
-             .split_at(0, hcomul)
-             .split_at(0, hcomul)
-             .split_at(0, hcomul))
+    return _matrix_of(ydc.field, (c_dim, h), lambda t: (
+        t.split_at(1, hcomul)
+        .split_at(2, hcomul)
+        .split_map_at(0, ydc.coaction, (h, c_dim))
+        .split_at(0, hcomul)
+        .split_at(0, hcomul)
+        .split_at(0, hcomul)
         # factors (a1, a2, a3, a4, c0, h1, h2, h3) with a = c_{(-1)}
-        t = (t.map_at(1, antipode)
-             .permute((0, 2, 1, 3, 4, 5, 6, 7))
-             .pair_at(1, sigma)               # σ(a3, S(a2))
-             .map_at(4, antipode)
-             .permute((0, 1, 4, 2, 3, 5))
-             .pair_at(1, sigma)               # σ(a4, S(h2))
-             .permute((0, 2, 1, 3))
-             .merge_at(0, hmul)
-             .map_at(0, antipode)
-             .permute((1, 0, 2))
-             .merge_at(1, hmul))              # (c0, S(a1 h1) h3)
-        cols.append(t.to_vec())
-    return Mat.from_columns(field, cols, rows=n)
+        .map_at(1, antipode)
+        .permute((0, 2, 1, 3, 4, 5, 6, 7))
+        .pair_at(1, sigma)               # σ(a3, S(a2))
+        .map_at(4, antipode)
+        .permute((0, 1, 4, 2, 3, 5))
+        .pair_at(1, sigma)               # σ(a4, S(h2))
+        .permute((0, 2, 1, 3))
+        .merge_at(0, hmul)
+        .map_at(0, antipode)
+        .permute((1, 0, 2))
+        .merge_at(1, hmul)))             # (c0, S(a1 h1) h3)

@@ -1,6 +1,10 @@
+from contextlib import contextmanager
+from itertools import product
+
 import pytest
 
-from rbhopf import GF, QQ, Mat, builtin
+from rbhopf import GF, QQ, Mat, TermSum, builtin
+from rbhopf import hopfmod, prelie, rb, structures, ydsmash
 
 HOPF_FIXTURES = ["group:C2", "group:C3", "group:S3", "sweedler4",
                  "dual-group:C2", "trivial"]
@@ -70,3 +74,39 @@ def random_sparse_mat(field, rows, cols):
     return st.lists(st.lists(entry, min_size=cols, max_size=cols),
                     min_size=rows, max_size=rows).map(
                         lambda e: Mat(field, e, cols=cols))
+
+
+def per_basis(identity, field, dims, residual):
+    """Test-only reference for `structures._batched`: one basis input at a time.
+
+    The residual chain runs on each basis tensor e_idx of shape `dims`, in
+    lexicographic order of idx, with no tag factors: the evaluation the
+    checkers did before batching.  Returns the arguments of `_verdict`.
+    """
+    def residuals():
+        for idx in product(*map(range, dims)):
+            yield idx, residual(TermSum.basis(field, dims, idx))
+
+    return identity, residuals(), 0
+
+
+def verdict_key(v):
+    """What two verdicts must share: passed, identity, residual and witness."""
+    d = v.defect
+    if d is None:
+        return (v.passed, None, None, None)
+    return (v.passed, d.identity, d.residual, d.witness)
+
+
+@contextmanager
+def patched_batching(replacement):
+    """Run every checker with `replacement` in place of `_batched`."""
+    mods = (structures, hopfmod, rb, prelie, ydsmash)
+    saved = [m._batched for m in mods]
+    for m in mods:
+        m._batched = replacement
+    try:
+        yield
+    finally:
+        for m, orig in zip(mods, saved):
+            m._batched = orig

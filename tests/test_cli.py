@@ -289,3 +289,16 @@ def test_builtin_list_modes():
     assert code == 0
     assert "builtin sweedler4 hopf 4" in out
     assert "builtin-family grouplike:<n> coalgebra" in out
+
+
+def test_internal_error_exit_4(monkeypatch):
+    import rbhopf.cli as cli
+
+    def boom():
+        raise RuntimeError("structure table corrupted")
+
+    monkeypatch.setattr(cli, "builtin_names", boom)
+    code, out, err = run("builtin-list", "--report", "machine")
+    assert code == 4
+    assert out == ""
+    assert err == "internal error: RuntimeError: structure table corrupted\n"

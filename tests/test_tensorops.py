@@ -1,8 +1,11 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rbhopf import (GF, QQ, FieldMismatchError, Mat, ShapeError, TermSum, Vec,
-                    builtin)
+from rbhopf import (GF, QQ, FieldMismatchError, Mat, ShapeError, Tensor3,
+                    TermSum, Vec, builtin)
+from rbhopf.fields import Fp
 from conftest import random_sparse_mat
 
 
@@ -180,3 +183,119 @@ def test_public_constructor_still_validates():
     with pytest.raises(FieldMismatchError):
         TermSum(QQ, (2,), {(0,): GF(5).one})
     assert TermSum(GF(5), (2,), {(0,): 5, (1,): 6}).terms == {(1,): GF(5).one}
+
+
+def test_permute_prefix_keeps_trailing_factors():
+    t = TermSum(QQ, (2, 3, 4, 5), {(1, 2, 3, 4): 1, (0, 1, 2, 3): 2})
+    p = t.permute((1, 0))
+    assert p.dims == (3, 2, 4, 5)
+    assert p.terms == {(2, 1, 3, 4): QQ.one, (1, 0, 2, 3): QQ.coerce(2)}
+    q = t.permute((2, 0, 1))
+    assert q.dims == (4, 2, 3, 5)
+    assert q.terms == {(3, 1, 2, 4): QQ.one, (2, 0, 1, 3): QQ.coerce(2)}
+    assert t.permute((0, 1)) == t and t.permute(()) == t
+    assert t.permute((1, 0, 2, 3)) == p
+    for bad in ((0, 0), (1, 2), (0, 2, 1, 3, 4), (4, 0, 1, 2, 3), (-1, 0)):
+        with pytest.raises(ShapeError):
+            t.permute(bad)
+
+
+# The rewrites skip the product when a factor is the field's `one`; these
+# reference rewrites multiply every pair, straight from the dense entries.
+
+def _plain_map_at(t, pos, m):
+    out = {}
+    for key, val in t.terms.items():
+        for i in range(m.rows):
+            a = m.entries[i][key[pos]]
+            if a:
+                nk = key[:pos] + (i,) + key[pos + 1:]
+                out[nk] = out.get(nk, t.field.zero) + a * val
+    return {k: v for k, v in out.items() if v}
+
+
+def _plain_merge_map_at(t, pos, m):
+    b = t.dims[pos + 1]
+    out = {}
+    for key, val in t.terms.items():
+        for i in range(m.rows):
+            a = m.entries[i][key[pos] * b + key[pos + 1]]
+            if a:
+                nk = key[:pos] + (i,) + key[pos + 2:]
+                out[nk] = out.get(nk, t.field.zero) + a * val
+    return {k: v for k, v in out.items() if v}
+
+
+def _plain_split_at(t, pos, comul):
+    out = {}
+    for key, val in t.terms.items():
+        for (i, j, k), a in comul.entries.items():
+            if i == key[pos]:
+                nk = key[:pos] + (j, k) + key[pos + 1:]
+                out[nk] = out.get(nk, t.field.zero) + a * val
+    return {k: v for k, v in out.items() if v}
+
+
+def _plain_merge_at(t, pos, mul):
+    out = {}
+    for key, val in t.terms.items():
+        for (i, j, k), a in mul.entries.items():
+            if (i, j) == key[pos:pos + 2]:
+                nk = key[:pos] + (k,) + key[pos + 2:]
+                out[nk] = out.get(nk, t.field.zero) + a * val
+    return {k: v for k, v in out.items() if v}
+
+
+def _unit_heavy(field):
+    """Scalars that stress the unit skip: the singleton `one`, a 1 that is
+    another object, -1, zero and a plain value."""
+    other_one = Fraction(1) if field == QQ else Fp(1, field.p)
+    return st.sampled_from([field.one, other_one, field.coerce(-1), field.zero,
+                            field.coerce(2)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["QQ", 7]), st.booleans(), _dims3, st.data())
+def test_unit_skip_rewrites_match_plain_products(which, twin, dims, data):
+    field = QQ if which == "QQ" else GF(which)
+    # The maps live over an equal field that is, for GF(7), another object.
+    mfield = GF(which) if twin and which != "QQ" else field
+    assert mfield == field
+    scal, mscal = _unit_heavy(field), _unit_heavy(mfield)
+    keys = st.tuples(*(st.integers(0, d - 1) for d in dims))
+    t = TermSum(field, dims, data.draw(st.dictionaries(keys, scal, max_size=8)))
+    pos = data.draw(st.integers(0, 1))
+
+    def mat(rows, cols):
+        return Mat(mfield, data.draw(st.lists(
+            st.lists(mscal, min_size=cols, max_size=cols),
+            min_size=rows, max_size=rows)), cols=cols)
+
+    def t3(shape):
+        idx = st.tuples(*(st.integers(0, d - 1) for d in shape))
+        return Tensor3(mfield, shape,
+                       data.draw(st.dictionaries(idx, mscal, max_size=10)))
+
+    m = mat(data.draw(st.integers(1, 3)), dims[pos])
+    assert t.map_at(pos, m).terms == _plain_map_at(t, pos, m)
+    mm = mat(data.draw(st.integers(1, 3)), dims[pos] * dims[pos + 1])
+    assert t.merge_map_at(pos, mm).terms == _plain_merge_map_at(t, pos, mm)
+    comul = t3((dims[pos], 2, 3))
+    assert t.split_at(pos, comul).terms == _plain_split_at(t, pos, comul)
+    flat = comul.comul_matrix()
+    assert t.split_map_at(pos, flat, (2, 3)).terms == _plain_split_at(t, pos, comul)
+    mul = t3((dims[pos], dims[pos + 1], 2))
+    assert t.merge_at(pos, mul).terms == _plain_merge_at(t, pos, mul)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)])
+def test_fan_outs_store_the_field_one(field):
+    other_one = Fraction(1) if field == QQ else Fp(1, field.p)
+    assert other_one is not field.one
+    m = Mat(field, ((other_one, field.coerce(-1)), (field.zero, field.coerce(3))))
+    assert m.by_col()[0][0][1] is field.one
+    assert m.by_col()[1][0][1] == field.coerce(-1)
+    t3 = Tensor3(field, (2, 2, 2), {(0, 1, 1): other_one, (1, 0, 0): -1})
+    assert t3.by_first()[0][0][2] is field.one
+    assert t3.by_pair()[(0, 1)][0][1] is field.one
+    assert t3.by_pair()[(1, 0)][0][1] == field.coerce(-1)
