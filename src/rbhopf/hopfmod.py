@@ -13,24 +13,25 @@ i: H→C, π: C→H, π∘i = id) becomes such a module via c·h = c·i(h) and
 Π = id ⋆ (i∘S∘π).
 
 The constructed maps (convolutions, the action and coaction of that module,
-coinvariant projections) are built by pushing every basis vector at once,
-each tagged with its own index, through the same `TermSum` rewrites the
-checkers use, so no Kronecker product of dense matrices is ever formed.
+coinvariant projections, i and π of the tensor square) are built by pushing
+every basis vector at once, each tagged with its own index, through the
+same `TermSum` rewrites the checkers use (`tensorops._matrix_of`).  The
+validation of i and π (`check_bialgebra_map`) runs on the same sparse
+rewrites, so no library path forms a Kronecker product of dense matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
 
 from .errors import PreconditionError, ShapeError
-from .linalg import Mat, Tensor3, flatten_index
+from .linalg import Mat, Tensor3
 from .rb import RBVerdict, check_rb_coalgebra
 from .structures import (AlgebraicStructure, AxiomVerdict, _batched,
                          _first_failure, _verdict, check_bialgebra_map,
                          check_coassociativity, check_comodule, check_module,
                          tensor_product)
-from .tensorops import tagged_basis
+from .tensorops import _matrix_of
 
 
 @dataclass(frozen=True)
@@ -217,21 +218,6 @@ def check_hopf_module_coalgebra(hm: HopfModule) -> AxiomVerdict:
     ])
 
 
-def _matrix_of(field, in_dims: tuple[int, ...], image) -> Mat:
-    """The matrix whose column for basis index `idx` of `in_dims` is image(e_idx).
-
-    `image` runs once, on every basis input at once (`tagged_basis`); the
-    tags of an output term name its column.
-    """
-    res = image(tagged_basis(field, in_dims))
-    k = len(in_dims)
-    out_dims, cols = res.dims[:-k], prod(in_dims)
-    rows = [[field.zero] * cols for _ in range(prod(out_dims))]
-    for key, val in res.terms.items():
-        rows[flatten_index(key[:-k], out_dims)][flatten_index(key[-k:], in_dims)] = val
-    return Mat(field, rows, cols=cols)
-
-
 def coinvariant_projection(hm: HopfModule) -> Mat:
     """P_R(m) = m₍₀₎·S(m₍₁₎) for right modules, P_L(m) = S(m₍₋₁₎)·m₍₀₎ for left.
 
@@ -331,8 +317,10 @@ def pi_operator(pb: ProjectionBialgebra, side: str = "right") -> Mat:
 
 def tensor_square_projection(hopf: AlgebraicStructure) -> ProjectionBialgebra:
     """H⊗H with i(h) = h⊗1 and π(h⊗h') = h·ε(h')."""
+    unit = hopf.require("unit")
+    counit = hopf.require("counit")
     big = tensor_product(hopf, hopf)
-    eye = Mat.identity(hopf.field, hopf.dim)
-    embed = eye @ hopf.require("unit").as_column()
-    project = eye @ hopf.require("counit")
+    field, n = hopf.field, hopf.dim
+    embed = _matrix_of(field, (n,), lambda t: t.insert_at(1, unit))
+    project = _matrix_of(field, (n, n), lambda t: t.map_at(1, counit).drop_at(1))
     return projection_bialgebra(big, hopf, embed, project)

@@ -12,7 +12,8 @@ engine works in: `Mat.by_col()`, the cached nonzero fan-out of each column,
 like `Tensor3.by_first`/`by_pair`.  The public constructors validate shapes
 and coerce every scalar; `Mat._trusted` is an internal constructor for
 results built from entries that are already field elements of a known shape
-(matrix products), and skips both.
+(matrix products, maps built by rewrites in `tensorops._matrix_of`), and
+skips both.
 """
 
 from __future__ import annotations

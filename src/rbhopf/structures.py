@@ -20,7 +20,7 @@ from itertools import permutations, product
 from .errors import ShapeError
 from .fields import QQ
 from .linalg import Mat, Tensor3, Vec, nullspace, solve_linear
-from .tensorops import TermSum, basis_batches
+from .tensorops import TermSum, _matrix_of, basis_batches
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,8 @@ class DefectReport:
     """Residual of a failed identity.
 
     `residual` maps (input basis indices..., output basis indices...) to the
-    nonzero residual scalar; `witness` is its lexicographically first key.
+    nonzero residual scalar (`check_bialgebra_map` keys by matrix position
+    instead, see there); `witness` is its lexicographically first key.
     """
 
     identity: str
@@ -49,23 +50,27 @@ class AxiomVerdict:
         return self.passed
 
 
-def _verdict(identity: str, residuals, tags: int = 0) -> AxiomVerdict:
+def _verdict(identity: str, residuals, tags: int = 0, key=None) -> AxiomVerdict:
     """Collect residual TermSums into a verdict.
 
     `residuals` yields (input prefix tuple, TermSum).  The last `tags` factors of
     each TermSum are the rest of the input indices (see `basis_batches`);
     they move in front of the output indices, so every residual key reads
     (input indices..., output indices...) however the inputs were batched.
-    The residual is sorted by key and the witness is its first key.
+    A `key` function, when given, then maps each such key to the one the
+    identity reports.  The residual is sorted by key and the witness is its
+    first key.
     """
     entries: dict = {}
     for prefix, res in residuals:
-        for key, val in res.terms.items():
+        for k, val in res.terms.items():
             if tags:
-                key = key[-tags:] + key[:-tags]
-            entries[prefix + key] = val
+                k = k[-tags:] + k[:-tags]
+            entries[prefix + k] = val
     if not entries:
         return AxiomVerdict(True)
+    if key is not None:
+        entries = {key(k): val for k, val in entries.items()}
     entries = dict(sorted(entries.items()))
     return AxiomVerdict(False, DefectReport(identity, entries, next(iter(entries))))
 
@@ -87,29 +92,14 @@ def _batched(identity: str, field, dims: tuple, residual):
 def _first_failure(parts) -> AxiomVerdict:
     """Run identity parts in order; the first failure wins.
 
-    Each part is (identity, residuals) or (identity, residuals, tags), as
-    `_verdict` takes them.
+    Each part is (identity, residuals), (identity, residuals, tags) or
+    (identity, residuals, tags, key), as `_verdict` takes them.
     """
     for part in parts:
         v = _verdict(*part)
         if not v.passed:
             return v
     return AxiomVerdict(True)
-
-
-def matrix_verdict(identity: str, diff: Mat) -> AxiomVerdict:
-    """Verdict from a matrix that should be zero."""
-    entries = {}
-    witness = None
-    for i, row in enumerate(diff.entries):
-        for j, v in enumerate(row):
-            if v:
-                entries[(i, j)] = v
-                if witness is None:
-                    witness = (i, j)
-    if not entries:
-        return AxiomVerdict(True)
-    return AxiomVerdict(False, DefectReport(identity, entries, witness))
 
 
 @dataclass(frozen=True)
@@ -344,26 +334,51 @@ def check_module(hopf: AlgebraicStructure, m_dim: int, action: Mat,
 
 def check_bialgebra_map(f: Mat, src: AlgebraicStructure,
                         dst: AlgebraicStructure) -> AxiomVerdict:
-    """f preserves mul, comul, unit and counit (all required on both sides)."""
+    """f preserves mul, comul, unit and counit (all required on both sides).
+
+    Checks f(ab) = f(a)f(b), Δf = (f⊗f)Δ, f(1) = 1 and ε∘f = ε, in that
+    order, on batched basis inputs.  Each residual is keyed (row, column) in
+    the matrix of its difference map, with tensor factors flattened by
+    `kron_index`; for ns = src.dim and nd = dst.dim:
+
+    - map-multiplicative: (k, i·ns + j) for the e_k coefficient of
+      f(e_i e_j) - f(e_i)f(e_j);
+    - map-comultiplicative: (j·nd + k, i) for the e_j⊗e_k coefficient of
+      Δf(e_i) - (f⊗f)Δ(e_i);
+    - map-unit: (k, 0) for the e_k coefficient of f(1) - 1;
+    - map-counit: (0, i) for ε(f(e_i)) - ε(e_i).
+    """
     for s in (src, dst):
         for attr in ("mul", "comul", "unit", "counit"):
             s.require(attr)
     if f.rows != dst.dim or f.cols != src.dim:
         raise ShapeError(f"map must be {dst.dim} x {src.dim}")
-    ff = f @ f
-    checks = [
-        ("map-multiplicative",
-         f * src.mul.mul_matrix() - dst.mul.mul_matrix() * ff),
-        ("map-comultiplicative",
-         dst.comul.comul_matrix() * f - ff * src.comul.comul_matrix()),
-        ("map-unit", f * src.unit.as_column() - dst.unit.as_column()),
-        ("map-counit", dst.counit * f - src.counit),
-    ]
-    for name, diff in checks:
-        v = matrix_verdict(name, diff)
-        if not v.passed:
-            return v
-    return AxiomVerdict(True)
+    field, ns, nd = src.field, src.dim, dst.dim
+
+    def multiplicative(t):
+        return (t.merge_at(0, src.mul).map_at(0, f)
+                - t.map_at(0, f).map_at(1, f).merge_at(0, dst.mul))
+
+    def comultiplicative(t):
+        return (t.map_at(0, f).split_at(0, dst.comul)
+                - t.split_at(0, src.comul).map_at(0, f).map_at(1, f))
+
+    def unital():
+        yield (), (TermSum.from_vec(src.unit).map_at(0, f)
+                   - TermSum.from_vec(dst.unit))
+
+    def counital(t):
+        return t.map_at(0, f).map_at(0, dst.counit) - t.map_at(0, src.counit)
+
+    return _first_failure([
+        (*_batched("map-multiplicative", field, (ns, ns), multiplicative),
+         lambda k: (k[2], k[0] * ns + k[1])),
+        (*_batched("map-comultiplicative", field, (ns,), comultiplicative),
+         lambda k: (k[1] * nd + k[2], k[0])),
+        ("map-unit", unital(), 0, lambda k: (k[0], 0)),
+        (*_batched("map-counit", field, (ns,), counital),
+         lambda k: (k[1], k[0])),
+    ])
 
 
 def _require_side(side: str):
@@ -456,10 +471,13 @@ def tensor_product(a: AlgebraicStructure, b: AlgebraicStructure) -> AlgebraicStr
                 entries[key] = entries.get(key, field.zero) + v1 * v2
         comul = Tensor3(field, (n, n, n), entries)
     unit = a.unit.tensor(b.unit) if a.unit is not None and b.unit is not None else None
-    counit = (a.counit @ b.counit
-              if a.counit is not None and b.counit is not None else None)
-    antipode = (a.antipode @ b.antipode
-                if a.antipode is not None and b.antipode is not None else None)
+    counit = antipode = None
+    if a.counit is not None and b.counit is not None:
+        counit = _matrix_of(field, (da, db), lambda t: (
+            t.map_at(0, a.counit).map_at(1, b.counit)))
+    if a.antipode is not None and b.antipode is not None:
+        antipode = _matrix_of(field, (da, db), lambda t: (
+            t.map_at(0, a.antipode).map_at(1, b.antipode)))
     names = None
     if a.names is not None and b.names is not None:
         names = tuple(f"{x}*{y}" for x in a.names for y in b.names)

@@ -28,11 +28,17 @@ The public `TermSum(...)` constructor checks every key against the shape and
 coerces every value.  The rewrites build their results through the internal
 `TermSum._trusted`, which only drops zero values: their keys come from valid
 keys and fan-outs, and their values are products and sums of field elements.
+
+`_matrix_of` turns a rewrite chain into the matrix of the linear map it
+computes: it runs the chain once on `tagged_basis` and reads each column off
+the tags.  Convolutions, projections, module maps and the counit and
+antipode of a tensor product are built this way.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from math import prod
 from operator import itemgetter
 
 from .errors import FieldMismatchError, ShapeError
@@ -365,3 +371,19 @@ def tagged_basis(field, dims) -> TermSum:
     """
     (_, batch), = basis_batches(field, dims, lead=0)
     return batch
+
+
+def _matrix_of(field, in_dims: tuple[int, ...], image) -> Mat:
+    """The matrix whose column for basis index `idx` of `in_dims` is image(e_idx).
+
+    `image` runs once, on every basis input at once (`tagged_basis`); the
+    tags of an output term name its column.  The entries are field elements
+    already, so the rows are wrapped by `Mat._trusted` as they are.
+    """
+    res = image(tagged_basis(field, in_dims))
+    k = len(in_dims)
+    out_dims, cols = res.dims[:-k], prod(in_dims)
+    rows = [[field.zero] * cols for _ in range(prod(out_dims))]
+    for key, val in res.terms.items():
+        rows[flatten_index(key[:-k], out_dims)][flatten_index(key[-k:], in_dims)] = val
+    return Mat._trusted(field, tuple(map(tuple, rows)), cols)

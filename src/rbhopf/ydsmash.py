@@ -26,14 +26,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PreconditionError, ShapeError
-from .hopfmod import (HopfModule, _matrix_of, check_hopf_module_coalgebra,
+from .hopfmod import (HopfModule, check_hopf_module_coalgebra,
                       coinvariant_projection)
-from .linalg import Mat, Tensor3, kron_index
+from .linalg import Mat, Tensor3, Vec, kron_index
 from .rb import RBVerdict, check_rb_coalgebra
 from .structures import (AlgebraicStructure, AxiomVerdict, _batched,
                          _first_failure, _verdict, check_coassociativity,
                          check_comodule, check_module)
-from .tensorops import TermSum, tagged_basis
+from .tensorops import _matrix_of, tagged_basis
 
 
 @dataclass(frozen=True)
@@ -160,7 +160,8 @@ def smash_coproduct(ydc: YDModuleCoalgebra) -> AlgebraicStructure:
                for (c1, ah, c2, h2, c, x), val in t.terms.items()}
     counit = None
     if cstr.counit is not None and hopf.counit is not None:
-        counit = cstr.counit @ hopf.counit
+        counit = _matrix_of(field, (c_dim, h), lambda t: (
+            t.map_at(0, cstr.counit).map_at(1, hopf.counit)))
     names = None
     if cstr.names is not None and hopf.names is not None:
         names = tuple(f"{a}*{b}" for a in cstr.names for b in hopf.names)
@@ -178,8 +179,10 @@ def _require_verified(ydc: YDModuleCoalgebra):
 def projection_right_closed_form(ydc: YDModuleCoalgebra) -> Mat:
     """P_R(c⊗h) = c ⊗ ε(h)1 as a matrix on C⊗H."""
     hopf = ydc.hopf
-    eye = Mat.identity(ydc.field, ydc.coalgebra.dim)
-    return eye @ (hopf.require("unit").as_column() * hopf.require("counit"))
+    unit = hopf.require("unit")
+    counit = hopf.require("counit")
+    return _matrix_of(ydc.field, (ydc.coalgebra.dim, hopf.dim), lambda t: (
+        t.map_at(1, counit).drop_at(1).insert_at(1, unit)))
 
 
 def projection_left_closed_form(ydc: YDModuleCoalgebra) -> Mat:
@@ -213,10 +216,13 @@ def smash_hopf_module_right(ydc: YDModuleCoalgebra) -> tuple[HopfModule, Mat, RB
     """
     _require_verified(ydc)
     hopf = ydc.hopf
+    hmul = hopf.require("mul")
+    hcomul = hopf.require("comul")
+    field = ydc.field
+    h, c_dim = hopf.dim, ydc.coalgebra.dim
     smash = smash_coproduct(ydc)
-    eye = Mat.identity(ydc.field, ydc.coalgebra.dim)
-    action = eye @ hopf.require("mul").mul_matrix()
-    coaction = eye @ hopf.require("comul").comul_matrix()
+    action = _matrix_of(field, (c_dim, h, h), lambda t: t.merge_at(1, hmul))
+    coaction = _matrix_of(field, (c_dim, h), lambda t: t.split_at(1, hcomul))
     hm = HopfModule(hopf, smash.dim, action, coaction, "right", comul=smash.comul)
     v = check_hopf_module_coalgebra(hm)
     if not v.passed:
@@ -281,9 +287,11 @@ def adjoint_yd(hopf: AlgebraicStructure) -> YDModuleCoalgebra:
         .permute((0, 2, 1))
         .map_at(1, antipode)
         .merge_at(0, mul)))
+    action = _matrix_of(hopf.field, (hopf.dim, hopf.dim),
+                        lambda t: t.merge_at(0, mul))
     cstr = AlgebraicStructure(hopf.dim, hopf.field, comul=comul,
                               counit=hopf.counit, names=hopf.names)
-    return YDModuleCoalgebra(hopf, cstr, mul.mul_matrix(), coaction)
+    return YDModuleCoalgebra(hopf, cstr, action, coaction)
 
 
 def trivial_yd(hopf: AlgebraicStructure,
@@ -291,9 +299,11 @@ def trivial_yd(hopf: AlgebraicStructure,
     """Any coalgebra with the trivial action h·c = ε(h)c and coaction c ↦ 1⊗c."""
     counit = hopf.require("counit")
     unit = hopf.require("unit")
-    eye = Mat.identity(hopf.field, cstr.dim)
-    return YDModuleCoalgebra(hopf, cstr, counit @ eye,
-                             unit.as_column() @ eye)
+    field, h, c_dim = hopf.field, hopf.dim, cstr.dim
+    action = _matrix_of(field, (h, c_dim),
+                        lambda t: t.map_at(0, counit).drop_at(0))
+    coaction = _matrix_of(field, (c_dim,), lambda t: t.insert_at(0, unit))
+    return YDModuleCoalgebra(hopf, cstr, action, coaction)
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +346,9 @@ def check_coquasitriangular(cq: CoquasitriangularForm) -> AxiomVerdict:
     (BR2) σ(hh', h'') = σ(h, h''₁)σ(h', h''₂)
     (BR3) σ(h, h'h'') = σ(h₁, h'')σ(h₂, h')
     (BR4) h'₁h₁·σ(h₂, h'₂) = σ(h₁, h'₁)·h₂h'₂
+
+    A BR1 residual is keyed (h, 0) for σ(1,h) - ε(h) and (h, 1) for
+    σ(h,1) - ε(h), so a defect on both sides reports both entries.
     """
     hopf = cq.hopf
     mul = hopf.require("mul")
@@ -346,12 +359,12 @@ def check_coquasitriangular(cq: CoquasitriangularForm) -> AxiomVerdict:
     n = hopf.dim
     sigma = cq.form
 
-    def br1():
-        for x in range(n):
-            t = TermSum.basis(field, (n,), (x,))
-            eps = t.map_at(0, counit).drop_at(0)
-            yield (x,), (t.insert_at(0, unit).pair_at(0, sigma) - eps)
-            yield (x,), (t.insert_at(1, unit).pair_at(0, sigma) - eps)
+    def br1(t):
+        eps = t.map_at(0, counit).drop_at(0)
+        left = t.insert_at(0, unit).pair_at(0, sigma) - eps
+        right = t.insert_at(1, unit).pair_at(0, sigma) - eps
+        return (left.insert_at(0, Vec.basis(field, 2, 0))
+                + right.insert_at(0, Vec.basis(field, 2, 1)))
 
     def br2(t):
         lhs = t.merge_at(0, mul).pair_at(0, sigma)
@@ -373,7 +386,7 @@ def check_coquasitriangular(cq: CoquasitriangularForm) -> AxiomVerdict:
         rhs = t.permute((0, 2, 1, 3)).pair_at(0, sigma).merge_at(0, mul)
         return lhs - rhs
 
-    return _first_failure([("BR1", br1()),
+    return _first_failure([_batched("BR1", field, (n,), br1),
                            _batched("BR2", field, (n,) * 3, br2),
                            _batched("BR3", field, (n,) * 3, br3),
                            _batched("BR4", field, (n, n), br4)])

@@ -5,6 +5,7 @@ import pytest
 
 from rbhopf import GF, QQ, Mat, TermSum, builtin
 from rbhopf import hopfmod, prelie, rb, structures, ydsmash
+from rbhopf.structures import AxiomVerdict, DefectReport
 
 HOPF_FIXTURES = ["group:C2", "group:C3", "group:S3", "sweedler4",
                  "dual-group:C2", "trivial"]
@@ -110,3 +111,35 @@ def patched_batching(replacement):
     finally:
         for m, orig in zip(mods, saved):
             m._batched = orig
+
+
+def matrix_verdict(identity, diff):
+    """Verdict from a matrix that should be zero, keyed (row, column)."""
+    entries = {(i, j): v for i, row in enumerate(diff.entries)
+               for j, v in enumerate(row) if v}
+    if not entries:
+        return AxiomVerdict(True)
+    return AxiomVerdict(False, DefectReport(identity, entries, next(iter(entries))))
+
+
+def dense_bialgebra_map_verdict(f, src, dst):
+    """Test-only reference for `check_bialgebra_map`: the dense matrix formulas.
+
+    Each identity is a difference of composites of `f`, its Kronecker square
+    `f @ f` and the dense structure matrices; the first nonzero one, scanned
+    row by row, is the verdict.
+    """
+    ff = f @ f
+    checks = [
+        ("map-multiplicative",
+         f * src.mul.mul_matrix() - dst.mul.mul_matrix() * ff),
+        ("map-comultiplicative",
+         dst.comul.comul_matrix() * f - ff * src.comul.comul_matrix()),
+        ("map-unit", f * src.unit.as_column() - dst.unit.as_column()),
+        ("map-counit", dst.counit * f - src.counit),
+    ]
+    for name, diff in checks:
+        v = matrix_verdict(name, diff)
+        if not v.passed:
+            return v
+    return AxiomVerdict(True)

@@ -213,6 +213,17 @@ def test_sigma_2_fails_br2_with_witness(c2):
     assert v.defect.witness is not None
 
 
+def test_br1_reports_left_and_right_defects(c2):
+    # sigma(1,g) - eps(g) = 1 on the left, sigma(g,1) - eps(g) = 2 on the right
+    bad = coquasitriangular_form(c2, {(0, 0): 1, (0, 1): 2,
+                                      (1, 0): 3, (1, 1): 1})
+    v = check_coquasitriangular(bad)
+    assert not v.passed
+    assert v.defect.identity == "BR1"
+    assert v.defect.residual == {(1, 0): QQ.coerce(1), (1, 1): QQ.coerce(2)}
+    assert v.defect.witness == (1, 0)
+
+
 def test_sweedler_braiding_passes(h4):
     for alpha in (0, 1, -2):
         assert check_coquasitriangular(sweedler_braiding(h4, alpha)).passed
