@@ -9,11 +9,16 @@ product, so (f⊗g)∘(h⊗k) = (f∘h)⊗(g∘k) reads (f @ g) * (h @ k) == (f 
 
 `Mat` stores its entries densely but also offers the sparse view the rewrite
 engine works in: `Mat.by_col()`, the cached nonzero fan-out of each column,
-like `Tensor3.by_first`/`by_pair`.  The public constructors validate shapes
-and coerce every scalar; `Mat._trusted` is an internal constructor for
-results built from entries that are already field elements of a known shape
-(matrix products, maps built by rewrites in `tensorops._matrix_of`), and
-skips both.
+like `Tensor3.by_first`/`by_pair`.  Each fan-out is built once together with
+its monomial table (`Mat.monomial_cols`, `Tensor3.monomial_first`/
+`monomial_pair`), which exists when every input has a single output with
+coefficient 1 and lets the engine relabel keys instead of accumulating.
+`Mat`, `Vec` and `Tensor3` are immutable, so these caches never go stale.
+The public constructors validate shapes and coerce every scalar;
+`Mat._trusted` and `Tensor3._trusted` are internal constructors for results
+built from entries that are already field elements of a known shape (matrix
+products, maps built by rewrites in `tensorops._matrix_of`, the structure
+constants of a tensor product), and skip both.
 """
 
 from __future__ import annotations
@@ -136,7 +141,7 @@ class Mat:
     of the j-th basis vector.
     """
 
-    __slots__ = ("field", "entries", "rows", "cols", "_by_col")
+    __slots__ = ("field", "entries", "rows", "cols", "_by_col", "_monomial")
 
     def __init__(self, field, rows_of_entries, cols: int | None = None):
         coerce = field.coerce
@@ -155,6 +160,7 @@ class Mat:
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", ncols)
         object.__setattr__(self, "_by_col", None)
+        object.__setattr__(self, "_monomial", None)
 
     @classmethod
     def _trusted(cls, field, rows: tuple, ncols: int) -> "Mat":
@@ -213,10 +219,11 @@ class Mat:
     def by_col(self) -> tuple:
         """((i, value), ...) per column j: the nonzero entries of the image of e_j.
 
-        Built once per matrix and cached; the rewrite engine reads maps
-        through it, so applying a map to a basis term costs its column's
-        nonzero count, not its row count.  Values equal to 1 are stored as
-        the field's `one`, which the engine recognises by identity.
+        Built once per matrix and cached, with `monomial_cols`; the rewrite
+        engine reads maps through it, so applying a map to a basis term
+        costs its column's nonzero count, not its row count.  Values equal
+        to 1 are stored as the field's `one`, which the engine recognises by
+        identity.
         """
         if self._by_col is None:
             one = self.field.one
@@ -225,8 +232,22 @@ class Mat:
                 for j, a in enumerate(row):
                     if a:
                         cols[j].append((i, one if a == one else a))
-            object.__setattr__(self, "_by_col", tuple(map(tuple, cols)))
+            fan = tuple(map(tuple, cols))
+            object.__setattr__(self, "_by_col", fan)
+            if all(len(c) == 1 and c[0][1] is one for c in fan):
+                object.__setattr__(self, "_monomial", tuple(c[0][0] for c in fan))
         return self._by_col
+
+    def monomial_cols(self) -> tuple | None:
+        """(i_j, ...): the row of the single entry of column j, or None.
+
+        A table only when every column holds exactly one nonzero entry and
+        that entry is 1 (a map sending basis vectors to basis vectors, like
+        the counit or antipode of a group algebra); cached with `by_col`.
+        Through it the rewrite engine applies the map by relabelling keys.
+        """
+        self.by_col()
+        return self._monomial
 
     def __mul__(self, other):
         if isinstance(other, Mat):
@@ -357,7 +378,7 @@ def flip_matrix(field, dim_a: int, dim_b: int) -> Mat:
 
 
 class Tensor3:
-    """Sparse rank-3 tensor of exact scalars.
+    """Immutable sparse rank-3 tensor of exact scalars.
 
     Holds multiplication tables, e_i e_j = Σ_k t[i,j,k] e_k (dims (n,n,n)),
     comultiplication tables, Δ(e_i) = Σ_{j,k} t[i,j,k] e_j⊗e_k, and the
@@ -365,7 +386,7 @@ class Tensor3:
     """
 
     __slots__ = ("field", "dims", "entries", "_by_first", "_by_pair",
-                 "_mul_mat", "_comul_mat")
+                 "_monomial_first", "_monomial_pair", "_mul_mat", "_comul_mat")
 
     def __init__(self, field, dims: tuple[int, int, int], entries):
         a, b, c = dims
@@ -377,13 +398,29 @@ class Tensor3:
             v = coerce(v)
             if v:
                 clean[(i, j, k)] = v
-        self.field = field
-        self.dims = (a, b, c)
-        self.entries = clean
-        self._by_first = None
-        self._by_pair = None
-        self._mul_mat = None
-        self._comul_mat = None
+        self._set_state(field, (a, b, c), clean)
+
+    def _set_state(self, field, dims: tuple, entries: dict):
+        set_ = object.__setattr__
+        set_(self, "field", field)
+        set_(self, "dims", dims)
+        set_(self, "entries", entries)
+        for cache in ("_by_first", "_by_pair", "_monomial_first",
+                      "_monomial_pair", "_mul_mat", "_comul_mat"):
+            set_(self, cache, None)
+
+    @classmethod
+    def _trusted(cls, field, dims: tuple, entries: dict) -> "Tensor3":
+        """Internal: wrap {(i, j, k): nonzero field element} as is.
+
+        No key is range-checked and no scalar coerced; callers guarantee both.
+        """
+        t = object.__new__(cls)
+        t._set_state(field, tuple(dims), entries)
+        return t
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Tensor3 is immutable")
 
     @classmethod
     def zero(cls, field, dims) -> "Tensor3":
@@ -410,28 +447,57 @@ class Tensor3:
     def __repr__(self):
         return f"Tensor3(dims={self.dims}, nnz={len(self.entries)})"
 
-    # Fan-out indexes used by the sparse expression evaluator; values equal
-    # to 1 are stored as the field's `one`, which it recognises by identity.
+    # Fan-out indexes used by the sparse expression evaluator, each built
+    # once with its monomial table.  Values equal to 1 are stored as the
+    # field's `one`, which it recognises by identity.  A monomial table
+    # exists only when every input (e_i, or the pair e_i, e_j) has exactly
+    # one output with coefficient `one`, as for the structure constants of
+    # a group algebra; through it the evaluator relabels keys.
+
+    def _index_first(self):
+        if self._by_first is None:
+            one = self.field.one
+            fan: dict = {}
+            for (i, j, k), v in sorted(self.entries.items()):
+                fan.setdefault(i, []).append((j, k, one if v == one else v))
+            if len(fan) == self.dims[0] and all(
+                    len(f) == 1 and f[0][2] is one for f in fan.values()):
+                object.__setattr__(self, "_monomial_first",
+                                   tuple(fan[i][0][:2] for i in range(len(fan))))
+            object.__setattr__(self, "_by_first", fan)
+
+    def _index_pairs(self):
+        if self._by_pair is None:
+            one = self.field.one
+            fan: dict = {}
+            for (i, j, k), v in sorted(self.entries.items()):
+                fan.setdefault((i, j), []).append((k, one if v == one else v))
+            a, b, _ = self.dims
+            if len(fan) == a * b and all(
+                    len(f) == 1 and f[0][1] is one for f in fan.values()):
+                object.__setattr__(self, "_monomial_pair", tuple(
+                    fan[(i, j)][0][0] for i in range(a) for j in range(b)))
+            object.__setattr__(self, "_by_pair", fan)
 
     def by_first(self) -> dict:
         """{i: [(j, k, value)]}: comultiplication fan-out of e_i."""
-        if self._by_first is None:
-            one = self.field.one
-            out: dict = {}
-            for (i, j, k), v in sorted(self.entries.items()):
-                out.setdefault(i, []).append((j, k, one if v == one else v))
-            self._by_first = out
+        self._index_first()
         return self._by_first
 
     def by_pair(self) -> dict:
         """{(i, j): [(k, value)]}: multiplication fan-out of e_i e_j."""
-        if self._by_pair is None:
-            one = self.field.one
-            out: dict = {}
-            for (i, j, k), v in sorted(self.entries.items()):
-                out.setdefault((i, j), []).append((k, one if v == one else v))
-            self._by_pair = out
+        self._index_pairs()
         return self._by_pair
+
+    def monomial_first(self) -> tuple | None:
+        """((j, k) per i): the single term e_j⊗e_k of the image of e_i, or None."""
+        self._index_first()
+        return self._monomial_first
+
+    def monomial_pair(self) -> tuple | None:
+        """(k per i·b + j): the single basis product e_i e_j = e_k, or None."""
+        self._index_pairs()
+        return self._monomial_pair
 
     def mul_matrix(self) -> Mat:
         """The map V_a ⊗ V_b → V_c as a dense c × (a·b) matrix."""
@@ -441,7 +507,7 @@ class Tensor3:
             out = [[zero] * (a * b) for _ in range(c)]
             for (i, j, k), v in self.entries.items():
                 out[k][kron_index(i, j, b)] = v
-            self._mul_mat = Mat(self.field, out, cols=a * b)
+            object.__setattr__(self, "_mul_mat", Mat(self.field, out, cols=a * b))
         return self._mul_mat
 
     def comul_matrix(self) -> Mat:
@@ -452,7 +518,7 @@ class Tensor3:
             out = [[zero] * a for _ in range(b * c)]
             for (i, j, k), v in self.entries.items():
                 out[kron_index(j, k, c)][i] = v
-            self._comul_mat = Mat(self.field, out, cols=a)
+            object.__setattr__(self, "_comul_mat", Mat(self.field, out, cols=a))
         return self._comul_mat
 
     def apply_mul(self, v: Vec, w: Vec) -> Vec:

@@ -444,6 +444,28 @@ def find_bialgebra_counit(s: AlgebraicStructure) -> Vec | None:
 # Tensor products
 # ---------------------------------------------------------------------------
 
+def _tensor3_product(x: Tensor3, y: Tensor3) -> Tensor3:
+    """x ⊗ y on (A⊗B)^3, each index pair flattened as i1·dim(B) + i2.
+
+    The flattening is injective, so every key arises from one pair of
+    entries: nothing is summed.  Over a field a product of nonzero entries
+    is nonzero, so the result is wrapped by `Tensor3._trusted` as it is;
+    products with a factor that is the field's `one` are skipped.
+    """
+    one = x.field.one
+    db = y.dims[0]
+    ys = list(y.entries.items())
+    entries = {}
+    for (i1, j1, k1), v1 in x.entries.items():
+        i1, j1, k1 = i1 * db, j1 * db, k1 * db
+        unit = v1 is one
+        for (i2, j2, k2), v2 in ys:
+            entries[(i1 + i2, j1 + j2, k1 + k2)] = (
+                v2 if unit else v1 if v2 is one else v1 * v2)
+    n = x.dims[0] * db
+    return Tensor3._trusted(x.field, (n, n, n), entries)
+
+
 def tensor_product(a: AlgebraicStructure, b: AlgebraicStructure) -> AlgebraicStructure:
     """The tensor product structure on A ⊗ B (componentwise, no braiding)."""
     if a.field != b.field:
@@ -452,24 +474,11 @@ def tensor_product(a: AlgebraicStructure, b: AlgebraicStructure) -> AlgebraicStr
     da, db = a.dim, b.dim
     n = da * db
 
-    def flat(i, j):
-        return i * db + j
-
     mul = comul = None
     if a.mul is not None and b.mul is not None:
-        entries = {}
-        for (i1, j1, k1), v1 in a.mul.entries.items():
-            for (i2, j2, k2), v2 in b.mul.entries.items():
-                key = (flat(i1, i2), flat(j1, j2), flat(k1, k2))
-                entries[key] = entries.get(key, field.zero) + v1 * v2
-        mul = Tensor3(field, (n, n, n), entries)
+        mul = _tensor3_product(a.mul, b.mul)
     if a.comul is not None and b.comul is not None:
-        entries = {}
-        for (i1, j1, k1), v1 in a.comul.entries.items():
-            for (i2, j2, k2), v2 in b.comul.entries.items():
-                key = (flat(i1, i2), flat(j1, j2), flat(k1, k2))
-                entries[key] = entries.get(key, field.zero) + v1 * v2
-        comul = Tensor3(field, (n, n, n), entries)
+        comul = _tensor3_product(a.comul, b.comul)
     unit = a.unit.tensor(b.unit) if a.unit is not None and b.unit is not None else None
     counit = antipode = None
     if a.counit is not None and b.counit is not None:

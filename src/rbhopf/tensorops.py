@@ -24,10 +24,24 @@ basis tensor is evaluated on a whole batch in one rewrite chain, and the
 tags of each output term name the input it came from.  `permute` likewise
 reorders only the leading factors its order names.
 
+When a map is monomial, every input (a column, e_i, or a pair e_i, e_j) has
+exactly one output with coefficient `one`, as for the structure constants,
+counit and antipode of a group algebra.  `Mat.monomial_cols` and
+`Tensor3.monomial_first`/`monomial_pair` then give a table of outputs, and a
+rewrite builds its result in one dict comprehension that only relabels keys.
+If two input keys land on one output key, the comprehension has fewer keys
+than the input; it is discarded and the general loop runs, which adds them.
+
 The public `TermSum(...)` constructor checks every key against the shape and
 coerces every value.  The rewrites build their results through the internal
-`TermSum._trusted`, which only drops zero values: their keys come from valid
-keys and fan-outs, and their values are products and sums of field elements.
+`TermSum._trusted`, which wraps the dict as it is: keys come from valid keys
+and fan-outs, and values are nonzero.  Over a field a product of nonzeros is
+nonzero, and fan-outs and terms hold no zeros, so a zero can only appear
+where two contributions are added.  Each accumulating rewrite records the
+keys whose sum became zero and passes them to `_trusted`, which deletes
+those still zero; no result is re-scanned.  `permute`, `drop_at`,
+`insert_at`, `__neg__` and `scale` (by a nonzero scalar; by zero it gives
+the empty sum) add nothing, so their dicts are wrapped as they are.
 
 `_matrix_of` turns a rewrite chain into the matrix of the linear map it
 computes: it runs the chain once on `tagged_basis` and reads each column off
@@ -66,12 +80,21 @@ class TermSum:
         object.__setattr__(self, "terms", clean)
 
     @classmethod
-    def _trusted(cls, field, dims: tuple, terms: dict) -> "TermSum":
-        """Internal: wrap valid keys and field-element values, dropping zeros."""
+    def _trusted(cls, field, dims: tuple, terms: dict,
+                 cancelled=()) -> "TermSum":
+        """Internal: wrap valid keys and nonzero field-element values as is.
+
+        `cancelled` lists the keys where an accumulation summed to zero (a
+        key may repeat, or have been filled again later); those still zero
+        are deleted from `terms`.  No other value is looked at.
+        """
+        for key in cancelled:
+            if key in terms and not terms[key]:
+                del terms[key]
         t = object.__new__(cls)
         object.__setattr__(t, "field", field)
         object.__setattr__(t, "dims", dims)
-        object.__setattr__(t, "terms", {k: v for k, v in terms.items() if v})
+        object.__setattr__(t, "terms", terms)
         return t
 
     def __setattr__(self, name, value):
@@ -102,20 +125,33 @@ class TermSum:
         if m.cols != self._factor_dim(pos):
             raise ShapeError(
                 f"map with {m.cols} columns applied to factor of dim {self.dims[pos]}")
+        dims = self.dims[:pos] + (m.rows,) + self.dims[pos + 1:]
+        terms = self.terms
+        mono = m.monomial_cols()
+        if mono is not None:
+            out = {key[:pos] + (mono[key[pos]],) + key[pos + 1:]: val
+                   for key, val in terms.items()}
+            if len(out) == len(terms):
+                return TermSum._trusted(self.field, dims, out)
         fan = m.by_col()
         one = self.field.one
-        out: dict = {}
+        out = {}
         get = out.get
-        for key, val in self.terms.items():
+        cancelled = []
+        for key, val in terms.items():
             head, tail = key[:pos], key[pos + 1:]
             unit = val is one
             for i, a in fan[key[pos]]:
                 x = a if unit else val if a is one else a * val
                 nk = head + (i,) + tail
                 prev = get(nk)
-                out[nk] = x if prev is None else prev + x
-        dims = self.dims[:pos] + (m.rows,) + self.dims[pos + 1:]
-        return TermSum._trusted(self.field, dims, out)
+                if prev is None:
+                    out[nk] = x
+                else:
+                    out[nk] = x = prev + x
+                    if not x:
+                        cancelled.append(nk)
+        return TermSum._trusted(self.field, dims, out, cancelled)
 
     def split_at(self, pos: int, comul: Tensor3) -> "TermSum":
         """Replace factor `pos` by two factors through a comultiplication."""
@@ -124,20 +160,33 @@ class TermSum:
         if d != self._factor_dim(pos):
             raise ShapeError(
                 f"comultiplication of dim {d} applied to factor of dim {self.dims[pos]}")
+        dims = self.dims[:pos] + (a, b) + self.dims[pos + 1:]
+        terms = self.terms
+        mono = comul.monomial_first()
+        if mono is not None:
+            out = {key[:pos] + mono[key[pos]] + key[pos + 1:]: val
+                   for key, val in terms.items()}
+            if len(out) == len(terms):
+                return TermSum._trusted(self.field, dims, out)
         fan = comul.by_first()
         one = self.field.one
-        out: dict = {}
+        out = {}
         get = out.get
-        for key, val in self.terms.items():
+        cancelled = []
+        for key, val in terms.items():
             head, tail = key[:pos], key[pos + 1:]
             unit = val is one
             for j, k, coeff in fan.get(key[pos], ()):
                 x = coeff if unit else val if coeff is one else coeff * val
                 nk = head + (j, k) + tail
                 prev = get(nk)
-                out[nk] = x if prev is None else prev + x
-        dims = self.dims[:pos] + (a, b) + self.dims[pos + 1:]
-        return TermSum._trusted(self.field, dims, out)
+                if prev is None:
+                    out[nk] = x
+                else:
+                    out[nk] = x = prev + x
+                    if not x:
+                        cancelled.append(nk)
+        return TermSum._trusted(self.field, dims, out, cancelled)
 
     def split_map_at(self, pos: int, m: Mat, out_dims: tuple[int, int]) -> "TermSum":
         """Replace factor `pos` by two factors through a map V → A ⊗ B."""
@@ -146,20 +195,34 @@ class TermSum:
         if m.rows != a * b or m.cols != self._factor_dim(pos):
             raise ShapeError(
                 f"{m.rows}x{m.cols} map does not send dim {self.dims[pos]} to {a}x{b}")
+        dims = self.dims[:pos] + (a, b) + self.dims[pos + 1:]
+        terms = self.terms
+        mono = m.monomial_cols()
+        if mono is not None:
+            pairs = [divmod(flat, b) for flat in mono]
+            out = {key[:pos] + pairs[key[pos]] + key[pos + 1:]: val
+                   for key, val in terms.items()}
+            if len(out) == len(terms):
+                return TermSum._trusted(self.field, dims, out)
         fan = m.by_col()
         one = self.field.one
-        out: dict = {}
+        out = {}
         get = out.get
-        for key, val in self.terms.items():
+        cancelled = []
+        for key, val in terms.items():
             head, tail = key[:pos], key[pos + 1:]
             unit = val is one
             for flat, coeff in fan[key[pos]]:
                 x = coeff if unit else val if coeff is one else coeff * val
                 nk = head + divmod(flat, b) + tail
                 prev = get(nk)
-                out[nk] = x if prev is None else prev + x
-        dims = self.dims[:pos] + (a, b) + self.dims[pos + 1:]
-        return TermSum._trusted(self.field, dims, out)
+                if prev is None:
+                    out[nk] = x
+                else:
+                    out[nk] = x = prev + x
+                    if not x:
+                        cancelled.append(nk)
+        return TermSum._trusted(self.field, dims, out, cancelled)
 
     def merge_at(self, pos: int, mul: Tensor3) -> "TermSum":
         """Combine factors `pos`, `pos+1` through a multiplication."""
@@ -171,20 +234,33 @@ class TermSum:
             raise ShapeError(
                 f"multiplication {mul.dims} applied to factors "
                 f"({self.dims[pos]},{self.dims[pos + 1]})")
+        dims = self.dims[:pos] + (c,) + self.dims[pos + 2:]
+        terms = self.terms
+        mono = mul.monomial_pair()
+        if mono is not None:
+            out = {key[:pos] + (mono[key[pos] * b + key[pos + 1]],) + key[pos + 2:]: val
+                   for key, val in terms.items()}
+            if len(out) == len(terms):
+                return TermSum._trusted(self.field, dims, out)
         fan = mul.by_pair()
         one = self.field.one
-        out: dict = {}
+        out = {}
         get = out.get
-        for key, val in self.terms.items():
+        cancelled = []
+        for key, val in terms.items():
             head, tail = key[:pos], key[pos + 2:]
             unit = val is one
             for k, coeff in fan.get(key[pos:pos + 2], ()):
                 x = coeff if unit else val if coeff is one else coeff * val
                 nk = head + (k,) + tail
                 prev = get(nk)
-                out[nk] = x if prev is None else prev + x
-        dims = self.dims[:pos] + (c,) + self.dims[pos + 2:]
-        return TermSum._trusted(self.field, dims, out)
+                if prev is None:
+                    out[nk] = x
+                else:
+                    out[nk] = x = prev + x
+                    if not x:
+                        cancelled.append(nk)
+        return TermSum._trusted(self.field, dims, out, cancelled)
 
     def merge_map_at(self, pos: int, m: Mat) -> "TermSum":
         """Combine factors `pos`, `pos+1` through a map A ⊗ B → V."""
@@ -196,20 +272,33 @@ class TermSum:
             raise ShapeError(
                 f"map with {m.cols} columns applied to factors "
                 f"({self.dims[pos]},{b})")
+        dims = self.dims[:pos] + (m.rows,) + self.dims[pos + 2:]
+        terms = self.terms
+        mono = m.monomial_cols()
+        if mono is not None:
+            out = {key[:pos] + (mono[key[pos] * b + key[pos + 1]],) + key[pos + 2:]: val
+                   for key, val in terms.items()}
+            if len(out) == len(terms):
+                return TermSum._trusted(self.field, dims, out)
         fan = m.by_col()
         one = self.field.one
-        out: dict = {}
+        out = {}
         get = out.get
-        for key, val in self.terms.items():
+        cancelled = []
+        for key, val in terms.items():
             head, tail = key[:pos], key[pos + 2:]
             unit = val is one
             for i, a in fan[key[pos] * b + key[pos + 1]]:
                 x = a if unit else val if a is one else a * val
                 nk = head + (i,) + tail
                 prev = get(nk)
-                out[nk] = x if prev is None else prev + x
-        dims = self.dims[:pos] + (m.rows,) + self.dims[pos + 2:]
-        return TermSum._trusted(self.field, dims, out)
+                if prev is None:
+                    out[nk] = x
+                else:
+                    out[nk] = x = prev + x
+                    if not x:
+                        cancelled.append(nk)
+        return TermSum._trusted(self.field, dims, out, cancelled)
 
     def pair_at(self, pos: int, form: Mat) -> "TermSum":
         """Contract factors `pos`, `pos+1` through a bilinear form (1 × a·b)."""
@@ -224,15 +313,22 @@ class TermSum:
         row = form.entries[0]
         out: dict = {}
         get = out.get
+        cancelled = []
         for key, val in self.terms.items():
             coeff = row[key[pos] * b + key[pos + 1]]
             if not coeff:
                 continue
+            x = coeff * val
             nk = key[:pos] + key[pos + 2:]
             prev = get(nk)
-            out[nk] = coeff * val if prev is None else prev + coeff * val
+            if prev is None:
+                out[nk] = x
+            else:
+                out[nk] = x = prev + x
+                if not x:
+                    cancelled.append(nk)
         dims = self.dims[:pos] + self.dims[pos + 2:]
-        return TermSum._trusted(self.field, dims, out)
+        return TermSum._trusted(self.field, dims, out, cancelled)
 
     def insert_at(self, pos: int, vec: Vec) -> "TermSum":
         """Insert a fixed vector as a new factor at position `pos`."""
@@ -286,6 +382,8 @@ class TermSum:
 
     def scale(self, scalar) -> "TermSum":
         s = self.field.coerce(scalar)
+        if not s:
+            return TermSum._trusted(self.field, self.dims, {})
         return TermSum._trusted(self.field, self.dims,
                                 {k: s * v for k, v in self.terms.items()})
 
@@ -298,10 +396,16 @@ class TermSum:
         self._check_same_shape(other)
         out = dict(self.terms)
         get = out.get
+        cancelled = []
         for k, v in other.terms.items():
             prev = get(k)
-            out[k] = v if prev is None else prev + v
-        return TermSum._trusted(self.field, self.dims, out)
+            if prev is None:
+                out[k] = v
+            else:
+                out[k] = v = prev + v
+                if not v:
+                    cancelled.append(k)
+        return TermSum._trusted(self.field, self.dims, out, cancelled)
 
     def __sub__(self, other: "TermSum") -> "TermSum":
         self._check_same_shape(other)
@@ -309,10 +413,16 @@ class TermSum:
             return TermSum._trusted(self.field, self.dims, {})
         out = dict(self.terms)
         get = out.get
+        cancelled = []
         for k, v in other.terms.items():
             prev = get(k)
-            out[k] = -v if prev is None else prev - v
-        return TermSum._trusted(self.field, self.dims, out)
+            if prev is None:
+                out[k] = -v
+            else:
+                out[k] = v = prev - v
+                if not v:
+                    cancelled.append(k)
+        return TermSum._trusted(self.field, self.dims, out, cancelled)
 
     def __neg__(self) -> "TermSum":
         return TermSum._trusted(self.field, self.dims,

@@ -161,6 +161,20 @@ def test_associativity_merge_count_on_s3_tensor_square(monkeypatch):
     assert len(calls) <= 4 * n
 
 
+def test_associativity_on_s3_tensor_square_only_relabels(monkeypatch):
+    """Every product in kG ⊗ kG is one basis element, and each batch's tags
+    keep its keys apart, so no merge leaves the monomial fast path: the
+    general loop, the only reader of `by_pair`, never runs."""
+    big = tensor_product(builtin("group:S3"), builtin("group:S3"))
+    assert big.mul.monomial_pair() is not None
+
+    def general_loop(self):
+        raise AssertionError("merge_at left the monomial fast path")
+
+    monkeypatch.setattr(Tensor3, "by_pair", general_loop)
+    assert check_associativity(big).passed
+
+
 @pytest.mark.parametrize("name", ["sweedler4", "group:S3"])
 def test_single_factor_checker_builds_one_batch(name, monkeypatch):
     h = builtin(name)

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rbhopf import (GF, QQ, FormatError, Mat, PreLieCoalgebra, Tensor3,
                     adjoint_yd, builtin, coquasitriangular_form,
@@ -207,3 +208,46 @@ def test_largest_builtin_smash_files_fit_the_dense_limit(tmp_path):
     save(p, tmp_path / "p.rbh")
     assert load(tmp_path / "smash.rbh").payload == hm
     assert load(tmp_path / "p.rbh").payload == p
+
+
+_SWEEDLER_LINES = dumps(builtin("sweedler4")).splitlines()
+_FUZZ_TOKENS = sorted({tok for line in _SWEEDLER_LINES for tok in line.split()}
+                      | {"-1", "0", "9", "x", "#", "Fp:5", "Fp:4"})
+
+
+@st.composite
+def _edited_sweedler4(draw):
+    """The sweedler4 file with 1-3 lines deleted, inserted, replaced or swapped.
+
+    New lines are lines of the file or 0-6 of its tokens (plus a few small
+    ints, junk and field names); every index stays small, so no edit can
+    declare a large map."""
+    lines = list(_SWEEDLER_LINES)
+    new_line = st.one_of(st.sampled_from(_SWEEDLER_LINES),
+                         st.lists(st.sampled_from(_FUZZ_TOKENS), max_size=6)
+                         .map(" ".join))
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["delete", "insert", "replace", "swap"]))
+        if not lines:
+            op = "insert"
+        at = draw(st.integers(0, max(len(lines) - 1, 0)))
+        if op == "delete":
+            del lines[at]
+        elif op == "insert":
+            lines.insert(draw(st.integers(0, len(lines))), draw(new_line))
+        elif op == "replace":
+            lines[at] = draw(new_line)
+        else:
+            other = draw(st.integers(0, len(lines) - 1))
+            lines[at], lines[other] = lines[other], lines[at]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edited_sweedler4())
+def test_edited_file_loads_or_raises_format_error(text):
+    try:
+        doc = loads(text)
+    except FormatError:
+        return
+    assert doc.kind == "hopf"

@@ -186,3 +186,20 @@ def test_rref_over_prime_field():
 def test_matrix_str_uses_exact_entries():
     m = Mat(QQ, ((Fraction(1, 2), 0), (3, -1)))
     assert "1/2" in str(m)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)])
+def test_tensor3_is_immutable_and_hash_ignores_caches(field):
+    t = builtin("group:S3", field).mul
+    h = hash(t)
+    t.by_first(), t.by_pair(), t.monomial_first(), t.monomial_pair()
+    t.mul_matrix(), t.comul_matrix()
+    assert hash(t) == h
+    assert t == Tensor3(field, t.dims, dict(t.entries))
+    for name, value in (("entries", {}), ("dims", (1, 1, 1)), ("field", QQ),
+                        ("_by_pair", None), ("_monomial_pair", None)):
+        with pytest.raises(AttributeError):
+            setattr(t, name, value)
+    with pytest.raises(AttributeError):
+        t.extra = 1
+    assert t.monomial_pair() is not None and len(t.by_pair()) == 36

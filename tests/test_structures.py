@@ -184,6 +184,36 @@ def test_tensor_product_of_hopf_algebras(c2, h4):
     assert t.names[1] == "1*g"
 
 
+def _summed_tensor_product(x, y, field, db):
+    """The tensor product of two Tensor3s as first written: every product
+    added into a dict, then validated by the public constructor."""
+    n = x.dims[0] * db
+    entries = {}
+    for (i1, j1, k1), v1 in x.entries.items():
+        for (i2, j2, k2), v2 in y.entries.items():
+            key = (i1 * db + i2, j1 * db + j2, k1 * db + k2)
+            entries[key] = entries.get(key, field.zero) + v1 * v2
+    return Tensor3(field, (n, n, n), entries)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)])
+@pytest.mark.parametrize("left, right", [("sweedler4", "group:S3"),
+                                         ("group:S3", "group:S3"),
+                                         ("sweedler4", "sweedler4")])
+def test_tensor_product_matches_summed_formula(field, left, right):
+    a, b = builtin(left, field), builtin(right, field)
+    ab = tensor_product(a, b)
+    for name in ("mul", "comul"):
+        got = getattr(ab, name)
+        assert got == _summed_tensor_product(getattr(a, name), getattr(b, name),
+                                             field, b.dim)
+        assert all(got.entries.values())
+        if left == right == "group:S3":
+            # Group-algebra constants are all `one`: no product was formed.
+            assert all(v is ab.field.one for v in got.entries.values())
+    assert ab.unit == a.unit.tensor(b.unit)
+
+
 def test_tensor_product_field_mismatch(c2):
     with pytest.raises(ShapeError):
         tensor_product(c2, builtin("group:C2", GF(2)))

@@ -299,3 +299,121 @@ def test_fan_outs_store_the_field_one(field):
     assert t3.by_first()[0][0][2] is field.one
     assert t3.by_pair()[(0, 1)][0][1] is field.one
     assert t3.by_pair()[(1, 0)][0][1] == field.coerce(-1)
+
+
+# Differential battery for the two accumulation paths: monomial maps take the
+# relabelling fast path, monomial maps that send two input keys to one output
+# key fall back to the general loop, and general maps run it directly.  Input
+# twins carry the negated value of a term at another index of the rewritten
+# factor, so a collapsing map cancels them exactly.
+
+def _map_kinds(field, rows, cols):
+    """Strategy for a rows x cols map: monomial, collapsing monomial or general."""
+    def monomial(targets):
+        return Mat(field, [[field.one if targets[j] == i else field.zero
+                            for j in range(cols)] for i in range(rows)], cols=cols)
+
+    return st.one_of(
+        st.lists(st.integers(0, rows - 1), min_size=cols, max_size=cols).map(monomial),
+        st.just(monomial([0] * cols)),
+        random_sparse_mat(field, rows, cols))
+
+
+def _tensor3_of(m, dims, flat_in):
+    """The Tensor3 of a map: flat_in=True reads m as (a·b) -> c (a product),
+    otherwise as a -> (b·c) (a coproduct)."""
+    a, b, c = dims
+    if flat_in:
+        return Tensor3(m.field, dims, {(i, j, k): m.entries[k][i * b + j]
+                                       for i in range(a) for j in range(b)
+                                       for k in range(c)})
+    return Tensor3(m.field, dims, {(i, j, k): m.entries[j * c + k][i]
+                                   for i in range(a) for j in range(b)
+                                   for k in range(c)})
+
+
+def _cancelling_termsum(data, field, dims, pos):
+    """Small random terms, some with a twin of negated value at another index
+    of factor `pos`."""
+    keys = st.tuples(*(st.integers(0, d - 1) for d in dims))
+    vals = _unit_heavy(field).filter(bool)
+    terms = data.draw(st.dictionaries(keys, vals, max_size=6))
+    for key, val in list(terms.items()):
+        if dims[pos] > 1 and data.draw(st.booleans()):
+            twin = key[:pos] + ((key[pos] + 1) % dims[pos],) + key[pos + 1:]
+            terms.setdefault(twin, -val)
+    return TermSum(field, dims, terms)
+
+
+def _assert_matches(out, dense, t, dims):
+    assert out.dims == dims
+    assert out.to_vec() == dense.apply(t.to_vec())
+    assert all(out.terms.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(_fields, _dims3, st.data())
+def test_rewrites_match_dense_apply_on_both_paths(field, dims, data):
+    pos = data.draw(st.integers(0, 1))
+    t = _cancelling_termsum(data, field, dims, pos)
+    d, e = dims[pos], dims[pos + 1]
+    r = data.draw(st.integers(1, 3))
+    m = data.draw(_map_kinds(field, r, d))
+    _assert_matches(t.map_at(pos, m), _around(field, dims, pos, 1, m), t,
+                    dims[:pos] + (r,) + dims[pos + 1:])
+
+    a, b = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    sm = data.draw(_map_kinds(field, a * b, d))
+    split_dims = dims[:pos] + (a, b) + dims[pos + 1:]
+    dense = _around(field, dims, pos, 1, sm)
+    _assert_matches(t.split_map_at(pos, sm, (a, b)), dense, t, split_dims)
+    _assert_matches(t.split_at(pos, _tensor3_of(sm, (d, a, b), False)),
+                    dense, t, split_dims)
+
+    mm = data.draw(_map_kinds(field, r, d * e))
+    merge_dims = dims[:pos] + (r,) + dims[pos + 2:]
+    dense = _around(field, dims, pos, 2, mm)
+    _assert_matches(t.merge_map_at(pos, mm), dense, t, merge_dims)
+    _assert_matches(t.merge_at(pos, _tensor3_of(mm, (d, e, r), True)),
+                    dense, t, merge_dims)
+
+    form = data.draw(_map_kinds(field, 1, d * e))
+    _assert_matches(t.pair_at(pos, form), _around(field, dims, pos, 2, form), t,
+                    dims[:pos] + dims[pos + 2:])
+
+    u = _cancelling_termsum(data, field, dims, pos)
+    for out, expected in ((t + u, t.to_vec() + u.to_vec()),
+                          (t - u, t.to_vec() - u.to_vec()),
+                          (-t, -t.to_vec()),
+                          (t.scale(data.draw(_unit_heavy(field))), None)):
+        if expected is not None:
+            assert out.to_vec() == expected
+        assert all(out.terms.values())
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)])
+def test_monomial_tables_and_collapsing_fallback(field):
+    swap = Mat(field, ((0, 1), (1, 0)))
+    collapse = Mat(field, ((1, 1), (0, 0)))
+    assert swap.monomial_cols() == (1, 0)
+    assert collapse.monomial_cols() == (0, 0)
+    assert Mat(field, ((1, 2), (0, 0))).monomial_cols() is None
+    assert Mat(field, ((1, 0), (0, 0))).monomial_cols() is None
+    assert Mat(field, ((1, 1), (1, 0))).monomial_cols() is None
+    minus_one = field.coerce(-1)
+    t = TermSum(field, (2, 3), {(0, 2): 1, (1, 2): minus_one, (1, 0): 2})
+    assert t.map_at(0, swap).terms == {(1, 2): field.one, (0, 2): minus_one,
+                                       (0, 0): field.coerce(2)}
+    # (0, 2) and (1, 2) land on one key and cancel: the general loop runs.
+    assert t.map_at(0, collapse).terms == {(0, 0): field.coerce(2)}
+    same = TermSum(field, (2, 1), {(0, 0): 1, (1, 0): 1})
+    assert same.map_at(0, collapse).terms == {(0, 0): field.coerce(2)}
+
+    c2 = builtin("group:C2", field)
+    assert c2.mul.monomial_pair() == (0, 1, 1, 0)
+    assert c2.comul.monomial_first() == ((0, 0), (1, 1))
+    h4 = builtin("sweedler4", field)
+    assert h4.mul.monomial_pair() is None and h4.comul.monomial_first() is None
+    # A product with a zero pair has no table: e_1 e_1 = 0 here.
+    partial = Tensor3(field, (2, 2, 2), {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1})
+    assert partial.monomial_pair() is None
