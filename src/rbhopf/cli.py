@@ -9,6 +9,11 @@ instead of a traceback).
 
 `--report machine` emits a deterministic line-oriented key-value report
 (no timestamps); `--report human` is free-form and includes timing.
+
+Start-up is most of a short command, so this module imports at the top only
+what every command uses (the file format and the structure checkers); each
+command imports the Rota-Baxter, Hopf-module, Yetter-Drinfeld and pre-Lie
+modules it needs inside its own branch.
 """
 
 from __future__ import annotations
@@ -22,18 +27,10 @@ from . import fileformat
 from .errors import BudgetExceededError, FormatError, PreconditionError
 from .fields import QQ, field_from_name
 from .fileformat import Document, load, save
-from .hopfmod import (check_hopf_module, check_hopf_module_algebra,
-                      check_hopf_module_coalgebra, verify_projection_rb)
-from .prelie import check_pre_lie, prelie_from_rb_minus1, prelie_from_rb_zero
-from .rb import check_rb_algebra, check_rb_bialgebra, check_rb_coalgebra, \
-    search_rb_operators
 from .structures import (builtin, builtin_names, check_antipode,
                          check_associativity, check_bialgebra,
                          check_coassociativity, check_comodule,
                          check_unit_counit)
-from .ydsmash import (adjoint_yd, check_coquasitriangular, check_yd_coalgebra,
-                      check_yd_module, smash_coproduct, smash_hopf_module_left,
-                      smash_hopf_module_right)
 
 MAX_DEFECT_ENTRIES = 16
 
@@ -194,23 +191,30 @@ def _run_named_check(name: str, doc_kind: str, payload, report: Report):
         return
     try:
         if name == "prelie" and doc_kind == "prelie":
+            from .prelie import check_pre_lie
             report.check(name, check_pre_lie(payload.comul))
         elif name == "hopf-module" and doc_kind == "module":
+            from .hopfmod import check_hopf_module
             report.check(name, check_hopf_module(payload))
         elif name == "hopf-module-algebra" and doc_kind == "module":
+            from .hopfmod import check_hopf_module_algebra
             report.check(name, check_hopf_module_algebra(payload))
         elif name == "hopf-module-coalgebra" and doc_kind == "module":
+            from .hopfmod import check_hopf_module_coalgebra
             report.check(name, check_hopf_module_coalgebra(payload))
         elif name == "comodule" and doc_kind == "comodule":
             report.check(name, check_comodule(payload.hopf, payload.m_dim,
                                               payload.coaction, payload.side))
         elif name == "yd-module" and doc_kind == "yd":
+            from .ydsmash import check_yd_module
             report.check(name, check_yd_module(payload.hopf,
                                                payload.coalgebra.dim,
                                                payload.action, payload.coaction))
         elif name == "yd-coalgebra" and doc_kind == "yd":
+            from .ydsmash import check_yd_coalgebra
             report.check(name, check_yd_coalgebra(payload))
         elif name == "coquasitriangular" and doc_kind == "sigma":
+            from .ydsmash import check_coquasitriangular
             report.check(name, check_coquasitriangular(payload))
         else:
             raise InputError(f"check {name!r} does not apply to kind {doc_kind!r}")
@@ -255,6 +259,7 @@ def cmd_verify(args) -> Report:
 # ---------------------------------------------------------------------------
 
 def cmd_rb_check(args) -> Report:
+    from .rb import check_rb_algebra, check_rb_bialgebra, check_rb_coalgebra
     report = Report("rb-check")
     report.arg("structure", args.structure)
     report.arg("side", args.side)
@@ -297,6 +302,7 @@ def _resolve_yd(args, field):
     if args.yd == "adjoint":
         if hopf is None:
             raise InputError("--yd adjoint needs --hopf")
+        from .ydsmash import adjoint_yd
         return adjoint_yd(hopf)
     doc = load(args.yd)
     if doc.kind != "yd":
@@ -316,6 +322,7 @@ def cmd_construct(args) -> Report:
     if args.what == "smash":
         if not args.yd:
             raise InputError("construct smash needs --yd (adjoint or a file)")
+        from .ydsmash import check_yd_coalgebra, smash_coproduct
         ydc = _resolve_yd(args, field)
         v = check_yd_coalgebra(ydc)
         report.check("yd-coalgebra", v)
@@ -335,6 +342,7 @@ def cmd_construct(args) -> Report:
             hm = doc.payload
             if hm.side != side:
                 raise InputError(f"{args.module} is a {hm.side} module")
+            from .hopfmod import verify_projection_rb
             try:
                 p, verdict = verify_projection_rb(hm)
             except (PreconditionError, ValueError) as exc:
@@ -342,6 +350,7 @@ def cmd_construct(args) -> Report:
         else:
             if not args.yd:
                 raise InputError("construct projection needs --module or --yd")
+            from .ydsmash import smash_hopf_module_left, smash_hopf_module_right
             ydc = _resolve_yd(args, field)
             pipeline = (smash_hopf_module_right if side == "right"
                         else smash_hopf_module_left)
@@ -361,6 +370,9 @@ def cmd_construct(args) -> Report:
         if not (args.structure and args.operator and args.weight):
             raise InputError("construct prelie needs --structure, --operator "
                              "and --weight")
+        from .prelie import (check_pre_lie, prelie_from_rb_minus1,
+                             prelie_from_rb_zero)
+        from .rb import check_rb_coalgebra
         s = _load_structure(args.structure, field)
         q = _load_operator(args.operator[0])
         w = _parse_weight(s.field, args.weight[0])
@@ -384,7 +396,7 @@ def cmd_construct(args) -> Report:
         if not args.hopf:
             raise InputError("construct pi-operator needs --hopf")
         from .hopfmod import (hopf_module_from_projection, pi_operator,
-                              tensor_square_projection)
+                              tensor_square_projection, verify_projection_rb)
         hopf = _load_structure(args.hopf, field)
         try:
             pb = tensor_square_projection(hopf)
@@ -413,6 +425,7 @@ def cmd_construct(args) -> Report:
 # ---------------------------------------------------------------------------
 
 def cmd_search(args) -> Report:
+    from .rb import check_rb_algebra, check_rb_coalgebra, search_rb_operators
     report = Report("search")
     report.arg("structure", args.structure)
     report.arg("side", args.side)

@@ -215,8 +215,19 @@ class PrimeField:
         return f"GF({self.p})"
 
 
+_prime_fields: dict[int, PrimeField] = {}
+
+
 def GF(p: int) -> PrimeField:
-    return PrimeField(p)
+    """The field F_p: one `PrimeField` per p, so `GF(p).one` is one object.
+
+    Rewrites recognise the unit scalar by identity (`v is field.one`), so
+    structures, operators and files over F_p should share this instance.
+    """
+    field = _prime_fields.get(p)
+    if field is None:
+        field = _prime_fields[p] = PrimeField(p)
+    return field
 
 
 def field_from_name(name: str):
@@ -224,5 +235,5 @@ def field_from_name(name: str):
     if name == "Q":
         return QQ
     if name.startswith("Fp:"):
-        return PrimeField(int(name[3:]))
+        return GF(int(name[3:]))
     raise ValueError(f"unknown field {name!r}")

@@ -38,16 +38,13 @@ files round-trip byte-for-byte.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FormatError, ShapeError
 from .fields import field_from_name
-from .hopfmod import HopfModule
 from .linalg import Mat, Tensor3, Vec
-from .prelie import PreLieCoalgebra
+from .record import Record
 from .structures import AlgebraicStructure, builtin
-from .ydsmash import CoquasitriangularForm, YDModuleCoalgebra
 
 FORMAT_VERSION = "1"
 
@@ -61,8 +58,7 @@ ALL_KINDS = STRUCTURE_KINDS + ("prelie", "operator", "module", "comodule",
                                "yd", "sigma")
 
 
-@dataclass(frozen=True)
-class Comodule:
+class Comodule(Record):
     """A bare comodule: coaction without an action."""
 
     hopf: AlgebraicStructure
@@ -71,8 +67,7 @@ class Comodule:
     side: str
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(Record):
     """A parsed file: its kind, the resolved payload, and reference strings.
 
     `refs` keeps companion references (e.g. {"hopf": "builtin:group:C2"})
@@ -244,6 +239,7 @@ def loads(text: str, base_dir: str = ".") -> Document:
             comul = (Tensor3(field, (m_dim,) * 3,
                              _entry_table(field, comul_rows, 3, (m_dim,) * 3))
                      if comul_rows else None)
+            from .hopfmod import HopfModule
             payload = HopfModule(hopf, m_dim, action, coaction, side,
                                  mul=mul, comul=comul)
         else:
@@ -271,6 +267,7 @@ def loads(text: str, base_dir: str = ".") -> Document:
         coaction = _matrix_from_rows(field, lines.take_section("coaction"),
                                      (h * c_dim, c_dim), cdim_line)
         cstr = AlgebraicStructure(c_dim, field, comul=ccomul, counit=ccounit)
+        from .ydsmash import YDModuleCoalgebra
         payload = YDModuleCoalgebra(hopf, cstr, action, coaction)
     elif kind == "sigma":
         hopf = hopf_ref()
@@ -280,6 +277,7 @@ def loads(text: str, base_dir: str = ".") -> Document:
         row = [field.zero] * (h * h)
         for (i, j), v in table.items():
             row[i * h + j] = v
+        from .ydsmash import CoquasitriangularForm
         payload = CoquasitriangularForm(hopf, Mat(field, (row,)))
     lineno, tokens = lines.peek()
     if tokens is not None:
@@ -330,6 +328,7 @@ def _load_structure_body(lines: _Lines, field, kind: str):
             comul = Tensor3(field, (dim,) * 3, {})
         if any(x is not None for x in (mul, unit, counit, antipode)):
             raise FormatError("a prelie file carries only a comultiplication")
+        from .prelie import PreLieCoalgebra
         return PreLieCoalgebra(dim, field, comul)
     try:
         s = AlgebraicStructure(dim, field, mul=mul, comul=comul, unit=unit,
@@ -406,7 +405,9 @@ def dumps(payload, kind: str | None = None, refs: dict | None = None) -> str:
     """Serialize a payload to canonical file text.
 
     `kind` is inferred where possible (structures, operators); module-like
-    payloads need a `refs` dict carrying the hopf reference string.
+    payloads need a `refs` dict carrying the hopf reference string.  The
+    classes of the other kinds are imported only once a payload gets past
+    the structure, operator and comodule cases.
     """
     refs = refs or {}
     if isinstance(payload, Document):
@@ -414,18 +415,27 @@ def dumps(payload, kind: str | None = None, refs: dict | None = None) -> str:
     if isinstance(payload, AlgebraicStructure):
         kind = kind or payload.kind
         return _dump_structure(payload, kind)
-    if isinstance(payload, PreLieCoalgebra):
-        field = payload.field
-        lines = [f"rbhopf {FORMAT_VERSION} prelie", f"field {field.name}",
-                 f"dim {payload.dim}"]
-        lines += _tensor_lines("comul", field, payload.comul)
-        return "\n".join(lines) + "\n"
     if isinstance(payload, Mat):
         field = payload.field
         lines = [f"rbhopf {FORMAT_VERSION} operator", f"field {field.name}",
                  f"rows {payload.rows}", f"cols {payload.cols}"]
         lines += _matrix_lines("entry", field, payload)
         return "\n".join(lines) + "\n"
+    if isinstance(payload, Comodule):
+        field = payload.hopf.field
+        lines = [f"rbhopf {FORMAT_VERSION} comodule", f"field {field.name}",
+                 f"side {payload.side}", f"hopf {_require_ref(refs)}",
+                 f"mdim {payload.m_dim}"]
+        lines += _matrix_lines("coaction", field, payload.coaction)
+        return "\n".join(lines) + "\n"
+    from .prelie import PreLieCoalgebra
+    if isinstance(payload, PreLieCoalgebra):
+        field = payload.field
+        lines = [f"rbhopf {FORMAT_VERSION} prelie", f"field {field.name}",
+                 f"dim {payload.dim}"]
+        lines += _tensor_lines("comul", field, payload.comul)
+        return "\n".join(lines) + "\n"
+    from .hopfmod import HopfModule
     if isinstance(payload, HopfModule):
         field = payload.field
         lines = [f"rbhopf {FORMAT_VERSION} module", f"field {field.name}",
@@ -438,13 +448,7 @@ def dumps(payload, kind: str | None = None, refs: dict | None = None) -> str:
         if payload.comul is not None:
             lines += _tensor_lines("comul", field, payload.comul)
         return "\n".join(lines) + "\n"
-    if isinstance(payload, Comodule):
-        field = payload.hopf.field
-        lines = [f"rbhopf {FORMAT_VERSION} comodule", f"field {field.name}",
-                 f"side {payload.side}", f"hopf {_require_ref(refs)}",
-                 f"mdim {payload.m_dim}"]
-        lines += _matrix_lines("coaction", field, payload.coaction)
-        return "\n".join(lines) + "\n"
+    from .ydsmash import CoquasitriangularForm, YDModuleCoalgebra
     if isinstance(payload, YDModuleCoalgebra):
         field = payload.field
         cstr = payload.coalgebra

@@ -22,11 +22,10 @@ rewrites, so no library path forms a Kronecker product of dense matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import PreconditionError, ShapeError
 from .linalg import Mat, Tensor3
 from .rb import RBVerdict, check_rb_coalgebra
+from .record import Record
 from .structures import (AlgebraicStructure, AxiomVerdict, _batched,
                          _first_failure, _verdict, check_bialgebra_map,
                          check_coassociativity, check_comodule, check_module,
@@ -34,8 +33,7 @@ from .structures import (AlgebraicStructure, AxiomVerdict, _batched,
 from .tensorops import _matrix_of
 
 
-@dataclass(frozen=True)
-class HopfModule:
+class HopfModule(Record):
     """A (left or right) H-module-and-comodule, with optional extra structure.
 
     Shapes for side="right": action M⊗H→M, coaction M→M⊗H; for side="left":
@@ -259,8 +257,7 @@ def convolution(f: Mat, g: Mat, s: AlgebraicStructure) -> Mat:
         t.split_at(0, comul).map_at(0, f).map_at(1, g).merge_at(0, mul)))
 
 
-@dataclass(frozen=True)
-class ProjectionBialgebra:
+class ProjectionBialgebra(Record):
     """A bialgebra C with bialgebra maps i: H→C, π: C→H and π∘i = id_H."""
 
     big: AlgebraicStructure

@@ -14,17 +14,15 @@ builds the raw tensor unconditionally for experimentation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import PreconditionError
 from .linalg import Mat, Tensor3
+from .record import Record
 from .structures import AlgebraicStructure, AxiomVerdict, _batched, _verdict
 from .rb import check_rb_coalgebra
 from .tensorops import tagged_basis
 
 
-@dataclass(frozen=True)
-class PreLieCoalgebra:
+class PreLieCoalgebra(Record):
     dim: int
     field: object
     comul: Tensor3

@@ -10,17 +10,16 @@ silently would be ambiguous.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from .errors import BudgetExceededError, ShapeError
 from .fields import PrimeField
 from .linalg import Mat
+from .record import Record
 from .structures import AlgebraicStructure, DefectReport, _batched, _verdict
 
 
-@dataclass(frozen=True)
-class RBVerdict:
+class RBVerdict(Record):
     passed: bool
     weight: object
     side: str
@@ -31,8 +30,7 @@ class RBVerdict:
         return self.passed
 
 
-@dataclass(frozen=True)
-class RBBialgebraVerdict:
+class RBBialgebraVerdict(Record):
     algebra: RBVerdict
     coalgebra: RBVerdict
 
@@ -44,8 +42,7 @@ class RBBialgebraVerdict:
         return self.passed
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(Record):
     field: PrimeField
     dim: int
     side: str

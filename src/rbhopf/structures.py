@@ -14,17 +14,16 @@ coalgebras, and a 3-dimensional bialgebra with a unit but no counit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations, product
 
 from .errors import ShapeError
 from .fields import QQ
 from .linalg import Mat, Tensor3, Vec, nullspace, solve_linear
+from .record import Record
 from .tensorops import TermSum, _matrix_of, basis_batches
 
 
-@dataclass(frozen=True)
-class DefectReport:
+class DefectReport(Record):
     """Residual of a failed identity.
 
     `residual` maps (input basis indices..., output basis indices...) to the
@@ -41,8 +40,7 @@ class DefectReport:
                 f"({len(self.residual)} nonzero residual entries)")
 
 
-@dataclass(frozen=True)
-class AxiomVerdict:
+class AxiomVerdict(Record):
     passed: bool
     defect: DefectReport | None = None
 
@@ -102,8 +100,7 @@ def _first_failure(parts) -> AxiomVerdict:
     return AxiomVerdict(True)
 
 
-@dataclass(frozen=True)
-class AlgebraicStructure:
+class AlgebraicStructure(Record):
     """A based space with optional mul/comul/unit/counit/antipode.
 
     Structure constants: mul[i,j,k] is the e_k coefficient of e_i·e_j,

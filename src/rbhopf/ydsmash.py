@@ -23,21 +23,19 @@ well-defined by coassociativity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import PreconditionError, ShapeError
 from .hopfmod import (HopfModule, check_hopf_module_coalgebra,
                       coinvariant_projection)
 from .linalg import Mat, Tensor3, Vec, kron_index
 from .rb import RBVerdict, check_rb_coalgebra
+from .record import Record
 from .structures import (AlgebraicStructure, AxiomVerdict, _batched,
                          _first_failure, _verdict, check_coassociativity,
                          check_comodule, check_module)
 from .tensorops import _matrix_of, tagged_basis
 
 
-@dataclass(frozen=True)
-class YDModuleCoalgebra:
+class YDModuleCoalgebra(Record):
     """A coalgebra C in the category of left H-Yetter-Drinfeld modules."""
 
     hopf: AlgebraicStructure
@@ -310,8 +308,7 @@ def trivial_yd(hopf: AlgebraicStructure,
 # Coquasitriangular structures
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CoquasitriangularForm:
+class CoquasitriangularForm(Record):
     """A bilinear form σ on a Hopf algebra, stored as a 1 × dim² matrix."""
 
     hopf: AlgebraicStructure

@@ -7,8 +7,6 @@ residual, witness) is the one the per-basis evaluation in
 `conftest.per_basis` gives, part by part and as a whole.
 """
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -60,8 +58,8 @@ def checker_battery(h, target, side, weight, corrupt):
     if target in ("mul", "comul"):
         t3 = getattr(h, target)
         moved = Tensor3(field, t3.dims, corrupt(t3.entries, t3.dims))
-        s = replace(h, **{target: moved})
-        hm = replace(reg, **{target: moved})
+        s = h.replace(**{target: moved})
+        hm = reg.replace(**{target: moved})
         common = [lambda: check_unit_counit(s), lambda: check_bialgebra(s),
                   lambda: check_antipode(s)]
         if target == "mul":
@@ -82,14 +80,14 @@ def checker_battery(h, target, side, weight, corrupt):
                 YDModuleCoalgebra(h, cstr, adj.action, adj.coaction))]
     if target == "action":
         a = mat_from(field, (n, n * n), corrupt(mat_entries(reg.action), (n, n * n)))
-        hm = replace(reg, action=a)
+        hm = reg.replace(action=a)
         return [lambda: check_module(h, n, a, side),
                 lambda: check_hopf_module(hm),
                 lambda: check_hopf_module_algebra(hm),
                 lambda: check_yd_module(h, n, a, adj.coaction)]
     if target == "coaction":
         c = mat_from(field, (n * n, n), corrupt(mat_entries(reg.coaction), (n * n, n)))
-        hm = replace(reg, coaction=c)
+        hm = reg.replace(coaction=c)
         return [lambda: check_comodule(h, n, c, side),
                 lambda: check_hopf_module(hm),
                 lambda: check_hopf_module_coalgebra(hm),

@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from rbhopf import GF, QQ, FieldMismatchError, Fp, field_from_name
+from rbhopf import GF, QQ, FieldMismatchError, Fp, Mat, builtin, field_from_name
+from rbhopf.fileformat import dumps, loads
 
 
 def test_rational_coerce_and_format():
@@ -103,3 +104,14 @@ def test_field_names_round_trip():
 
 def test_field_elements_enumeration():
     assert [x.residue for x in GF(3).elements()] == [0, 1, 2]
+
+
+def test_prime_fields_are_interned():
+    f5 = GF(5)
+    assert GF(5) is f5
+    assert field_from_name("Fp:5") is f5
+    assert builtin("group:S3", GF(5)).field.one is f5.one
+    assert GF(7) is not f5
+    # A reloaded operator shares the unit scalar the rewrites test by identity.
+    op = Mat.identity(f5, 3)
+    assert loads(dumps(op)).payload.field.one is f5.one
