@@ -15,18 +15,35 @@ from fractions import Fraction
 from .errors import FieldMismatchError
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality of every
+# n below this bound (Sorenson and Webster, "Strong pseudoprimes to twelve
+# prime bases", Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic primality test; ValueError at or above `_MR_BOUND`."""
+    if n >= _MR_BOUND:
+        raise ValueError(f"modulus {n} is too large (at most {_MR_BOUND - 1})")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -163,6 +180,10 @@ class Rationals:
     def __repr__(self):
         return "QQ"
 
+    def __reduce__(self):
+        # Copies and unpickled fields are the module's `QQ` itself.
+        return "QQ"
+
 
 QQ = Rationals()
 
@@ -213,6 +234,10 @@ class PrimeField:
 
     def __repr__(self):
         return f"GF({self.p})"
+
+    def __reduce__(self):
+        # Copies and unpickled fields are the interned `GF(p)` itself.
+        return GF, (self.p,)
 
 
 _prime_fields: dict[int, PrimeField] = {}

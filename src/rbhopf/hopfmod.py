@@ -86,8 +86,10 @@ def regular_hopf_module(hopf: AlgebraicStructure, side: str = "right") -> HopfMo
     """H acting and coacting on itself by its multiplication and Δ."""
     mul = hopf.require("mul")
     comul = hopf.require("comul")
-    return HopfModule(hopf, hopf.dim, mul.mul_matrix(), comul.comul_matrix(),
-                      side, mul=mul, comul=comul)
+    n = hopf.dim
+    action = _matrix_of(hopf.field, (n, n), lambda t: t.merge_at(0, mul))
+    coaction = _matrix_of(hopf.field, (n,), lambda t: t.split_at(0, comul))
+    return HopfModule(hopf, n, action, coaction, side, mul=mul, comul=comul)
 
 
 def check_hopf_module(hm: HopfModule) -> AxiomVerdict:

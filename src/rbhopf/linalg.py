@@ -7,13 +7,11 @@ place this is spelled out; every other tensor computation goes through it.
 On `Mat`, `*` is composition (matrix product) and `@` is the Kronecker
 product, so (f⊗g)∘(h⊗k) = (f∘h)⊗(g∘k) reads (f @ g) * (h @ k) == (f * h) @ (g * k).
 
-`Mat` stores its entries densely but also offers the sparse view the rewrite
-engine works in: `Mat.by_col()`, the cached nonzero fan-out of each column,
-like `Tensor3.by_first`/`by_pair`.  Each fan-out is built once together with
-its monomial table (`Mat.monomial_cols`, `Tensor3.monomial_first`/
-`monomial_pair`), which exists when every input has a single output with
-coefficient 1 and lets the engine relabel keys instead of accumulating.
-`Mat`, `Vec` and `Tensor3` are immutable, so these caches never go stale.
+`Mat`, `Vec` and `Tensor3` are immutable (`Tensor3.entries` is a read-only
+mapping), so copying one gives the object itself, as for a tuple.  `Mat` and
+`Tensor3` each keep one cache slot, `_fans`, which only the rewrite engine
+fills (`tensorops._reading`): a map's sparse fan-out, read once from the
+rows of a `Mat` or from `Tensor3.entries`.
 The public constructors validate shapes and coerce every scalar;
 `Mat._trusted` and `Tensor3._trusted` are internal constructors for results
 built from entries that are already field elements of a known shape (matrix
@@ -22,6 +20,8 @@ constants of a tensor product), and skip both.
 """
 
 from __future__ import annotations
+
+from types import MappingProxyType
 
 from .errors import FieldMismatchError, ShapeError
 
@@ -53,7 +53,22 @@ def _check_same_field(a, b):
         raise FieldMismatchError(f"mixed fields {a.field!r} and {b.field!r}")
 
 
-class Vec:
+class _Immutable:
+    """Refuses attribute assignment; a copy is the object itself."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+
+class Vec(_Immutable):
     """Immutable vector of exact scalars over one field."""
 
     __slots__ = ("field", "entries")
@@ -62,9 +77,6 @@ class Vec:
         coerce = field.coerce
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "entries", tuple(coerce(x) for x in entries))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Vec is immutable")
 
     @classmethod
     def zero(cls, field, dim: int) -> "Vec":
@@ -134,14 +146,14 @@ class Vec:
         return f"Vec({self.field!r}, [{', '.join(map(str, self.entries))}])"
 
 
-class Mat:
+class Mat(_Immutable):
     """Immutable dense matrix of exact scalars.
 
     Matrices act on column vectors from the left, so column j is the image
     of the j-th basis vector.
     """
 
-    __slots__ = ("field", "entries", "rows", "cols", "_by_col", "_monomial")
+    __slots__ = ("field", "entries", "rows", "cols", "_fans")
 
     def __init__(self, field, rows_of_entries, cols: int | None = None):
         coerce = field.coerce
@@ -159,8 +171,7 @@ class Mat:
         object.__setattr__(self, "entries", rows)
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", ncols)
-        object.__setattr__(self, "_by_col", None)
-        object.__setattr__(self, "_monomial", None)
+        object.__setattr__(self, "_fans", None)
 
     @classmethod
     def _trusted(cls, field, rows: tuple, ncols: int) -> "Mat":
@@ -171,9 +182,6 @@ class Mat:
         m = object.__new__(cls)
         m._set_state(field, rows, ncols)
         return m
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Mat is immutable")
 
     @classmethod
     def identity(cls, field, n: int) -> "Mat":
@@ -215,39 +223,6 @@ class Mat:
 
     def columns(self):
         return [self.col(j) for j in range(self.cols)]
-
-    def by_col(self) -> tuple:
-        """((i, value), ...) per column j: the nonzero entries of the image of e_j.
-
-        Built once per matrix and cached, with `monomial_cols`; the rewrite
-        engine reads maps through it, so applying a map to a basis term
-        costs its column's nonzero count, not its row count.  Values equal
-        to 1 are stored as the field's `one`, which the engine recognises by
-        identity.
-        """
-        if self._by_col is None:
-            one = self.field.one
-            cols: list = [[] for _ in range(self.cols)]
-            for i, row in enumerate(self.entries):
-                for j, a in enumerate(row):
-                    if a:
-                        cols[j].append((i, one if a == one else a))
-            fan = tuple(map(tuple, cols))
-            object.__setattr__(self, "_by_col", fan)
-            if all(len(c) == 1 and c[0][1] is one for c in fan):
-                object.__setattr__(self, "_monomial", tuple(c[0][0] for c in fan))
-        return self._by_col
-
-    def monomial_cols(self) -> tuple | None:
-        """(i_j, ...): the row of the single entry of column j, or None.
-
-        A table only when every column holds exactly one nonzero entry and
-        that entry is 1 (a map sending basis vectors to basis vectors, like
-        the counit or antipode of a group algebra); cached with `by_col`.
-        Through it the rewrite engine applies the map by relabelling keys.
-        """
-        self.by_col()
-        return self._monomial
 
     def __mul__(self, other):
         if isinstance(other, Mat):
@@ -377,7 +352,7 @@ def flip_matrix(field, dim_a: int, dim_b: int) -> Mat:
     return Mat(field, out, cols=n)
 
 
-class Tensor3:
+class Tensor3(_Immutable):
     """Immutable sparse rank-3 tensor of exact scalars.
 
     Holds multiplication tables, e_i e_j = Σ_k t[i,j,k] e_k (dims (n,n,n)),
@@ -385,8 +360,7 @@ class Tensor3:
     residuals of failed identities.  Only nonzero entries are stored.
     """
 
-    __slots__ = ("field", "dims", "entries", "_by_first", "_by_pair",
-                 "_monomial_first", "_monomial_pair", "_mul_mat", "_comul_mat")
+    __slots__ = ("field", "dims", "entries", "_fans")
 
     def __init__(self, field, dims: tuple[int, int, int], entries):
         a, b, c = dims
@@ -404,10 +378,8 @@ class Tensor3:
         set_ = object.__setattr__
         set_(self, "field", field)
         set_(self, "dims", dims)
-        set_(self, "entries", entries)
-        for cache in ("_by_first", "_by_pair", "_monomial_first",
-                      "_monomial_pair", "_mul_mat", "_comul_mat"):
-            set_(self, cache, None)
+        set_(self, "entries", MappingProxyType(entries))
+        set_(self, "_fans", None)
 
     @classmethod
     def _trusted(cls, field, dims: tuple, entries: dict) -> "Tensor3":
@@ -418,9 +390,6 @@ class Tensor3:
         t = object.__new__(cls)
         t._set_state(field, tuple(dims), entries)
         return t
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Tensor3 is immutable")
 
     @classmethod
     def zero(cls, field, dims) -> "Tensor3":
@@ -447,79 +416,23 @@ class Tensor3:
     def __repr__(self):
         return f"Tensor3(dims={self.dims}, nnz={len(self.entries)})"
 
-    # Fan-out indexes used by the sparse expression evaluator, each built
-    # once with its monomial table.  Values equal to 1 are stored as the
-    # field's `one`, which it recognises by identity.  A monomial table
-    # exists only when every input (e_i, or the pair e_i, e_j) has exactly
-    # one output with coefficient `one`, as for the structure constants of
-    # a group algebra; through it the evaluator relabels keys.
-
-    def _index_first(self):
-        if self._by_first is None:
-            one = self.field.one
-            fan: dict = {}
-            for (i, j, k), v in sorted(self.entries.items()):
-                fan.setdefault(i, []).append((j, k, one if v == one else v))
-            if len(fan) == self.dims[0] and all(
-                    len(f) == 1 and f[0][2] is one for f in fan.values()):
-                object.__setattr__(self, "_monomial_first",
-                                   tuple(fan[i][0][:2] for i in range(len(fan))))
-            object.__setattr__(self, "_by_first", fan)
-
-    def _index_pairs(self):
-        if self._by_pair is None:
-            one = self.field.one
-            fan: dict = {}
-            for (i, j, k), v in sorted(self.entries.items()):
-                fan.setdefault((i, j), []).append((k, one if v == one else v))
-            a, b, _ = self.dims
-            if len(fan) == a * b and all(
-                    len(f) == 1 and f[0][1] is one for f in fan.values()):
-                object.__setattr__(self, "_monomial_pair", tuple(
-                    fan[(i, j)][0][0] for i in range(a) for j in range(b)))
-            object.__setattr__(self, "_by_pair", fan)
-
-    def by_first(self) -> dict:
-        """{i: [(j, k, value)]}: comultiplication fan-out of e_i."""
-        self._index_first()
-        return self._by_first
-
-    def by_pair(self) -> dict:
-        """{(i, j): [(k, value)]}: multiplication fan-out of e_i e_j."""
-        self._index_pairs()
-        return self._by_pair
-
-    def monomial_first(self) -> tuple | None:
-        """((j, k) per i): the single term e_j⊗e_k of the image of e_i, or None."""
-        self._index_first()
-        return self._monomial_first
-
-    def monomial_pair(self) -> tuple | None:
-        """(k per i·b + j): the single basis product e_i e_j = e_k, or None."""
-        self._index_pairs()
-        return self._monomial_pair
-
     def mul_matrix(self) -> Mat:
         """The map V_a ⊗ V_b → V_c as a dense c × (a·b) matrix."""
-        if self._mul_mat is None:
-            a, b, c = self.dims
-            zero = self.field.zero
-            out = [[zero] * (a * b) for _ in range(c)]
-            for (i, j, k), v in self.entries.items():
-                out[k][kron_index(i, j, b)] = v
-            object.__setattr__(self, "_mul_mat", Mat(self.field, out, cols=a * b))
-        return self._mul_mat
+        a, b, c = self.dims
+        zero = self.field.zero
+        out = [[zero] * (a * b) for _ in range(c)]
+        for (i, j, k), v in self.entries.items():
+            out[k][kron_index(i, j, b)] = v
+        return Mat(self.field, out, cols=a * b)
 
     def comul_matrix(self) -> Mat:
         """The map V_a → V_b ⊗ V_c as a dense (b·c) × a matrix."""
-        if self._comul_mat is None:
-            a, b, c = self.dims
-            zero = self.field.zero
-            out = [[zero] * a for _ in range(b * c)]
-            for (i, j, k), v in self.entries.items():
-                out[kron_index(j, k, c)][i] = v
-            object.__setattr__(self, "_comul_mat", Mat(self.field, out, cols=a))
-        return self._comul_mat
+        a, b, c = self.dims
+        zero = self.field.zero
+        out = [[zero] * a for _ in range(b * c)]
+        for (i, j, k), v in self.entries.items():
+            out[kron_index(j, k, c)][i] = v
+        return Mat(self.field, out, cols=a)
 
     def apply_mul(self, v: Vec, w: Vec) -> Vec:
         """Σ v_i w_j t[i,j,·], the bilinear product of two vectors."""

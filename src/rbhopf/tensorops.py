@@ -10,10 +10,15 @@ identities are written in.
 
 Structure constants are sparse, so a chain of rewrites stays sparse: the
 fan-out of each step is bounded by the nonzero count of the map applied.
-Every map is read through its sparse fan-out (`Tensor3.by_first`/`by_pair`,
-`Mat.by_col`), so a step never scans the zero entries of a dense `Mat`.
-The fan-outs store coefficients equal to 1 as the field's `one`, and a
-rewrite skips the product when either factor is that object; equal values
+Every map, split and merge rewrite runs one kernel, `TermSum._rewrite`,
+which removes one or two factors and puts the map's output factors in
+their place.  It reads the map through `_reading`, the map's sparse
+fan-out, built once from the rows of a `Mat` or the entries of a `Tensor3`
+and cached in the map's `_fans` slot, so a step never scans the zero
+entries of a dense `Mat`.  The reading is indexed by the flat input index
+(i, or i·b + j for a pair of factors) and holds precomputed output index
+tuples.  It stores coefficients equal to 1 as the field's `one`, and the
+kernel skips the product when either factor is that object; equal values
 that are other objects are still multiplied, so the skip is only a shortcut.
 
 Rewrites address factors by position from the front, so a sum may carry
@@ -24,24 +29,26 @@ basis tensor is evaluated on a whole batch in one rewrite chain, and the
 tags of each output term name the input it came from.  `permute` likewise
 reorders only the leading factors its order names.
 
-When a map is monomial, every input (a column, e_i, or a pair e_i, e_j) has
-exactly one output with coefficient `one`, as for the structure constants,
-counit and antipode of a group algebra.  `Mat.monomial_cols` and
-`Tensor3.monomial_first`/`monomial_pair` then give a table of outputs, and a
-rewrite builds its result in one dict comprehension that only relabels keys.
-If two input keys land on one output key, the comprehension has fewer keys
-than the input; it is discarded and the general loop runs, which adds them.
+When a map is monomial, every input has exactly one output with
+coefficient `one`, as for the structure constants, counit and antipode of a
+group algebra.  The reading then also holds a table of those outputs, and
+the kernel builds its result in one dict comprehension that only relabels
+keys.  If two input keys land on one output key, the comprehension has
+fewer keys than the input; it is discarded and the general loop runs,
+which adds them.
 
 The public `TermSum(...)` constructor checks every key against the shape and
-coerces every value.  The rewrites build their results through the internal
-`TermSum._trusted`, which wraps the dict as it is: keys come from valid keys
-and fan-outs, and values are nonzero.  Over a field a product of nonzeros is
-nonzero, and fan-outs and terms hold no zeros, so a zero can only appear
-where two contributions are added.  Each accumulating rewrite records the
-keys whose sum became zero and passes them to `_trusted`, which deletes
-those still zero; no result is re-scanned.  `permute`, `drop_at`,
-`insert_at`, `__neg__` and `scale` (by a nonzero scalar; by zero it gives
-the empty sum) add nothing, so their dicts are wrapped as they are.
+coerces every value; `terms` is a read-only mapping.  The rewrites build
+their results through the internal `TermSum._trusted`, which wraps the dict
+as it is: keys come from valid keys and fan-outs, and values are nonzero.
+Over a field a product of nonzeros is nonzero, and fan-outs and terms hold
+no zeros, so a zero can only appear where two contributions are added.  The
+kernel, `__add__` and `__sub__` record the keys whose sum became zero and
+pass them to `_trusted`, which deletes those still zero; no result is
+re-scanned.  `permute`, `drop_at`, `insert_at`, `__neg__` and `scale` (by a
+nonzero scalar; by zero it gives the empty sum) add nothing, so their dicts
+are wrapped as they are.  Like `Mat`, a `TermSum` is immutable, and a copy
+of one is the object itself.
 
 `_matrix_of` turns a rewrite chain into the matrix of the linear map it
 computes: it runs the chain once on `tagged_basis` and reads each column off
@@ -54,12 +61,60 @@ from __future__ import annotations
 from itertools import product
 from math import prod
 from operator import itemgetter
+from types import MappingProxyType
 
 from .errors import FieldMismatchError, ShapeError
-from .linalg import Mat, Tensor3, Vec, flatten_index
+from .linalg import Mat, Tensor3, Vec, _Immutable, flatten_index
 
 
-class TermSum:
+def _reading(m, role: str, b: int = 0) -> tuple:
+    """(fan-out, monomial table) of a map, built once and cached on it.
+
+    Both are indexed by the flat input index: column j of a `Mat`; i of a
+    comultiplication `Tensor3` (role "first"); i·dims[1] + j of a
+    multiplication `Tensor3` (role "pair").  fan[n] is the tuple of
+    (output index tuple, value) pairs of input n, and values equal to 1 are
+    stored as the field's `one`.  The output index tuple of row i of a `Mat`
+    is (i,) for role "map", divmod(i, b) for "split" and () for "form" (a
+    one-row bilinear form); of an entry (i, j, k) of a `Tensor3` it is
+    (j, k) for "first" and (k,) for "pair".  The monomial table holds the
+    single output of each input, and exists only when every input has
+    exactly one output with value `one`; otherwise it is None.
+    """
+    fans = m._fans
+    if fans is None:
+        fans = {}
+        object.__setattr__(m, "_fans", fans)
+    got = fans.get((role, b))
+    if got is not None:
+        return got
+    if role == "first":
+        cols = [[] for _ in range(m.dims[0])]
+        for (i, j, k), v in sorted(m.entries.items()):
+            cols[i].append(((j, k), v))
+    elif role == "pair":
+        n = m.dims[1]
+        cols = [[] for _ in range(m.dims[0] * n)]
+        for (i, j, k), v in sorted(m.entries.items()):
+            cols[i * n + j].append(((k,), v))
+    else:
+        cols = [[] for _ in range(m.cols)]
+        for i, row in enumerate(m.entries):
+            out = (i,) if role == "map" else divmod(i, b) if role == "split" else ()
+            for j, v in enumerate(row):
+                if v:
+                    cols[j].append((out, v))
+    one = m.field.one
+    fan = tuple(tuple((out, one if v == one else v) for out, v in col)
+                for col in cols)
+    mono = None
+    if all(len(col) == 1 and col[0][1] is one for col in fan):
+        mono = tuple(col[0][0] for col in fan)
+    fans[(role, b)] = got = (fan, mono)
+    return got
+
+
+class TermSum(_Immutable):
     """A sparse element of V_{d1} ⊗ ... ⊗ V_{dk}, keyed by basis multi-index."""
 
     __slots__ = ("field", "dims", "terms")
@@ -77,7 +132,7 @@ class TermSum:
                 clean[key] = val
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", MappingProxyType(clean))
 
     @classmethod
     def _trusted(cls, field, dims: tuple, terms: dict,
@@ -94,11 +149,8 @@ class TermSum:
         t = object.__new__(cls)
         object.__setattr__(t, "field", field)
         object.__setattr__(t, "dims", dims)
-        object.__setattr__(t, "terms", terms)
+        object.__setattr__(t, "terms", MappingProxyType(terms))
         return t
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TermSum is immutable")
 
     @classmethod
     def basis(cls, field, dims, idx) -> "TermSum":
@@ -119,31 +171,39 @@ class TermSum:
             raise FieldMismatchError(
                 f"mixed fields {self.field!r} and {other.field!r}")
 
-    def map_at(self, pos: int, m: Mat) -> "TermSum":
-        """Apply a linear map to factor `pos`."""
-        self._check_field(m)
-        if m.cols != self._factor_dim(pos):
-            raise ShapeError(
-                f"map with {m.cols} columns applied to factor of dim {self.dims[pos]}")
-        dims = self.dims[:pos] + (m.rows,) + self.dims[pos + 1:]
+    def _rewrite(self, pos: int, width: int, out_dims: tuple, m, role: str,
+                 b: int = 0) -> "TermSum":
+        """Internal: replace the `width` (1 or 2) factors at `pos` by factors
+        of dims `out_dims`, through the map `m` read as `_reading(m, role, b)`.
+
+        Callers have checked the field and the shapes.  The monomial table
+        relabels keys in one comprehension; if the map is not monomial, or
+        two input keys land on one output key, the general loop accumulates
+        instead and records the keys whose sum cancelled.
+        """
+        fan, mono = _reading(m, role, b)
+        end = pos + width
+        dims = self.dims[:pos] + out_dims + self.dims[end:]
         terms = self.terms
-        mono = m.monomial_cols()
+        # The flat input index is key[pos] * right + key[last]; for one
+        # factor right is 0 and last is pos, so it is key[pos].
+        right = self.dims[pos + 1] if width == 2 else 0
+        last = end - 1
         if mono is not None:
-            out = {key[:pos] + (mono[key[pos]],) + key[pos + 1:]: val
+            out = {key[:pos] + mono[key[pos] * right + key[last]] + key[end:]: val
                    for key, val in terms.items()}
             if len(out) == len(terms):
                 return TermSum._trusted(self.field, dims, out)
-        fan = m.by_col()
         one = self.field.one
         out = {}
         get = out.get
         cancelled = []
         for key, val in terms.items():
-            head, tail = key[:pos], key[pos + 1:]
+            head, tail = key[:pos], key[end:]
             unit = val is one
-            for i, a in fan[key[pos]]:
-                x = a if unit else val if a is one else a * val
-                nk = head + (i,) + tail
+            for mid, coeff in fan[key[pos] * right + key[last]]:
+                x = coeff if unit else val if coeff is one else coeff * val
+                nk = head + mid + tail
                 prev = get(nk)
                 if prev is None:
                     out[nk] = x
@@ -152,6 +212,19 @@ class TermSum:
                     if not x:
                         cancelled.append(nk)
         return TermSum._trusted(self.field, dims, out, cancelled)
+
+    def _pair_dims(self, pos: int) -> tuple[int, int]:
+        if pos + 1 >= len(self.dims):
+            raise ShapeError(f"no factor pair at {pos} in shape {self.dims}")
+        return self.dims[pos], self.dims[pos + 1]
+
+    def map_at(self, pos: int, m: Mat) -> "TermSum":
+        """Apply a linear map to factor `pos`."""
+        self._check_field(m)
+        if m.cols != self._factor_dim(pos):
+            raise ShapeError(
+                f"map with {m.cols} columns applied to factor of dim {self.dims[pos]}")
+        return self._rewrite(pos, 1, (m.rows,), m, "map")
 
     def split_at(self, pos: int, comul: Tensor3) -> "TermSum":
         """Replace factor `pos` by two factors through a comultiplication."""
@@ -160,33 +233,7 @@ class TermSum:
         if d != self._factor_dim(pos):
             raise ShapeError(
                 f"comultiplication of dim {d} applied to factor of dim {self.dims[pos]}")
-        dims = self.dims[:pos] + (a, b) + self.dims[pos + 1:]
-        terms = self.terms
-        mono = comul.monomial_first()
-        if mono is not None:
-            out = {key[:pos] + mono[key[pos]] + key[pos + 1:]: val
-                   for key, val in terms.items()}
-            if len(out) == len(terms):
-                return TermSum._trusted(self.field, dims, out)
-        fan = comul.by_first()
-        one = self.field.one
-        out = {}
-        get = out.get
-        cancelled = []
-        for key, val in terms.items():
-            head, tail = key[:pos], key[pos + 1:]
-            unit = val is one
-            for j, k, coeff in fan.get(key[pos], ()):
-                x = coeff if unit else val if coeff is one else coeff * val
-                nk = head + (j, k) + tail
-                prev = get(nk)
-                if prev is None:
-                    out[nk] = x
-                else:
-                    out[nk] = x = prev + x
-                    if not x:
-                        cancelled.append(nk)
-        return TermSum._trusted(self.field, dims, out, cancelled)
+        return self._rewrite(pos, 1, (a, b), comul, "first")
 
     def split_map_at(self, pos: int, m: Mat, out_dims: tuple[int, int]) -> "TermSum":
         """Replace factor `pos` by two factors through a map V → A ⊗ B."""
@@ -195,140 +242,35 @@ class TermSum:
         if m.rows != a * b or m.cols != self._factor_dim(pos):
             raise ShapeError(
                 f"{m.rows}x{m.cols} map does not send dim {self.dims[pos]} to {a}x{b}")
-        dims = self.dims[:pos] + (a, b) + self.dims[pos + 1:]
-        terms = self.terms
-        mono = m.monomial_cols()
-        if mono is not None:
-            pairs = [divmod(flat, b) for flat in mono]
-            out = {key[:pos] + pairs[key[pos]] + key[pos + 1:]: val
-                   for key, val in terms.items()}
-            if len(out) == len(terms):
-                return TermSum._trusted(self.field, dims, out)
-        fan = m.by_col()
-        one = self.field.one
-        out = {}
-        get = out.get
-        cancelled = []
-        for key, val in terms.items():
-            head, tail = key[:pos], key[pos + 1:]
-            unit = val is one
-            for flat, coeff in fan[key[pos]]:
-                x = coeff if unit else val if coeff is one else coeff * val
-                nk = head + divmod(flat, b) + tail
-                prev = get(nk)
-                if prev is None:
-                    out[nk] = x
-                else:
-                    out[nk] = x = prev + x
-                    if not x:
-                        cancelled.append(nk)
-        return TermSum._trusted(self.field, dims, out, cancelled)
+        return self._rewrite(pos, 1, (a, b), m, "split", b)
 
     def merge_at(self, pos: int, mul: Tensor3) -> "TermSum":
         """Combine factors `pos`, `pos+1` through a multiplication."""
         self._check_field(mul)
         a, b, c = mul.dims
-        if pos + 1 >= len(self.dims):
-            raise ShapeError(f"no factor pair at {pos} in shape {self.dims}")
-        if (a, b) != (self.dims[pos], self.dims[pos + 1]):
+        if (a, b) != self._pair_dims(pos):
             raise ShapeError(
                 f"multiplication {mul.dims} applied to factors "
                 f"({self.dims[pos]},{self.dims[pos + 1]})")
-        dims = self.dims[:pos] + (c,) + self.dims[pos + 2:]
-        terms = self.terms
-        mono = mul.monomial_pair()
-        if mono is not None:
-            out = {key[:pos] + (mono[key[pos] * b + key[pos + 1]],) + key[pos + 2:]: val
-                   for key, val in terms.items()}
-            if len(out) == len(terms):
-                return TermSum._trusted(self.field, dims, out)
-        fan = mul.by_pair()
-        one = self.field.one
-        out = {}
-        get = out.get
-        cancelled = []
-        for key, val in terms.items():
-            head, tail = key[:pos], key[pos + 2:]
-            unit = val is one
-            for k, coeff in fan.get(key[pos:pos + 2], ()):
-                x = coeff if unit else val if coeff is one else coeff * val
-                nk = head + (k,) + tail
-                prev = get(nk)
-                if prev is None:
-                    out[nk] = x
-                else:
-                    out[nk] = x = prev + x
-                    if not x:
-                        cancelled.append(nk)
-        return TermSum._trusted(self.field, dims, out, cancelled)
+        return self._rewrite(pos, 2, (c,), mul, "pair")
 
     def merge_map_at(self, pos: int, m: Mat) -> "TermSum":
         """Combine factors `pos`, `pos+1` through a map A ⊗ B → V."""
         self._check_field(m)
-        if pos + 1 >= len(self.dims):
-            raise ShapeError(f"no factor pair at {pos} in shape {self.dims}")
-        b = self.dims[pos + 1]
-        if m.cols != self.dims[pos] * b:
+        a, b = self._pair_dims(pos)
+        if m.cols != a * b:
             raise ShapeError(
-                f"map with {m.cols} columns applied to factors "
-                f"({self.dims[pos]},{b})")
-        dims = self.dims[:pos] + (m.rows,) + self.dims[pos + 2:]
-        terms = self.terms
-        mono = m.monomial_cols()
-        if mono is not None:
-            out = {key[:pos] + (mono[key[pos] * b + key[pos + 1]],) + key[pos + 2:]: val
-                   for key, val in terms.items()}
-            if len(out) == len(terms):
-                return TermSum._trusted(self.field, dims, out)
-        fan = m.by_col()
-        one = self.field.one
-        out = {}
-        get = out.get
-        cancelled = []
-        for key, val in terms.items():
-            head, tail = key[:pos], key[pos + 2:]
-            unit = val is one
-            for i, a in fan[key[pos] * b + key[pos + 1]]:
-                x = a if unit else val if a is one else a * val
-                nk = head + (i,) + tail
-                prev = get(nk)
-                if prev is None:
-                    out[nk] = x
-                else:
-                    out[nk] = x = prev + x
-                    if not x:
-                        cancelled.append(nk)
-        return TermSum._trusted(self.field, dims, out, cancelled)
+                f"map with {m.cols} columns applied to factors ({a},{b})")
+        return self._rewrite(pos, 2, (m.rows,), m, "map")
 
     def pair_at(self, pos: int, form: Mat) -> "TermSum":
         """Contract factors `pos`, `pos+1` through a bilinear form (1 × a·b)."""
         self._check_field(form)
-        if pos + 1 >= len(self.dims):
-            raise ShapeError(f"no factor pair at {pos} in shape {self.dims}")
-        b = self.dims[pos + 1]
-        if form.rows != 1 or form.cols != self.dims[pos] * b:
+        a, b = self._pair_dims(pos)
+        if form.rows != 1 or form.cols != a * b:
             raise ShapeError(
-                f"form {form.rows}x{form.cols} applied to factors "
-                f"({self.dims[pos]},{b})")
-        row = form.entries[0]
-        out: dict = {}
-        get = out.get
-        cancelled = []
-        for key, val in self.terms.items():
-            coeff = row[key[pos] * b + key[pos + 1]]
-            if not coeff:
-                continue
-            x = coeff * val
-            nk = key[:pos] + key[pos + 2:]
-            prev = get(nk)
-            if prev is None:
-                out[nk] = x
-            else:
-                out[nk] = x = prev + x
-                if not x:
-                    cancelled.append(nk)
-        dims = self.dims[:pos] + self.dims[pos + 2:]
-        return TermSum._trusted(self.field, dims, out, cancelled)
+                f"form {form.rows}x{form.cols} applied to factors ({a},{b})")
+        return self._rewrite(pos, 2, (), form, "form")
 
     def insert_at(self, pos: int, vec: Vec) -> "TermSum":
         """Insert a fixed vector as a new factor at position `pos`."""
@@ -394,7 +336,7 @@ class TermSum:
 
     def __add__(self, other: "TermSum") -> "TermSum":
         self._check_same_shape(other)
-        out = dict(self.terms)
+        out = self.terms.copy()
         get = out.get
         cancelled = []
         for k, v in other.terms.items():
@@ -411,7 +353,7 @@ class TermSum:
         self._check_same_shape(other)
         if self.terms == other.terms:
             return TermSum._trusted(self.field, self.dims, {})
-        out = dict(self.terms)
+        out = self.terms.copy()
         get = out.get
         cancelled = []
         for k, v in other.terms.items():

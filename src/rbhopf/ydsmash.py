@@ -205,6 +205,34 @@ def projection_left_closed_form(ydc: YDModuleCoalgebra) -> Mat:
         .merge_at(1, hmul)))            # (-, S(a1 h1) h3)
 
 
+def _certified_smash_module(ydc: YDModuleCoalgebra, side: str, action_dims,
+                            action, coaction, closed_form):
+    """The pipeline both smash Hopf modules share.
+
+    Verifies `ydc`, builds C×H with the `side` Hopf module whose action and
+    coaction are the matrices of the rewrite chains `action` (on inputs of
+    shape `action_dims`) and `coaction` (on C⊗H), checks it is a Hopf module
+    coalgebra, insists the generic coinvariant projection equals
+    `closed_form(ydc)`, and returns the module, the projection and its
+    weight -1 Rota-Baxter verdict.
+    """
+    _require_verified(ydc)
+    field = ydc.field
+    smash = smash_coproduct(ydc)
+    hm = HopfModule(ydc.hopf, smash.dim, _matrix_of(field, action_dims, action),
+                    _matrix_of(field, (ydc.coalgebra.dim, ydc.hopf.dim), coaction),
+                    side, comul=smash.comul)
+    v = check_hopf_module_coalgebra(hm)
+    if not v.passed:
+        raise PreconditionError(f"smash module structure failed: {v.defect}")
+    p = coinvariant_projection(hm)
+    if p != closed_form(ydc):
+        raise ArithmeticError(
+            "closed-form projection disagrees with the generic formula")
+    verdict = check_rb_coalgebra(smash, p, -1, report_idempotency=True)
+    return hm, p, verdict
+
+
 def smash_hopf_module_right(ydc: YDModuleCoalgebra) -> tuple[HopfModule, Mat, RBVerdict]:
     """C×H as a right H-Hopf module coalgebra, with its projection certified.
 
@@ -212,25 +240,14 @@ def smash_hopf_module_right(ydc: YDModuleCoalgebra) -> tuple[HopfModule, Mat, RB
     the verified module, P_R, and the weight -1 Rota-Baxter verdict; the
     closed form of P_R must agree with the generic coinvariant projection.
     """
-    _require_verified(ydc)
     hopf = ydc.hopf
     hmul = hopf.require("mul")
     hcomul = hopf.require("comul")
-    field = ydc.field
-    h, c_dim = hopf.dim, ydc.coalgebra.dim
-    smash = smash_coproduct(ydc)
-    action = _matrix_of(field, (c_dim, h, h), lambda t: t.merge_at(1, hmul))
-    coaction = _matrix_of(field, (c_dim, h), lambda t: t.split_at(1, hcomul))
-    hm = HopfModule(hopf, smash.dim, action, coaction, "right", comul=smash.comul)
-    v = check_hopf_module_coalgebra(hm)
-    if not v.passed:
-        raise PreconditionError(f"smash module structure failed: {v.defect}")
-    p = coinvariant_projection(hm)
-    if p != projection_right_closed_form(ydc):
-        raise ArithmeticError(
-            "closed-form projection disagrees with the generic formula")
-    verdict = check_rb_coalgebra(smash, p, -1, report_idempotency=True)
-    return hm, p, verdict
+    return _certified_smash_module(
+        ydc, "right", (ydc.coalgebra.dim, hopf.dim, hopf.dim),
+        lambda t: t.merge_at(1, hmul),
+        lambda t: t.split_at(1, hcomul),
+        projection_right_closed_form)
 
 
 def smash_hopf_module_left(ydc: YDModuleCoalgebra) -> tuple[HopfModule, Mat, RBVerdict]:
@@ -240,33 +257,21 @@ def smash_hopf_module_left(ydc: YDModuleCoalgebra) -> tuple[HopfModule, Mat, RBV
     ρ(c⊗h) = c₍₋₁₎h₁ ⊗ (c₍₀₎⊗h₂); the closed form of P_L must agree with the
     generic S(m₍₋₁₎)·m₍₀₎.
     """
-    _require_verified(ydc)
-    hopf, cstr = ydc.hopf, ydc.coalgebra
+    hopf = ydc.hopf
     hcomul = hopf.require("comul")
     hmul = hopf.require("mul")
-    field = ydc.field
-    h, c_dim = hopf.dim, cstr.dim
-    smash = smash_coproduct(ydc)
-    action = _matrix_of(field, (h, c_dim, h), lambda t: (
-        t.split_at(0, hcomul)
-        .permute((0, 2, 1, 3))
-        .merge_map_at(0, ydc.action)
-        .merge_at(1, hmul)))
-    coaction = _matrix_of(field, (c_dim, h), lambda t: (
-        t.split_at(1, hcomul)
-        .split_map_at(0, ydc.coaction, (h, c_dim))
-        .permute((0, 2, 1, 3))
-        .merge_at(0, hmul)))
-    hm = HopfModule(hopf, smash.dim, action, coaction, "left", comul=smash.comul)
-    v = check_hopf_module_coalgebra(hm)
-    if not v.passed:
-        raise PreconditionError(f"smash module structure failed: {v.defect}")
-    p = coinvariant_projection(hm)
-    if p != projection_left_closed_form(ydc):
-        raise ArithmeticError(
-            "closed-form projection disagrees with the generic formula")
-    verdict = check_rb_coalgebra(smash, p, -1, report_idempotency=True)
-    return hm, p, verdict
+    h, c_dim = hopf.dim, ydc.coalgebra.dim
+    return _certified_smash_module(
+        ydc, "left", (h, c_dim, h),
+        lambda t: (t.split_at(0, hcomul)
+                   .permute((0, 2, 1, 3))
+                   .merge_map_at(0, ydc.action)
+                   .merge_at(1, hmul)),
+        lambda t: (t.split_at(1, hcomul)
+                   .split_map_at(0, ydc.coaction, (h, c_dim))
+                   .permute((0, 2, 1, 3))
+                   .merge_at(0, hmul)),
+        projection_left_closed_form)
 
 
 def adjoint_yd(hopf: AlgebraicStructure) -> YDModuleCoalgebra:

@@ -19,7 +19,7 @@ from rbhopf import (GF, QQ, AlgebraicStructure, CoquasitriangularForm, Mat,
                     check_module, check_pre_lie, check_rb_algebra,
                     check_rb_coalgebra, check_unit_counit, check_yd_coalgebra,
                     check_yd_module, regular_hopf_module, tensor_product)
-from rbhopf import structures
+from rbhopf import structures, tensorops
 from rbhopf.structures import _verdict
 from conftest import patched_batching, per_basis, verdict_key
 
@@ -162,14 +162,19 @@ def test_associativity_merge_count_on_s3_tensor_square(monkeypatch):
 def test_associativity_on_s3_tensor_square_only_relabels(monkeypatch):
     """Every product in kG ⊗ kG is one basis element, and each batch's tags
     keep its keys apart, so no merge leaves the monomial fast path: the
-    general loop, the only reader of `by_pair`, never runs."""
+    general loop, the only reader of the fan-out, never runs."""
     big = tensor_product(builtin("group:S3"), builtin("group:S3"))
-    assert big.mul.monomial_pair() is not None
+    reading = tensorops._reading
+    assert reading(big.mul, "pair")[1] is not None
 
-    def general_loop(self):
-        raise AssertionError("merge_at left the monomial fast path")
+    class GeneralLoop:
+        def __getitem__(self, n):
+            raise AssertionError("merge_at left the monomial fast path")
 
-    monkeypatch.setattr(Tensor3, "by_pair", general_loop)
+    def monomial_only(m, role, b=0):
+        return GeneralLoop(), reading(m, role, b)[1]
+
+    monkeypatch.setattr(tensorops, "_reading", monomial_only)
     assert check_associativity(big).passed
 
 

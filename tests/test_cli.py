@@ -1,5 +1,6 @@
 import io
 import os
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 from rbhopf import builtin, example54_p1, example54_q
@@ -55,6 +56,20 @@ def test_huge_dense_operator_rejected_before_allocation(tmp_path):
     assert code == 2 and out == ""
     assert err.count("\n") == 1
     assert err.startswith("error: line 4: dense map of 30000 x 30000")
+
+
+def test_huge_prime_modulus_in_file_exits_promptly(tmp_path):
+    """A hostile file naming the field F_p for p = 2^61 - 1 is decided at once."""
+    big = tmp_path / "big.rbh"
+    big.write_text("rbhopf 1 operator\nfield Fp:2305843009213693951\n")
+    start = time.perf_counter()
+    code, _, _ = run("rb-check", "builtin:grouplike:2", "--side", "coalgebra",
+                     "--operator", str(big), "--weight", "0")
+    assert 0 <= code <= 3
+    assert time.perf_counter() - start < 5
+    code, _, err = run("verify", "builtin:grouplike:2",
+                       "--field", "Fp:3317044064679887385961981")
+    assert code == 2 and err.startswith("error")
 
 
 def test_verify_missing_file_exit_2():

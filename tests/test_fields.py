@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rbhopf import GF, QQ, FieldMismatchError, Fp, Mat, builtin, field_from_name
+from rbhopf.fields import _is_prime
 from rbhopf.fileformat import dumps, loads
 
 
@@ -81,6 +82,30 @@ def test_prime_validation():
     with pytest.raises(ValueError):
         GF(1)
     assert GF(2).p == 2 and GF(101).p == 101
+
+
+def test_primality_matches_trial_division():
+    def by_trial_division(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+    assert all(_is_prime(n) == by_trial_division(n) for n in range(10 ** 4))
+
+
+@pytest.mark.parametrize("n", [561, 41041, 3215031751,
+                               (2 ** 61 - 1) * (2 ** 31 - 1)])
+def test_pseudoprimes_and_huge_moduli_are_rejected(n):
+    """Carmichael numbers, the least strong pseudoprime to bases 2, 3, 5 and
+    7, and a product of two primes beyond the deterministic bound."""
+    with pytest.raises(ValueError):
+        GF(n)
+
+
+def test_large_primes_are_fields():
+    p = 2 ** 61 - 1
+    assert GF(p).p == p
+    assert _is_prime(3317044064679887385961981 - 2) is False
+    with pytest.raises(ValueError):
+        _is_prime(3317044064679887385961981)
 
 
 @given(st.sampled_from([2, 3, 5, 7]), st.integers(), st.integers())

@@ -247,6 +247,15 @@ def _sparse_endomorphism(n, seed):
 
 
 @pytest.mark.parametrize("name", _ORACLE_HOPFS)
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_regular_module_maps_match_dense_structure_matrices(name, side):
+    s = builtin(name)
+    hm = regular_hopf_module(s, side)
+    assert hm.action == s.mul.mul_matrix()
+    assert hm.coaction == s.comul.comul_matrix()
+
+
+@pytest.mark.parametrize("name", _ORACLE_HOPFS)
 def test_convolution_matches_kronecker_formula(name):
     s = builtin(name)
     f, g = _sparse_endomorphism(s.dim, 1), _sparse_endomorphism(s.dim, 2)

@@ -1,9 +1,9 @@
 """The projection and smash constructions form no Kronecker product.
 
 The maps of the tensor-square projection (i, π and the tensor product
-structure), the right smash Hopf module and its closed-form projection are
-built by `TermSum` rewrites, and `check_bialgebra_map` validates i and π
-with rewrites too.  A guard makes `Mat.__matmul__` and the dense structure
+structure), the right smash Hopf module and its closed-form projection, and
+the regular Hopf modules are built by `TermSum` rewrites, and
+`check_bialgebra_map` validates i and π with rewrites too.  A guard makes `Mat.__matmul__` and the dense structure
 matrices raise while they run; the dense Kronecker formulas they replaced
 stay here as the oracle for the maps they build.
 """
@@ -12,8 +12,9 @@ import pytest
 
 from rbhopf import (GF, QQ, Mat, Tensor3, adjoint_yd, builtin,
                     projection_bialgebra, projection_right_closed_form,
-                    smash_coproduct, smash_hopf_module_right,
-                    tensor_square_projection, trivial_yd)
+                    regular_hopf_module, smash_coproduct,
+                    smash_hopf_module_right, tensor_square_projection,
+                    trivial_yd)
 
 
 def test_constructions_call_no_kronecker_or_dense_structure_matrix(monkeypatch):
@@ -31,6 +32,8 @@ def test_constructions_call_no_kronecker_or_dense_structure_matrix(monkeypatch):
     _, p, verdict = smash_hopf_module_right(adj)
     assert verdict.passed and verdict.idempotent
     assert p == projection_right_closed_form(adj)
+    for side in ("right", "left"):
+        assert regular_hopf_module(s3, side).side == side
 
 
 @pytest.mark.parametrize("name", ["sweedler4", "group:S3", "group:C3"])

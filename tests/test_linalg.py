@@ -1,11 +1,14 @@
+import copy
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rbhopf import (GF, QQ, FieldMismatchError, Mat, ShapeError, Tensor3, Vec,
-                    builtin, column_space_basis, flip_matrix, kron_index,
-                    nullspace, rref, solve_linear, unkron_index)
+from rbhopf import (GF, QQ, FieldMismatchError, Mat, ShapeError, Tensor3,
+                    TermSum, Vec, builtin, builtin_names, column_space_basis,
+                    flip_matrix, kron_index, nullspace, regular_hopf_module,
+                    rref, solve_linear, unkron_index)
+from rbhopf.tensorops import _reading
 from conftest import random_mat, random_sparse_mat
 
 
@@ -55,12 +58,12 @@ def test_kron_respects_composition_over_f5(data):
 def test_by_col_matches_columns(field, data):
     rows, cols = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
     m = data.draw(random_sparse_mat(field, rows, cols))
-    fan = m.by_col()
+    fan, _ = _reading(m, "map")
     assert len(fan) == m.cols
     for j in range(m.cols):
-        assert fan[j] == tuple((i, m.entries[i][j]) for i in range(m.rows)
+        assert fan[j] == tuple(((i,), m.entries[i][j]) for i in range(m.rows)
                                if m.entries[i][j])
-    assert m.by_col() is fan
+    assert _reading(m, "map")[0] is fan
 
 
 @settings(max_examples=30)
@@ -192,14 +195,48 @@ def test_matrix_str_uses_exact_entries():
 def test_tensor3_is_immutable_and_hash_ignores_caches(field):
     t = builtin("group:S3", field).mul
     h = hash(t)
-    t.by_first(), t.by_pair(), t.monomial_first(), t.monomial_pair()
-    t.mul_matrix(), t.comul_matrix()
+    _reading(t, "first"), _reading(t, "pair")
     assert hash(t) == h
     assert t == Tensor3(field, t.dims, dict(t.entries))
     for name, value in (("entries", {}), ("dims", (1, 1, 1)), ("field", QQ),
-                        ("_by_pair", None), ("_monomial_pair", None)):
+                        ("_fans", None)):
         with pytest.raises(AttributeError):
             setattr(t, name, value)
     with pytest.raises(AttributeError):
         t.extra = 1
-    assert t.monomial_pair() is not None and len(t.by_pair()) == 36
+    fan, mono = _reading(t, "pair")
+    assert mono is not None and len(fan) == 36
+    assert _reading(t, "pair")[0] is fan
+
+
+def test_storage_is_read_only_so_fan_outs_stay_valid():
+    c2 = builtin("group:C2")
+    t = c2.mul
+    g = TermSum.basis(QQ, (2, 2), (1, 1))
+    assert g.merge_at(0, t).terms == {(0,): QQ.one}
+    h = hash(t)
+    with pytest.raises(TypeError):
+        t.entries[(1, 1, 0)] = 5
+    with pytest.raises(TypeError):
+        g.terms[(0, 0)] = 5
+    assert hash(t) == h
+    assert g.merge_at(0, t).terms == {(0,): QQ.one}
+
+
+def test_copies_are_the_object_itself():
+    h4 = builtin("sweedler4")
+    for obj in (h4.unit, h4.antipode, h4.mul, TermSum.basis(QQ, (2,), (1,))):
+        assert copy.copy(obj) is obj
+        assert copy.deepcopy(obj) is obj
+
+
+@pytest.mark.parametrize("name", [n for n in builtin_names() if "<" not in n]
+                         + ["grouplike:3"])
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["QQ", "GF5"])
+def test_deepcopy_of_builtins_and_a_hopf_module(name, field):
+    s = builtin(name, field)
+    twin = copy.deepcopy(s)
+    assert twin == s and twin.field is s.field
+    if s.kind == "hopf":
+        hm = regular_hopf_module(s)
+        assert copy.deepcopy(hm) == hm

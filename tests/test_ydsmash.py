@@ -105,7 +105,8 @@ def test_smash_collapses_for_commutative_grouplike(c2):
     for c in range(2):
         for h in range(2):
             i = c * 2 + h
-            assert sm.comul.by_first()[i] == [(i, i, QQ.one)]
+            assert {k: v for k, v in sm.comul.entries.items()
+                    if k[0] == i} == {(i, i, i): QQ.one}
 
 
 def test_smash_closed_form_on_sweedler(h4):
