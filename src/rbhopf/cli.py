@@ -3,9 +3,10 @@
 Subcommands: verify, rb-check, construct, search, builtin-list.  Structures
 are file paths or `builtin:<name>` references; `--field Fp:<p>` re-grounds a
 builtin over a prime field.  Exit codes are a stable contract: 0 all checks
-passed, 1 a check failed, 2 input/parse error, 3 resource budget exceeded,
-4 internal error (an unexpected exception, reported as one line on stderr
-instead of a traceback).
+passed, 1 a check failed, 2 input/parse error, 3 resource budget exceeded
+(a search's candidates, or the basis inputs a `verify` structure check may
+evaluate), 4 internal error (an unexpected exception, reported as one line
+on stderr instead of a traceback).
 
 `--report machine` emits a deterministic line-oriented key-value report
 (no timestamps); `--report human` is free-form and includes timing.
@@ -182,8 +183,19 @@ def _default_checks(doc_kind: str, payload) -> list[str]:
     }[doc_kind]
 
 
-def _run_named_check(name: str, doc_kind: str, payload, report: Report):
+# Exponent of the dimension in a structure check's worst-case count of
+# basis inputs: the number of input factors of its widest identity.
+_CHECK_ARITY = {"associativity": 3, "bialgebra": 2}
+
+
+def _run_named_check(name: str, doc_kind: str, payload, report: Report,
+                     budget: int):
     if doc_kind in fileformat.STRUCTURE_KINDS and name in _STRUCTURE_CHECKS:
+        inputs = payload.dim ** _CHECK_ARITY.get(name, 1)
+        if inputs > budget:
+            raise BudgetExceededError(
+                f"check {name} on dim {payload.dim} may evaluate {inputs} "
+                f"basis inputs, over the budget of {budget}")
         try:
             report.check(name, _STRUCTURE_CHECKS[name](payload))
         except ValueError as exc:
@@ -250,7 +262,7 @@ def cmd_verify(args) -> Report:
     else:
         names = _default_checks(doc.kind, doc.payload)
     for name in names:
-        _run_named_check(name, doc.kind, doc.payload, report)
+        _run_named_check(name, doc.kind, doc.payload, report, args.budget)
     return report
 
 
@@ -488,6 +500,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="file path or builtin:<name>")
     p.add_argument("--checks", help="comma-separated check names "
                                     "(default: all applicable)")
+    p.add_argument("--budget", type=int, default=10 ** 8,
+                   help="most basis inputs one structure check may evaluate")
     common(p)
     p.set_defaults(run=cmd_verify)
 

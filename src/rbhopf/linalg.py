@@ -54,12 +54,22 @@ def _check_same_field(a, b):
 
 
 class _Immutable:
-    """Refuses attribute assignment; a copy is the object itself."""
+    """Refuses attribute assignment; a copy is the object itself.
+
+    Pickling rebuilds an object through its public constructor, called with
+    the attributes `_init_args` names (a read-only mapping as a plain dict).
+    """
 
     __slots__ = ()
+    _init_args: tuple[str, ...] = ()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        args = (getattr(self, a) for a in self._init_args)
+        return type(self), tuple(dict(v) if isinstance(v, MappingProxyType)
+                                 else v for v in args)
 
     def __copy__(self):
         return self
@@ -72,6 +82,7 @@ class Vec(_Immutable):
     """Immutable vector of exact scalars over one field."""
 
     __slots__ = ("field", "entries")
+    _init_args = ("field", "entries")
 
     def __init__(self, field, entries):
         coerce = field.coerce
@@ -154,6 +165,7 @@ class Mat(_Immutable):
     """
 
     __slots__ = ("field", "entries", "rows", "cols", "_fans")
+    _init_args = ("field", "entries", "cols")
 
     def __init__(self, field, rows_of_entries, cols: int | None = None):
         coerce = field.coerce
@@ -361,6 +373,7 @@ class Tensor3(_Immutable):
     """
 
     __slots__ = ("field", "dims", "entries", "_fans")
+    _init_args = ("field", "dims", "entries")
 
     def __init__(self, field, dims: tuple[int, int, int], entries):
         a, b, c = dims

@@ -118,6 +118,7 @@ class TermSum(_Immutable):
     """A sparse element of V_{d1} ⊗ ... ⊗ V_{dk}, keyed by basis multi-index."""
 
     __slots__ = ("field", "dims", "terms")
+    _init_args = ("field", "dims", "terms")
 
     def __init__(self, field, dims, terms):
         coerce = field.coerce

@@ -258,6 +258,33 @@ def test_search_budget_exit_3():
     assert code == 3
 
 
+def test_verify_budget_bounds_hostile_structure(tmp_path):
+    """A 4-line file declaring a 3000-dim algebra with one product would make
+    associativity evaluate 3000³ basis triples; verify refuses it at once."""
+    big = tmp_path / "big.rbh"
+    big.write_text("rbhopf 1 algebra\nfield Q\ndim 3000\nmul 0 0 0 1 1\n")
+    start = time.perf_counter()
+    code, out, err = run("verify", str(big), "--report", "machine")
+    assert time.perf_counter() - start < 2
+    assert code == 3 and out == ""
+    assert err.startswith("error: check associativity") and err.count("\n") == 1
+
+
+def test_verify_budget_counts_basis_inputs_per_check():
+    # sweedler4 has dim 4: associativity may take 64 inputs, bialgebra 16,
+    # every other structure check 4.
+    assert run("verify", "builtin:sweedler4", "--budget", "64")[0] == 0
+    assert run("verify", "builtin:sweedler4", "--budget", "63")[0] == 3
+    assert run("verify", "builtin:sweedler4", "--checks", "bialgebra,antipode",
+               "--budget", "16")[0] == 0
+    assert run("verify", "builtin:sweedler4", "--checks", "bialgebra",
+               "--budget", "15")[0] == 3
+    assert run("verify", "builtin:sweedler4", "--checks", "coassociativity",
+               "--budget", "4")[0] == 0
+    assert run("verify", "builtin:sweedler4", "--checks", "antipode",
+               "--budget", "3")[0] == 3
+
+
 def test_search_rejects_rationals():
     code, _, err = run("search", "builtin:grouplike:2", "--side", "coalgebra",
                        "--weight", "1")

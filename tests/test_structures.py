@@ -1,9 +1,10 @@
+import pickle
 from fractions import Fraction
 
 import pytest
 
-from rbhopf import (GF, QQ, AlgebraicStructure, Mat, ShapeError, Tensor3, Vec,
-                    builtin, builtin_names, check_antipode,
+from rbhopf import (GF, QQ, AlgebraicStructure, Mat, ShapeError, Tensor3,
+                    TermSum, Vec, builtin, builtin_names, check_antipode,
                     check_associativity, check_bialgebra, check_bialgebra_map,
                     check_coassociativity, check_comodule, check_module,
                     check_unit_counit, counit_solutions, find_bialgebra_counit,
@@ -20,6 +21,27 @@ def test_all_builtins_pass_their_axioms():
         assert check_unit_counit(s).passed
         assert check_bialgebra(s).passed
         assert check_antipode(s).passed
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)])
+@pytest.mark.parametrize("name", [n.replace("<n>", "3") for n in builtin_names()])
+def test_builtins_pickle_round_trip(name, field):
+    s = builtin(name, field)
+    back = pickle.loads(pickle.dumps(s))
+    assert back == s
+    assert back.field is field
+
+
+def test_containers_pickle_through_their_constructors():
+    f5 = GF(5)
+    for obj in (Vec(f5, (1, 2)), Mat.identity(QQ, 2), Mat(QQ, (), cols=3),
+                Tensor3(f5, (1, 2, 2), {(0, 1, 1): 3}),
+                TermSum(QQ, (2, 3), {(1, 2): Fraction(1, 2)})):
+        back = pickle.loads(pickle.dumps(obj))
+        assert back == obj and type(back) is type(obj)
+        assert back.field is obj.field
+    with pytest.raises(AttributeError):
+        back.field = f5
 
 
 def test_builtins_over_prime_fields():
