@@ -14,7 +14,7 @@ class PreconditionError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """An exhaustive search would exceed the configured candidate budget."""
+    """A search or a check would exceed its budget of candidates or basis inputs."""
 
 
 class FormatError(ValueError):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from itertools import permutations, product
 
-from .errors import ShapeError
+from .errors import BudgetExceededError, ShapeError
 from .fields import QQ
 from .linalg import Mat, Tensor3, Vec, nullspace, solve_linear
 from .record import Record
@@ -175,7 +175,7 @@ def _associator(mul: Tensor3):
     return residual
 
 
-def _generators(s: AlgebraicStructure) -> list[int]:
+def _generators(s: AlgebraicStructure, charge=lambda count: None) -> list[int]:
     """Basis indices G whose closure U under u ↦ u·g, u ↦ g·u is the whole space.
 
     Greedy: e_0, e_1, ... are taken in order, e_i joins G when it is not yet
@@ -183,9 +183,12 @@ def _generators(s: AlgebraicStructure) -> list[int]:
     round computes the products of every pending (u, g) pair with one
     `merge_at` per side, the pairs told apart by a tag factor, and reduces
     them against U, kept as a sparse echelon basis keyed by pivot (the
-    smallest index of a vector, whose coefficient is 1).  The new vectors
-    are the next round's pending ones.  With few products G can be the
-    whole basis.
+    smallest index of a vector, whose coefficient is 1).  With few products
+    G can be the whole basis.
+
+    `charge` is told each count of basis inputs before they are evaluated:
+    the terms of a closure round, and the n² triples (x, g, y) of Light's
+    test as soon as g joins G, so that an over-budget test stops early.
     """
     mul, field, n = s.mul, s.field, s.dim
     zero, one = field.zero, field.one
@@ -222,6 +225,7 @@ def _generators(s: AlgebraicStructure) -> list[int]:
             (k, g, p): c for p, (u, g) in enumerate(pairs) for k, c in u.items()})
         left = TermSum._trusted(field, size, {
             (g, k, p): c for p, (u, g) in enumerate(pairs) for k, c in u.items()})
+        charge(2 * len(right.terms))
         out = [{} for _ in range(2 * len(pairs))]
         for (k, p), c in right.merge_at(0, mul).terms.items():
             out[p][k] = c
@@ -235,6 +239,7 @@ def _generators(s: AlgebraicStructure) -> list[int]:
         v = reduce({i: one})
         if v is None:
             continue
+        charge(n * n)
         gens.append(i)
         pairs = [(u, i) for u in vecs]
         fresh = len(vecs)
@@ -250,7 +255,8 @@ def _generators(s: AlgebraicStructure) -> list[int]:
     return gens
 
 
-def check_associativity(s: AlgebraicStructure) -> AxiomVerdict:
+def check_associativity(s: AlgebraicStructure,
+                        budget: int | None = None) -> AxiomVerdict:
     """(ab)c = a(bc) on all basis triples, certified by Light's test.
 
     Light's criterion (Clifford and Preston, *The Algebraic Theory of
@@ -265,20 +271,46 @@ def check_associativity(s: AlgebraicStructure) -> AxiomVerdict:
     This needs no unit and holds over any field.  `_generators` picks G,
     and the identity is evaluated on the |G|·n² basis triples (x, g, y),
     one batch of e_x⊗e_g⊗e_y tagged (x, y) per generator g.  If any
-    residual is nonzero, the full check runs on all n³ basis triples, so a
-    failing verdict is the one the full check reports.
+    residual is nonzero, the same batches run for every other middle index
+    b, so a failure costs the n³ triples of the full check and its verdict
+    (residual over all basis triples, witness its first key) is the one the
+    full check reports.
+
+    `budget`, when given, bounds the basis inputs the check hands to the
+    rewrite kernel, closure products included: `BudgetExceededError` is
+    raised as soon as the inputs it is committed to exceed it.
     """
     mul = s.require("mul")
     field, n, one = s.field, s.dim, s.field.one
+    spent = 0
+
+    def charge(count: int):
+        nonlocal spent
+        spent += count
+        if budget is not None and spent > budget:
+            raise BudgetExceededError(
+                f"associativity on dim {n} needs more than {budget} basis inputs")
+
+    gens = _generators(s, charge)
     residual = _associator(mul)
     xy = [(x, y) for x in range(n) for y in range(n)]
-    for g in _generators(s):
-        batch = TermSum._trusted(field, (n,) * 5,
-                                 {(x, g, y, x, y): one for x, y in xy})
-        if not residual(batch).is_zero():
-            return _verdict(*_batched("associativity", field, (n,) * 3,
-                                      residual))
-    return AxiomVerdict(True)
+    failed = []
+
+    def run(middles):
+        for b in middles:
+            res = residual(TermSum._trusted(
+                field, (n,) * 5, {(x, b, y, x, y): one for x, y in xy}))
+            if not res.is_zero():
+                failed.append(((b,), res))
+
+    run(gens)
+    if not failed:
+        return AxiomVerdict(True)
+    rest = sorted(set(range(n)).difference(gens))
+    charge(len(rest) * n * n)
+    run(rest)
+    # Keys arrive as (b, x, y, output); the full check reports (x, b, y, output).
+    return _verdict("associativity", failed, 2, key=lambda k: (k[1], k[0]) + k[2:])
 
 
 def check_coassociativity(s: AlgebraicStructure) -> AxiomVerdict:

@@ -13,7 +13,8 @@ from itertools import product
 
 import pytest
 
-from rbhopf import GF, AlgebraicStructure, Tensor3, builtin, tensor_product
+from rbhopf import (GF, AlgebraicStructure, BudgetExceededError, Tensor3,
+                    builtin, tensor_product)
 from rbhopf import check_associativity, structures
 from rbhopf.structures import _generators, _verdict
 from conftest import per_basis, verdict_key
@@ -103,3 +104,51 @@ def test_light_test_work_bound_on_s3_tensor_square(monkeypatch):
     assert check_associativity(big).passed
     assert inputs == [n * n] * len(gens)
     assert sum(inputs) <= len(gens) * n * n < n ** 3
+
+
+def corrupted_s3():
+    s3 = builtin("group:S3")
+    entries = dict(s3.mul.entries)
+    i, j, k = max(entries)  # e_5·e_5 = e_k becomes e_5·e_5 = e_(k+1)
+    entries[i, j, (k + 1) % 6] = entries.pop((i, j, k))
+    return s3.replace(mul=Tensor3(s3.field, s3.mul.dims, entries))
+
+
+def test_failure_costs_the_full_check(monkeypatch):
+    """After a failing generator batch only the other middle indices run:
+    n batches of n² triples in all, the full check's n³."""
+    s = corrupted_s3()
+    n, inputs = s.dim, []
+    associator = structures._associator
+
+    def counting(mul):
+        residual = associator(mul)
+
+        def counted(t):
+            inputs.append(len(t.terms))
+            return residual(t)
+
+        return counted
+
+    monkeypatch.setattr(structures, "_associator", counting)
+    assert not assert_matches_reference(s)
+    assert len(_generators(s)) < n
+    assert inputs == [n * n] * n
+
+
+def test_budget_charges_the_scheduled_inputs():
+    good, bad = builtin("group:S3"), corrupted_s3()
+    n, certificate, gens = good.dim, {}, {}
+    for s in (good, bad):
+        charges = []
+        gens[s] = _generators(s, charges.append)
+        certificate[s] = sum(charges)
+        with pytest.raises(BudgetExceededError):
+            check_associativity(s, budget=certificate[s] - 1)
+    assert check_associativity(good, budget=certificate[good]).passed
+    # A failure also charges the n² triples of every other middle index.
+    with pytest.raises(BudgetExceededError):
+        check_associativity(bad, budget=certificate[bad])
+    full = certificate[bad] + (n - len(gens[bad])) * n * n
+    assert verdict_key(check_associativity(bad, budget=full)) == verdict_key(
+        reference(bad))

@@ -3,9 +3,11 @@ import os
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
-from rbhopf import builtin, example54_p1, example54_q
+from rbhopf import QQ, builtin, example54_p1, example54_q
+from rbhopf import cli
 from rbhopf.cli import main
 from rbhopf.fileformat import load, save
+from rbhopf.structures import _generators, cyclic_group_algebra
 
 
 def run(*argv):
@@ -258,31 +260,60 @@ def test_search_budget_exit_3():
     assert code == 3
 
 
+def hostile(tmp_path, dim):
+    """A 4-line algebra file of dimension `dim` with a single product."""
+    path = tmp_path / f"big{dim}.rbh"
+    path.write_text(f"rbhopf 1 algebra\nfield Q\ndim {dim}\nmul 0 0 0 1 1\n")
+    return str(path)
+
+
 def test_verify_budget_bounds_hostile_structure(tmp_path):
-    """A 4-line file declaring a 3000-dim algebra with one product would make
-    associativity evaluate 3000³ basis triples; verify refuses it at once."""
-    big = tmp_path / "big.rbh"
-    big.write_text("rbhopf 1 algebra\nfield Q\ndim 3000\nmul 0 0 0 1 1\n")
+    """With one product the associativity generating set is the whole basis,
+    so even Light's test needs dim³ basis triples; past the budget verify
+    refuses at once."""
     start = time.perf_counter()
-    code, out, err = run("verify", str(big), "--report", "machine")
+    code, out, err = run("verify", hostile(tmp_path, 3000), "--report", "machine")
     assert time.perf_counter() - start < 2
     assert code == 3 and out == ""
-    assert err.startswith("error: check associativity") and err.count("\n") == 1
+    assert err.startswith("error: associativity on dim 3000")
+    assert err.count("\n") == 1
 
 
-def test_verify_budget_counts_basis_inputs_per_check():
-    # sweedler4 has dim 4: associativity may take 64 inputs, bialgebra 16,
-    # every other structure check 4.
-    assert run("verify", "builtin:sweedler4", "--budget", "64")[0] == 0
-    assert run("verify", "builtin:sweedler4", "--budget", "63")[0] == 3
-    assert run("verify", "builtin:sweedler4", "--checks", "bialgebra,antipode",
-               "--budget", "16")[0] == 0
-    assert run("verify", "builtin:sweedler4", "--checks", "bialgebra",
-               "--budget", "15")[0] == 3
-    assert run("verify", "builtin:sweedler4", "--checks", "coassociativity",
-               "--budget", "4")[0] == 0
-    assert run("verify", "builtin:sweedler4", "--checks", "antipode",
-               "--budget", "3")[0] == 3
+def test_verify_budget_boundary_dimension(tmp_path):
+    # dim 99 charges 99³ triples plus 19,208 closure inputs, dim 100 charges
+    # 100³ plus its closure.
+    assert 99 ** 3 + 2 * 99 ** 2 <= cli.VERIFY_BUDGET <= 100 ** 3
+    start = time.perf_counter()
+    assert run("verify", hostile(tmp_path, 99))[0] == 0
+    assert time.perf_counter() - start < 10
+    start = time.perf_counter()
+    assert run("verify", hostile(tmp_path, 100))[0] == 3
+    assert time.perf_counter() - start < 2
+
+
+def test_verify_budget_charges_light_test_work(tmp_path):
+    """A cyclic group algebra has G = {e, g}: 2·n² triples, not n³."""
+    n = 101
+    assert n ** 3 > cli.VERIFY_BUDGET
+    path = str(tmp_path / "cyclic.rbh")
+    save(cyclic_group_algebra(QQ, n), path)
+    code, out, _ = run("verify", path, "--report", "machine")
+    assert code == 0 and "check associativity pass" in out
+
+
+def test_verify_budget_edges_per_check(monkeypatch):
+    # sweedler4 has dim 4: bialgebra charges 16 inputs, antipode 4, and
+    # associativity what Light's test schedules for it.
+    charges = []
+    _generators(builtin("sweedler4"), charges.append)
+    for budget, checks, code in ((sum(charges), "associativity", 0),
+                                 (sum(charges) - 1, "associativity", 3),
+                                 (16, "bialgebra,antipode", 0),
+                                 (15, "bialgebra", 3),
+                                 (4, "coassociativity,unit-counit,antipode", 0),
+                                 (3, "antipode", 3)):
+        monkeypatch.setattr(cli, "VERIFY_BUDGET", budget)
+        assert run("verify", "builtin:sweedler4", "--checks", checks)[0] == code
 
 
 def test_search_rejects_rationals():
