@@ -24,9 +24,8 @@ _EXPORTS = {
     "errors": ("BudgetExceededError", "FieldMismatchError", "FormatError",
                "PreconditionError", "ShapeError"),
     "fields": ("GF", "QQ", "Fp", "PrimeField", "Rationals", "field_from_name"),
-    "linalg": ("Mat", "Tensor3", "Vec", "column_space_basis", "flip_matrix",
-               "kron_index", "nullspace", "rref", "solve_linear",
-               "unkron_index"),
+    "linalg": ("Mat", "Tensor3", "Vec", "kron_index", "nullspace", "rref",
+               "solve_linear"),
     "tensorops": ("TermSum",),
     "structures": ("AlgebraicStructure", "AxiomVerdict", "DefectReport",
                    "builtin", "builtin_names", "check_antipode",

@@ -4,7 +4,7 @@ Subcommands: verify, rb-check, construct, search, builtin-list.  Structures
 are file paths or `builtin:<name>` references; `--field Fp:<p>` re-grounds a
 builtin over a prime field.  Exit codes are a stable contract: 0 all checks
 passed, 1 a check failed, 2 input/parse error, 3 resource budget exceeded
-(a search's candidates, or the basis inputs a `verify` structure check may
+(a search's candidates, or the basis inputs a `verify` check may
 evaluate), 4 internal error (an unexpected exception, reported as one line
 on stderr instead of a traceback).
 
@@ -183,11 +183,17 @@ def _default_checks(doc_kind: str, payload) -> list[str]:
     }[doc_kind]
 
 
-# Most basis inputs one `verify` structure check may evaluate.  A basis
-# input costs about 1.3 µs on a sparse algebra and 2.5 µs on the tensor
-# square of S3 (2-vCPU VM), so a check stays within about 2.5 s when its
-# products have few terms; the terms a product expands to are not charged.
+# Most basis inputs one `verify` check may evaluate.  A basis input costs
+# about 1.3 µs on a sparse algebra and 2.5 µs on the tensor square of S3
+# (2-vCPU VM), so a check stays within about 2.5 s when its products have
+# few terms; the terms a product expands to are not charged.
 VERIFY_BUDGET = 10 ** 6
+
+
+def _charge(name: str, inputs: int):
+    if inputs > VERIFY_BUDGET:
+        raise BudgetExceededError(
+            f"{name} needs {inputs} basis inputs, more than {VERIFY_BUDGET}")
 
 
 def _structure_check(name: str, s):
@@ -199,12 +205,27 @@ def _structure_check(name: str, s):
     """
     if name == "associativity":
         return check_associativity(s, budget=VERIFY_BUDGET)
-    inputs = s.dim ** (2 if name == "bialgebra" else 1)
-    if inputs > VERIFY_BUDGET:
-        raise BudgetExceededError(
-            f"{name} on dim {s.dim} needs {inputs} basis inputs, "
-            f"more than {VERIFY_BUDGET}")
+    _charge(f"{name} on dim {s.dim}", s.dim ** (2 if name == "bialgebra" else 1))
     return _STRUCTURE_CHECKS[name](s)
+
+
+# The other checks: the document kind each applies to, and the basis inputs
+# of its largest identity, charged before it runs.  For a module of dim m
+# over H of dim h that is module associativity, m·h², or for a module
+# algebra also its action compatibility, m²·h; for a Yetter-Drinfeld
+# coalgebra of dim c, module associativity, c·h²; for a braiding form, BR2
+# and BR3, h³.
+_NAMED_CHECKS = {
+    "prelie": ("prelie", lambda p: p.dim),
+    "hopf-module": ("module", lambda p: p.m_dim * p.hopf.dim ** 2),
+    "hopf-module-algebra": ("module", lambda p: (
+        p.m_dim * p.hopf.dim * max(p.m_dim, p.hopf.dim))),
+    "hopf-module-coalgebra": ("module", lambda p: p.m_dim * p.hopf.dim ** 2),
+    "comodule": ("comodule", lambda p: p.m_dim),
+    "yd-module": ("yd", lambda p: p.coalgebra.dim * p.hopf.dim ** 2),
+    "yd-coalgebra": ("yd", lambda p: p.coalgebra.dim * p.hopf.dim ** 2),
+    "coquasitriangular": ("sigma", lambda p: p.hopf.dim ** 3),
+}
 
 
 def _run_named_check(name: str, doc_kind: str, payload, report: Report):
@@ -214,38 +235,38 @@ def _run_named_check(name: str, doc_kind: str, payload, report: Report):
         except ValueError as exc:
             raise InputError(f"check {name}: {exc}") from None
         return
+    kind, inputs = _NAMED_CHECKS.get(name, (None, None))
+    if kind != doc_kind:
+        raise InputError(f"check {name!r} does not apply to kind {doc_kind!r}")
+    _charge(name, inputs(payload))
     try:
-        if name == "prelie" and doc_kind == "prelie":
+        if name == "prelie":
             from .prelie import check_pre_lie
             report.check(name, check_pre_lie(payload.comul))
-        elif name == "hopf-module" and doc_kind == "module":
+        elif name == "hopf-module":
             from .hopfmod import check_hopf_module
             report.check(name, check_hopf_module(payload))
-        elif name == "hopf-module-algebra" and doc_kind == "module":
+        elif name == "hopf-module-algebra":
             from .hopfmod import check_hopf_module_algebra
             report.check(name, check_hopf_module_algebra(payload))
-        elif name == "hopf-module-coalgebra" and doc_kind == "module":
+        elif name == "hopf-module-coalgebra":
             from .hopfmod import check_hopf_module_coalgebra
             report.check(name, check_hopf_module_coalgebra(payload))
-        elif name == "comodule" and doc_kind == "comodule":
+        elif name == "comodule":
             report.check(name, check_comodule(payload.hopf, payload.m_dim,
                                               payload.coaction, payload.side))
-        elif name == "yd-module" and doc_kind == "yd":
+        elif name == "yd-module":
             from .ydsmash import check_yd_module
             report.check(name, check_yd_module(payload.hopf,
                                                payload.coalgebra.dim,
                                                payload.action, payload.coaction))
-        elif name == "yd-coalgebra" and doc_kind == "yd":
+        elif name == "yd-coalgebra":
             from .ydsmash import check_yd_coalgebra
             report.check(name, check_yd_coalgebra(payload))
-        elif name == "coquasitriangular" and doc_kind == "sigma":
+        else:
             from .ydsmash import check_coquasitriangular
             report.check(name, check_coquasitriangular(payload))
-        else:
-            raise InputError(f"check {name!r} does not apply to kind {doc_kind!r}")
     except ValueError as exc:
-        if isinstance(exc, InputError):
-            raise
         raise InputError(f"check {name}: {exc}") from None
 
 

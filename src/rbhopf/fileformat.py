@@ -24,11 +24,15 @@ Sections by kind:
                action r c v / coaction r c v
     sigma:     hopf REF / sigma i j v
 
-(`v` stands for `num den` over Q, one residue over F_p.)  Dense maps
-(operator, action, coaction, antipode, sigma) are allocated in full, so a
-file may declare at most `MAX_DENSE_ENTRIES` entries for each; a larger
-declaration is a `FormatError` raised before anything is allocated.  The
-sparse sections (mul, comul, ccomul) have no such bound.  REF is either
+(`v` stands for `num den` over Q, one residue over F_p.)  Every map is
+held sparse (`linalg`), but a `Mat` is still shown, printed and row-reduced
+as dense rows, so a file may declare at most `MAX_DENSE_ENTRIES` entries
+for each matrix (operator, action, coaction, antipode, sigma); a larger
+declaration is a `FormatError` raised before any entry is read.  The
+tensor sections (mul, comul, ccomul) have no such bound.  A map the kind
+requires (mul for algebra, comul for coalgebra and prelie, both for
+bialgebra and hopf) whose section is empty is zero, so a zero
+multiplication or comultiplication round-trips.  REF is either
 `builtin:<name>`, instantiated over the document's field, or a path to a
 companion file, resolved relative to the referring file.  Saving writes
 sections in the order above with entries sorted by index, so canonical
@@ -175,11 +179,13 @@ def _check_dense_size(shape, lineno=None):
 
 def _matrix_from_rows(field, rows, shape, lineno=None):
     _check_dense_size(shape, lineno)
-    table = _entry_table(field, rows, 2, shape)
-    m = [[field.zero] * shape[1] for _ in range(shape[0])]
-    for (r, c), v in table.items():
-        m[r][c] = v
-    return Mat(field, m, cols=shape[1])
+    return Mat.from_terms(field, shape, _entry_table(field, rows, 2, shape))
+
+
+def _row_matrix(field, entries: dict, n: int) -> Mat:
+    """The 1 x n matrix of {(i,): v} entries (a counit)."""
+    return Mat.from_terms(field, (1, n),
+                          {(0, i): v for (i,), v in entries.items()})
 
 
 def loads(text: str, base_dir: str = ".") -> Document:
@@ -257,11 +263,8 @@ def loads(text: str, base_dir: str = ".") -> Document:
         counit_rows = lines.take_section("ccounit")
         ccounit = None
         if counit_rows:
-            table = _entry_table(field, counit_rows, 1, (c_dim,))
-            row = [field.zero] * c_dim
-            for (i,), v in table.items():
-                row[i] = v
-            ccounit = Mat(field, (row,))
+            ccounit = _row_matrix(
+                field, _entry_table(field, counit_rows, 1, (c_dim,)), c_dim)
         action = _matrix_from_rows(field, lines.take_section("action"),
                                    (c_dim, h * c_dim), cdim_line)
         coaction = _matrix_from_rows(field, lines.take_section("coaction"),
@@ -274,15 +277,20 @@ def loads(text: str, base_dir: str = ".") -> Document:
         h = hopf.dim
         _check_dense_size((h, h))
         table = _entry_table(field, lines.take_section("sigma"), 2, (h, h))
-        row = [field.zero] * (h * h)
-        for (i, j), v in table.items():
-            row[i * h + j] = v
+        form = Mat.from_terms(field, (1, h * h),
+                              {(0, i * h + j): v for (i, j), v in table.items()})
         from .ydsmash import CoquasitriangularForm
-        payload = CoquasitriangularForm(hopf, Mat(field, (row,)))
+        payload = CoquasitriangularForm(hopf, form)
     lineno, tokens = lines.peek()
     if tokens is not None:
         raise FormatError(f"unexpected line {' '.join(tokens)!r}", lineno)
     return Document(kind, payload, refs)
+
+
+# The tensors each kind requires; an empty section of one of them is zero.
+_REQUIRED = {"algebra": ("mul",), "coalgebra": ("comul",),
+             "bialgebra": ("mul", "comul"), "hopf": ("mul", "comul"),
+             "prelie": ("comul",)}
 
 
 def _load_structure_body(lines: _Lines, field, kind: str):
@@ -295,55 +303,36 @@ def _load_structure_body(lines: _Lines, field, kind: str):
         names = tuple(tokens[1:])
         if len(names) != dim:
             raise FormatError(f"expected {dim} names", lineno)
-    unit = None
-    unit_rows = lines.take_section("unit")
-    if unit_rows:
-        table = _entry_table(field, unit_rows, 1, (dim,))
-        entries = [field.zero] * dim
-        for (i,), v in table.items():
-            entries[i] = v
-        unit = Vec(field, entries)
-    counit = None
-    counit_rows = lines.take_section("counit")
-    if counit_rows:
-        table = _entry_table(field, counit_rows, 1, (dim,))
-        row = [field.zero] * dim
-        for (i,), v in table.items():
-            row[i] = v
-        counit = Mat(field, (row,))
-    mul_rows = lines.take_section("mul")
-    comul_rows = lines.take_section("comul")
-    mul = (Tensor3(field, (dim,) * 3,
-                   _entry_table(field, mul_rows, 3, (dim,) * 3))
-           if mul_rows else None)
-    comul = (Tensor3(field, (dim,) * 3,
-                     _entry_table(field, comul_rows, 3, (dim,) * 3))
-             if comul_rows else None)
-    antipode = None
-    antipode_rows = lines.take_section("antipode")
-    if antipode_rows:
-        antipode = _matrix_from_rows(field, antipode_rows, (dim, dim), dim_line)
+    cube = (dim,) * 3
+    build = {
+        "unit": (1, lambda t: Vec(field, (t.get((i,), field.zero)
+                                          for i in range(dim)))),
+        "counit": (1, lambda t: _row_matrix(field, t, dim)),
+        "mul": (3, lambda t: Tensor3(field, cube, t)),
+        "comul": (3, lambda t: Tensor3(field, cube, t)),
+        "antipode": (2, lambda t: Mat.from_terms(field, (dim, dim), t)),
+    }
+    sections = {key: lines.take_section(key) for key in build}
+    present = [key for key, rows in sections.items()
+               if rows or key in _REQUIRED[kind]]
+    if "antipode" in present:
+        _check_dense_size((dim, dim), dim_line)
+    maps = {}
+    for key in present:
+        n_indices, make = build[key]
+        maps[key] = make(_entry_table(field, sections[key], n_indices,
+                                      (dim,) * n_indices))
     if kind == "prelie":
-        if comul is None:
-            comul = Tensor3(field, (dim,) * 3, {})
-        if any(x is not None for x in (mul, unit, counit, antipode)):
+        if set(maps) != {"comul"}:
             raise FormatError("a prelie file carries only a comultiplication")
         from .prelie import PreLieCoalgebra
-        return PreLieCoalgebra(dim, field, comul)
+        return PreLieCoalgebra(dim, field, maps["comul"])
+    if kind == "hopf" and "antipode" not in maps:
+        raise FormatError("file declares kind 'hopf' but has no antipode")
     try:
-        s = AlgebraicStructure(dim, field, mul=mul, comul=comul, unit=unit,
-                               counit=counit, antipode=antipode, names=names)
+        return AlgebraicStructure(dim, field, names=names, **maps)
     except ShapeError as exc:
         raise FormatError(str(exc)) from None
-    required = {
-        "algebra": s.mul is not None,
-        "coalgebra": s.comul is not None,
-        "bialgebra": s.mul is not None and s.comul is not None,
-        "hopf": s.antipode is not None,
-    }[kind]
-    if not required:
-        raise FormatError(f"file declares kind {kind!r} but lacks its maps")
-    return s
 
 
 def load(path: str) -> Document:
@@ -382,23 +371,10 @@ def _fmt_scalar(field, value) -> str:
     return f"{v.numerator} {v.denominator}"
 
 
-def _tensor_lines(key, field, t3: Tensor3):
-    return [f"{key} {i} {j} {k} {_fmt_scalar(field, v)}"
-            for (i, j, k), v in sorted(t3.entries.items())]
-
-
-def _matrix_lines(key, field, m: Mat):
-    out = []
-    for i, row in enumerate(m.entries):
-        for j, v in enumerate(row):
-            if v:
-                out.append(f"{key} {i} {j} {_fmt_scalar(field, v)}")
-    return out
-
-
-def _vector_lines(key, field, entries):
-    return [f"{key} {i} {_fmt_scalar(field, v)}"
-            for i, v in enumerate(entries) if v]
+def _entry_lines(key, field, items):
+    """One `key i... v` line per (index tuple, value) pair, in order."""
+    return [f"{key} {' '.join(map(str, idx))} {_fmt_scalar(field, v)}"
+            for idx, v in items]
 
 
 def dumps(payload, kind: str | None = None, refs: dict | None = None) -> str:
@@ -419,21 +395,21 @@ def dumps(payload, kind: str | None = None, refs: dict | None = None) -> str:
         field = payload.field
         lines = [f"rbhopf {FORMAT_VERSION} operator", f"field {field.name}",
                  f"rows {payload.rows}", f"cols {payload.cols}"]
-        lines += _matrix_lines("entry", field, payload)
+        lines += _entry_lines("entry", field, payload.items())
         return "\n".join(lines) + "\n"
     if isinstance(payload, Comodule):
         field = payload.hopf.field
         lines = [f"rbhopf {FORMAT_VERSION} comodule", f"field {field.name}",
                  f"side {payload.side}", f"hopf {_require_ref(refs)}",
                  f"mdim {payload.m_dim}"]
-        lines += _matrix_lines("coaction", field, payload.coaction)
+        lines += _entry_lines("coaction", field, payload.coaction.items())
         return "\n".join(lines) + "\n"
     from .prelie import PreLieCoalgebra
     if isinstance(payload, PreLieCoalgebra):
         field = payload.field
         lines = [f"rbhopf {FORMAT_VERSION} prelie", f"field {field.name}",
                  f"dim {payload.dim}"]
-        lines += _tensor_lines("comul", field, payload.comul)
+        lines += _entry_lines("comul", field, payload.comul.items())
         return "\n".join(lines) + "\n"
     from .hopfmod import HopfModule
     if isinstance(payload, HopfModule):
@@ -441,12 +417,12 @@ def dumps(payload, kind: str | None = None, refs: dict | None = None) -> str:
         lines = [f"rbhopf {FORMAT_VERSION} module", f"field {field.name}",
                  f"side {payload.side}", f"hopf {_require_ref(refs)}",
                  f"mdim {payload.m_dim}"]
-        lines += _matrix_lines("action", field, payload.action)
-        lines += _matrix_lines("coaction", field, payload.coaction)
+        lines += _entry_lines("action", field, payload.action.items())
+        lines += _entry_lines("coaction", field, payload.coaction.items())
         if payload.mul is not None:
-            lines += _tensor_lines("mul", field, payload.mul)
+            lines += _entry_lines("mul", field, payload.mul.items())
         if payload.comul is not None:
-            lines += _tensor_lines("comul", field, payload.comul)
+            lines += _entry_lines("comul", field, payload.comul.items())
         return "\n".join(lines) + "\n"
     from .ydsmash import CoquasitriangularForm, YDModuleCoalgebra
     if isinstance(payload, YDModuleCoalgebra):
@@ -454,21 +430,20 @@ def dumps(payload, kind: str | None = None, refs: dict | None = None) -> str:
         cstr = payload.coalgebra
         lines = [f"rbhopf {FORMAT_VERSION} yd", f"field {field.name}",
                  f"hopf {_require_ref(refs)}", f"cdim {cstr.dim}"]
-        lines += _tensor_lines("ccomul", field, cstr.comul)
+        lines += _entry_lines("ccomul", field, cstr.comul.items())
         if cstr.counit is not None:
-            lines += _vector_lines("ccounit", field, cstr.counit.entries[0])
-        lines += _matrix_lines("action", field, payload.action)
-        lines += _matrix_lines("coaction", field, payload.coaction)
+            lines += _entry_lines("ccounit", field, (
+                ((j,), v) for (_, j), v in cstr.counit.items()))
+        lines += _entry_lines("action", field, payload.action.items())
+        lines += _entry_lines("coaction", field, payload.coaction.items())
         return "\n".join(lines) + "\n"
     if isinstance(payload, CoquasitriangularForm):
         field = payload.hopf.field
         h = payload.hopf.dim
         lines = [f"rbhopf {FORMAT_VERSION} sigma", f"field {field.name}",
                  f"hopf {_require_ref(refs)}"]
-        for flat, v in enumerate(payload.form.entries[0]):
-            if v:
-                lines.append(f"sigma {flat // h} {flat % h} "
-                             f"{_fmt_scalar(field, v)}")
+        lines += _entry_lines("sigma", field, (
+            (divmod(f, h), v) for (_, f), v in payload.form.items()))
         return "\n".join(lines) + "\n"
     raise TypeError(f"cannot serialize {type(payload).__name__}")
 
@@ -490,15 +465,17 @@ def _dump_structure(s: AlgebraicStructure, kind: str) -> str:
     if s.names is not None:
         lines.append("names " + " ".join(s.names))
     if s.unit is not None:
-        lines += _vector_lines("unit", field, s.unit.entries)
+        lines += _entry_lines("unit", field, (
+            ((i,), v) for i, v in enumerate(s.unit.entries) if v))
     if s.counit is not None:
-        lines += _vector_lines("counit", field, s.counit.entries[0])
+        lines += _entry_lines("counit", field, (
+            ((j,), v) for (_, j), v in s.counit.items()))
     if s.mul is not None:
-        lines += _tensor_lines("mul", field, s.mul)
+        lines += _entry_lines("mul", field, s.mul.items())
     if s.comul is not None:
-        lines += _tensor_lines("comul", field, s.comul)
+        lines += _entry_lines("comul", field, s.comul.items())
     if s.antipode is not None:
-        lines += _matrix_lines("antipode", field, s.antipode)
+        lines += _entry_lines("antipode", field, s.antipode.items())
     return "\n".join(lines) + "\n"
 
 

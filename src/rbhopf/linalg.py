@@ -1,22 +1,30 @@
-"""Exact dense matrices, vectors, and sparse rank-3 structure tensors.
+"""Exact vectors, and one sparse storage for every map and tensor.
 
 Tensor products follow one global basis convention: e_i ⊗ e_j of V ⊗ W sits
 at flat index i*dim(W) + j (left factor major).  `kron_index` is the only
 place this is spelled out; every other tensor computation goes through it.
 
+`Mat`, `Tensor3` and the rewrite engine's `tensorops.TermSum` share one
+storage, `_Sparse`: a field, a `dims` tuple and a read-only mapping `terms`
+from index tuples to nonzero entries.  A `Mat` is keyed (row, column), a
+`Tensor3` (i, j, k), a `TermSum` by one index per tensor factor.  Entry
+validation, the trusted constructor, equality (only within one class),
+hashing, `items`, `is_zero` and elementwise `+`, `-`, negation and `scale`
+are written once, there.  No map is stored densely: `Mat.entries` is a
+dense-rows view built on access, for row reduction, printing and callers
+that want rows.
+
 On `Mat`, `*` is composition (matrix product) and `@` is the Kronecker
 product, so (f⊗g)∘(h⊗k) = (f∘h)⊗(g∘k) reads (f @ g) * (h @ k) == (f * h) @ (g * k).
 
-`Mat`, `Vec` and `Tensor3` are immutable (`Tensor3.entries` is a read-only
-mapping), so copying one gives the object itself, as for a tuple.  `Mat` and
-`Tensor3` each keep one cache slot, `_fans`, which only the rewrite engine
-fills (`tensorops._reading`): a map's sparse fan-out, read once from the
-rows of a `Mat` or from `Tensor3.entries`.
-The public constructors validate shapes and coerce every scalar;
-`Mat._trusted` and `Tensor3._trusted` are internal constructors for results
-built from entries that are already field elements of a known shape (matrix
-products, maps built by rewrites in `tensorops._matrix_of`, the structure
-constants of a tensor product), and skip both.
+Every container is immutable, so copying one gives the object itself, as
+for a tuple.  Each sparse object has one cache slot, `_fans`, which only the
+rewrite engine fills (`tensorops._reading`): a map's fan-out, read once from
+`terms`.  The public constructors validate shapes and coerce every scalar;
+`_trusted` wraps entries that are already nonzero field elements at valid
+keys (matrix products, maps built by rewrites in `tensorops._matrix_of`, the
+structure constants of a tensor product, every rewrite result) and skips
+both.
 """
 
 from __future__ import annotations
@@ -33,11 +41,6 @@ def kron_index(i: int, j: int, dim_j: int) -> int:
     return i * dim_j + j
 
 
-def unkron_index(flat: int, dim_j: int) -> tuple[int, int]:
-    """Inverse of `kron_index`."""
-    return divmod(flat, dim_j)
-
-
 def flatten_index(idx: tuple[int, ...], dims: tuple[int, ...]) -> int:
     """Flat index of e_{i1}⊗...⊗e_{ik} in V_{d1}⊗...⊗V_{dk}."""
     flat = 0
@@ -49,27 +52,17 @@ def flatten_index(idx: tuple[int, ...], dims: tuple[int, ...]) -> int:
 
 
 def _check_same_field(a, b):
-    if a.field != b.field:
+    if a.field is not b.field and a.field != b.field:
         raise FieldMismatchError(f"mixed fields {a.field!r} and {b.field!r}")
 
 
 class _Immutable:
-    """Refuses attribute assignment; a copy is the object itself.
-
-    Pickling rebuilds an object through its public constructor, called with
-    the attributes `_init_args` names (a read-only mapping as a plain dict).
-    """
+    """Refuses attribute assignment; a copy is the object itself."""
 
     __slots__ = ()
-    _init_args: tuple[str, ...] = ()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __reduce__(self):
-        args = (getattr(self, a) for a in self._init_args)
-        return type(self), tuple(dict(v) if isinstance(v, MappingProxyType)
-                                 else v for v in args)
 
     def __copy__(self):
         return self
@@ -82,12 +75,14 @@ class Vec(_Immutable):
     """Immutable vector of exact scalars over one field."""
 
     __slots__ = ("field", "entries")
-    _init_args = ("field", "entries")
 
     def __init__(self, field, entries):
         coerce = field.coerce
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "entries", tuple(coerce(x) for x in entries))
+
+    def __reduce__(self):
+        return Vec, (self.field, self.entries)
 
     @classmethod
     def zero(cls, field, dim: int) -> "Vec":
@@ -157,84 +152,204 @@ class Vec(_Immutable):
         return f"Vec({self.field!r}, [{', '.join(map(str, self.entries))}])"
 
 
-class Mat(_Immutable):
-    """Immutable dense matrix of exact scalars.
+class _Sparse(_Immutable):
+    """The storage of `Mat`, `Tensor3` and `TermSum`.
+
+    `field`, `dims` (one size per index), and `terms`, a read-only mapping
+    from index tuples to the nonzero entries.  `_fans` is unset until the
+    rewrite engine caches a reading of the object there.
+    """
+
+    __slots__ = ("field", "dims", "terms", "_fans")
+
+    def _validate(self, field, dims, terms):
+        """Set the state from a mapping, checking every key against `dims`
+        and coercing every value; zero values are dropped."""
+        dims = tuple(dims)
+        ranges = tuple(map(range, dims))
+        coerce = field.coerce
+        clean = {}
+        for key, val in terms.items():
+            if len(key) != len(dims) or not all(
+                    map(range.__contains__, ranges, key)):
+                raise ShapeError(f"index {key} out of range for dims {dims}")
+            val = coerce(val)
+            if val:
+                clean[key] = val
+        set_ = object.__setattr__
+        set_(self, "field", field)
+        set_(self, "dims", dims)
+        set_(self, "terms", MappingProxyType(clean))
+
+    @classmethod
+    def from_terms(cls, field, dims, terms):
+        """The object of shape `dims` with the entries of a mapping
+        {index tuple: scalar}; keys are range-checked, values coerced."""
+        t = object.__new__(cls)
+        t._validate(field, dims, terms)
+        return t
+
+    @classmethod
+    def _trusted(cls, field, dims: tuple, terms: dict, cancelled=()):
+        """Internal: wrap valid keys and nonzero field-element values as is.
+
+        `cancelled` lists the keys where an accumulation summed to zero (a
+        key may repeat, or have been filled again later); those still zero
+        are deleted from `terms`.  No other value is looked at.
+        """
+        for key in cancelled:
+            if key in terms and not terms[key]:
+                del terms[key]
+        t = object.__new__(cls)
+        set_ = object.__setattr__
+        set_(t, "field", field)
+        set_(t, "dims", dims)
+        set_(t, "terms", MappingProxyType(terms))
+        return t
+
+    def __reduce__(self):
+        return type(self).from_terms, (self.field, self.dims, dict(self.terms))
+
+    def __getitem__(self, key):
+        return self.terms.get(key, self.field.zero)
+
+    def items(self):
+        return sorted(self.terms.items())
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.field == other.field and self.dims == other.dims
+                and self.terms == other.terms)
+
+    def __hash__(self):
+        return hash((self.field, self.dims, frozenset(self.terms.items())))
+
+    def __repr__(self):
+        return f"{type(self).__name__}(dims={self.dims}, nnz={len(self.terms)})"
+
+    def _check_same_shape(self, other):
+        if type(other) is not type(self):
+            raise TypeError(f"cannot combine {type(self).__name__} "
+                            f"with {type(other).__name__}")
+        _check_same_field(self, other)
+        if self.dims != other.dims:
+            raise ShapeError(f"shapes {self.dims} and {other.dims} differ")
+
+    def __add__(self, other):
+        self._check_same_shape(other)
+        out = self.terms.copy()
+        get = out.get
+        cancelled = []
+        for k, v in other.terms.items():
+            prev = get(k)
+            if prev is None:
+                out[k] = v
+            else:
+                out[k] = v = prev + v
+                if not v:
+                    cancelled.append(k)
+        return self._trusted(self.field, self.dims, out, cancelled)
+
+    def __sub__(self, other):
+        self._check_same_shape(other)
+        if self.terms == other.terms:
+            return self._trusted(self.field, self.dims, {})
+        out = self.terms.copy()
+        get = out.get
+        cancelled = []
+        for k, v in other.terms.items():
+            prev = get(k)
+            if prev is None:
+                out[k] = -v
+            else:
+                out[k] = v = prev - v
+                if not v:
+                    cancelled.append(k)
+        return self._trusted(self.field, self.dims, out, cancelled)
+
+    def __neg__(self):
+        return self._trusted(self.field, self.dims,
+                             {k: -v for k, v in self.terms.items()})
+
+    def scale(self, scalar):
+        s = self.field.coerce(scalar)
+        if not s:
+            return self._trusted(self.field, self.dims, {})
+        return self._trusted(self.field, self.dims,
+                             {k: s * v for k, v in self.terms.items()})
+
+
+class Mat(_Sparse):
+    """Immutable matrix of exact scalars, keyed (row, column).
 
     Matrices act on column vectors from the left, so column j is the image
     of the j-th basis vector.
     """
 
-    __slots__ = ("field", "entries", "rows", "cols", "_fans")
-    _init_args = ("field", "entries", "cols")
+    __slots__ = ()
 
     def __init__(self, field, rows_of_entries, cols: int | None = None):
-        coerce = field.coerce
-        rows = tuple(tuple(coerce(x) for x in row) for row in rows_of_entries)
+        rows = tuple(map(tuple, rows_of_entries))
         if rows:
             ncols = len(rows[0])
             if any(len(r) != ncols for r in rows):
                 raise ShapeError("ragged rows in matrix")
         else:
             ncols = 0 if cols is None else cols
-        self._set_state(field, rows, ncols)
+        self._validate(field, (len(rows), ncols),
+                       {(i, j): x for i, row in enumerate(rows)
+                        for j, x in enumerate(row)})
 
-    def _set_state(self, field, rows: tuple, ncols: int):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "entries", rows)
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", ncols)
-        object.__setattr__(self, "_fans", None)
+    @property
+    def rows(self) -> int:
+        return self.dims[0]
 
-    @classmethod
-    def _trusted(cls, field, rows: tuple, ncols: int) -> "Mat":
-        """Internal: wrap a tuple of `ncols`-tuples of field elements as is.
+    @property
+    def cols(self) -> int:
+        return self.dims[1]
 
-        No scalar is coerced and no shape is checked; callers guarantee both.
-        """
-        m = object.__new__(cls)
-        m._set_state(field, rows, ncols)
-        return m
+    @property
+    def entries(self) -> tuple:
+        """The dense rows, built from `terms` on each access."""
+        zero = self.field.zero
+        out = [[zero] * self.cols for _ in range(self.rows)]
+        for (i, j), v in self.terms.items():
+            out[i][j] = v
+        return tuple(map(tuple, out))
 
     @classmethod
     def identity(cls, field, n: int) -> "Mat":
-        one, zero = field.one, field.zero
-        return cls(field, tuple(tuple(one if i == j else zero for j in range(n))
-                                for i in range(n)))
+        return cls._trusted(field, (n, n), {(i, i): field.one for i in range(n)})
 
     @classmethod
     def zeros(cls, field, rows: int, cols: int) -> "Mat":
-        zero = field.zero
-        return cls(field, tuple((zero,) * cols for _ in range(rows)), cols=cols)
+        return cls._trusted(field, (rows, cols), {})
 
     @classmethod
     def from_function(cls, field, rows: int, cols: int, fn) -> "Mat":
-        return cls(field, tuple(tuple(fn(i, j) for j in range(cols))
-                                for i in range(rows)), cols=cols)
+        return cls.from_terms(field, (rows, cols),
+                              {(i, j): fn(i, j) for i in range(rows)
+                               for j in range(cols)})
 
     @classmethod
     def from_columns(cls, field, columns, rows: int | None = None) -> "Mat":
         columns = list(columns)
-        if not columns:
-            if rows is None:
+        if rows is None:
+            if not columns:
                 raise ShapeError("cannot infer row count of empty matrix")
-            return cls.zeros(field, rows, 0)
-        n = len(columns[0])
-        if any(len(c) != n for c in columns):
+            rows = len(columns[0])
+        if any(len(c) != rows for c in columns):
             raise ShapeError("ragged columns in matrix")
-        return cls(field, tuple(tuple(c[i] for c in columns) for i in range(n)))
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
-    def row(self, i: int) -> Vec:
-        return Vec(self.field, self.entries[i])
+        return cls.from_terms(field, (rows, len(columns)),
+                              {(i, j): x for j, c in enumerate(columns)
+                               for i, x in enumerate(c)})
 
     def col(self, j: int) -> Vec:
-        return Vec(self.field, (r[j] for r in self.entries))
-
-    def columns(self):
-        return [self.col(j) for j in range(self.cols)]
+        return Vec(self.field, (self[i, j] for i in range(self.rows)))
 
     def __mul__(self, other):
         if isinstance(other, Mat):
@@ -243,47 +358,38 @@ class Mat(_Immutable):
                 raise ShapeError(
                     f"cannot compose {self.rows}x{self.cols} with "
                     f"{other.rows}x{other.cols}")
-            zero = self.field.zero
-            ncols = other.cols
-            sparse_rows = [[(j, b) for j, b in enumerate(row) if b]
-                           for row in other.entries]
-            out = []
-            for arow in self.entries:
-                orow = [None] * ncols
-                for k, a in enumerate(arow):
-                    if not a:
-                        continue
-                    for j, b in sparse_rows[k]:
-                        prev = orow[j]
-                        orow[j] = a * b if prev is None else prev + a * b
-                out.append(tuple(zero if x is None else x for x in orow))
-            return Mat._trusted(self.field, tuple(out), ncols)
+            right = [[] for _ in range(other.rows)]
+            for (k, j), b in other.terms.items():
+                right[k].append((j, b))
+            out: dict = {}
+            get = out.get
+            cancelled = []
+            for (i, k), a in self.terms.items():
+                for j, b in right[k]:
+                    prev = get((i, j))
+                    if prev is None:
+                        out[i, j] = a * b
+                    else:
+                        out[i, j] = x = prev + a * b
+                        if not x:
+                            cancelled.append((i, j))
+            return Mat._trusted(self.field, (self.rows, other.cols), out,
+                                cancelled)
         if isinstance(other, Vec):
             return self.apply(other)
-        s = self.field.coerce(other)
-        return self.scale(s)
+        return self.scale(other)
 
-    def __rmul__(self, other):
-        return self.scale(self.field.coerce(other))
-
-    def scale(self, scalar) -> "Mat":
-        s = self.field.coerce(scalar)
-        return Mat(self.field, tuple(tuple(s * a for a in row)
-                                     for row in self.entries), cols=self.cols)
+    __rmul__ = _Sparse.scale
 
     def apply(self, v: Vec) -> Vec:
         _check_same_field(self, v)
         if v.dim != self.cols:
             raise ShapeError(f"cannot apply {self.rows}x{self.cols} to dim {v.dim}")
-        zero = self.field.zero
-        out = [zero] * self.rows
-        for j, x in enumerate(v.entries):
-            if not x:
-                continue
-            for i, row in enumerate(self.entries):
-                a = row[j]
-                if a:
-                    out[i] = out[i] + a * x
+        out = [self.field.zero] * self.rows
+        x = v.entries
+        for (i, j), a in self.terms.items():
+            if x[j]:
+                out[i] = out[i] + a * x[j]
         return Vec(self.field, out)
 
     def __matmul__(self, other: "Mat") -> "Mat":
@@ -291,191 +397,60 @@ class Mat(_Immutable):
         if not isinstance(other, Mat):
             return NotImplemented
         _check_same_field(self, other)
-        zero = self.field.zero
-        r1, c1, r2, c2 = self.rows, self.cols, other.rows, other.cols
-        out = [[zero] * (c1 * c2) for _ in range(r1 * r2)]
-        for i1, row1 in enumerate(self.entries):
-            for j1, a in enumerate(row1):
-                if not a:
-                    continue
-                for i2, row2 in enumerate(other.entries):
-                    orow = out[i1 * r2 + i2]
-                    base = j1 * c2
-                    for j2, b in enumerate(row2):
-                        if b:
-                            orow[base + j2] = a * b
-        return Mat(self.field, out, cols=c1 * c2)
-
-    def __add__(self, other: "Mat") -> "Mat":
-        _check_same_field(self, other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeError("matrix shapes differ")
-        return Mat(self.field,
-                   tuple(tuple(a + b for a, b in zip(r1, r2))
-                         for r1, r2 in zip(self.entries, other.entries)),
-                   cols=self.cols)
-
-    def __sub__(self, other: "Mat") -> "Mat":
-        return self + (-other)
-
-    def __neg__(self) -> "Mat":
-        return Mat(self.field, tuple(tuple(-a for a in row)
-                                     for row in self.entries), cols=self.cols)
+        r2, c2 = other.dims
+        right = list(other.terms.items())
+        return Mat._trusted(self.field, (self.rows * r2, self.cols * c2), {
+            (i1 * r2 + i2, j1 * c2 + j2): a * b
+            for (i1, j1), a in self.terms.items() for (i2, j2), b in right})
 
     @property
     def T(self) -> "Mat":
-        return Mat(self.field, tuple(zip(*self.entries)) if self.entries
-                   else (), cols=self.rows)
-
-    def is_zero(self) -> bool:
-        return not any(any(row) for row in self.entries)
-
-    def __eq__(self, other):
-        if not isinstance(other, Mat):
-            return NotImplemented
-        return (self.field == other.field
-                and (self.rows, self.cols) == (other.rows, other.cols)
-                and self.entries == other.entries)
-
-    def __hash__(self):
-        return hash((self.field, self.cols, self.entries))
-
-    def __repr__(self):
-        return f"Mat({self.rows}x{self.cols} over {self.field!r})"
+        return Mat._trusted(self.field, (self.cols, self.rows),
+                            {(j, i): v for (i, j), v in self.terms.items()})
 
     def __str__(self):
         fmt = self.field.format
-        widths = [max((len(fmt(self.entries[i][j])) for i in range(self.rows)),
-                      default=1)
-                  for j in range(self.cols)]
-        lines = ["[" + "  ".join(fmt(a).rjust(w) for a, w in zip(row, widths)) + "]"
-                 for row in self.entries]
+        rows = [[fmt(a) for a in row] for row in self.entries]
+        widths = [max(map(len, col)) for col in zip(*rows)]
+        lines = ["[" + "  ".join(a.rjust(w) for a, w in zip(row, widths)) + "]"
+                 for row in rows]
         return "\n".join(lines) if lines else "[]"
 
 
-def flip_matrix(field, dim_a: int, dim_b: int) -> Mat:
-    """The permutation V_a ⊗ V_b → V_b ⊗ V_a, v⊗w ↦ w⊗v."""
-    zero, one = field.zero, field.one
-    n = dim_a * dim_b
-    out = [[zero] * n for _ in range(n)]
-    for i in range(dim_a):
-        for j in range(dim_b):
-            out[kron_index(j, i, dim_a)][kron_index(i, j, dim_b)] = one
-    return Mat(field, out, cols=n)
-
-
-class Tensor3(_Immutable):
-    """Immutable sparse rank-3 tensor of exact scalars.
+class Tensor3(_Sparse):
+    """Immutable sparse rank-3 tensor of exact scalars, keyed (i, j, k).
 
     Holds multiplication tables, e_i e_j = Σ_k t[i,j,k] e_k (dims (n,n,n)),
     comultiplication tables, Δ(e_i) = Σ_{j,k} t[i,j,k] e_j⊗e_k, and the
-    residuals of failed identities.  Only nonzero entries are stored.
+    residuals of failed identities.  `entries` is the storage mapping.
     """
 
-    __slots__ = ("field", "dims", "entries", "_fans")
-    _init_args = ("field", "dims", "entries")
+    __slots__ = ()
 
     def __init__(self, field, dims: tuple[int, int, int], entries):
-        a, b, c = dims
-        clean = {}
-        coerce = field.coerce
-        for (i, j, k), v in dict(entries).items():
-            if not (0 <= i < a and 0 <= j < b and 0 <= k < c):
-                raise ShapeError(f"index ({i},{j},{k}) out of range for {dims}")
-            v = coerce(v)
-            if v:
-                clean[(i, j, k)] = v
-        self._set_state(field, (a, b, c), clean)
+        if len(dims) != 3:
+            raise ShapeError(f"a Tensor3 has three dims, got {dims}")
+        self._validate(field, dims, entries)
 
-    def _set_state(self, field, dims: tuple, entries: dict):
-        set_ = object.__setattr__
-        set_(self, "field", field)
-        set_(self, "dims", dims)
-        set_(self, "entries", MappingProxyType(entries))
-        set_(self, "_fans", None)
-
-    @classmethod
-    def _trusted(cls, field, dims: tuple, entries: dict) -> "Tensor3":
-        """Internal: wrap {(i, j, k): nonzero field element} as is.
-
-        No key is range-checked and no scalar coerced; callers guarantee both.
-        """
-        t = object.__new__(cls)
-        t._set_state(field, tuple(dims), entries)
-        return t
+    @property
+    def entries(self):
+        return self.terms
 
     @classmethod
     def zero(cls, field, dims) -> "Tensor3":
         return cls(field, dims, {})
 
-    def __getitem__(self, ijk):
-        return self.entries.get(ijk, self.field.zero)
-
-    def items(self):
-        return sorted(self.entries.items())
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def __eq__(self, other):
-        if not isinstance(other, Tensor3):
-            return NotImplemented
-        return (self.field == other.field and self.dims == other.dims
-                and self.entries == other.entries)
-
-    def __hash__(self):
-        return hash((self.field, self.dims, tuple(self.items())))
-
-    def __repr__(self):
-        return f"Tensor3(dims={self.dims}, nnz={len(self.entries)})"
-
     def mul_matrix(self) -> Mat:
-        """The map V_a ⊗ V_b → V_c as a dense c × (a·b) matrix."""
+        """The map V_a ⊗ V_b → V_c as a c × (a·b) matrix."""
         a, b, c = self.dims
-        zero = self.field.zero
-        out = [[zero] * (a * b) for _ in range(c)]
-        for (i, j, k), v in self.entries.items():
-            out[k][kron_index(i, j, b)] = v
-        return Mat(self.field, out, cols=a * b)
+        return Mat._trusted(self.field, (c, a * b), {
+            (k, i * b + j): v for (i, j, k), v in self.terms.items()})
 
     def comul_matrix(self) -> Mat:
-        """The map V_a → V_b ⊗ V_c as a dense (b·c) × a matrix."""
+        """The map V_a → V_b ⊗ V_c as a (b·c) × a matrix."""
         a, b, c = self.dims
-        zero = self.field.zero
-        out = [[zero] * a for _ in range(b * c)]
-        for (i, j, k), v in self.entries.items():
-            out[kron_index(j, k, c)][i] = v
-        return Mat(self.field, out, cols=a)
-
-    def apply_mul(self, v: Vec, w: Vec) -> Vec:
-        """Σ v_i w_j t[i,j,·], the bilinear product of two vectors."""
-        a, b, c = self.dims
-        if v.dim != a or w.dim != b:
-            raise ShapeError(f"arguments ({v.dim},{w.dim}) do not fit dims {self.dims}")
-        _check_same_field(self, v)
-        _check_same_field(self, w)
-        zero = self.field.zero
-        out = [zero] * c
-        for (i, j, k), t in self.entries.items():
-            s = v.entries[i] * w.entries[j]
-            if s:
-                out[k] = out[k] + s * t
-        return Vec(self.field, out)
-
-    def apply_comul(self, v: Vec) -> Vec:
-        """Σ v_i t[i,·,·] as a flat vector in V_b ⊗ V_c."""
-        a, b, c = self.dims
-        if v.dim != a:
-            raise ShapeError(f"argument dim {v.dim} does not fit dims {self.dims}")
-        _check_same_field(self, v)
-        zero = self.field.zero
-        out = [zero] * (b * c)
-        for (i, j, k), t in self.entries.items():
-            s = v.entries[i]
-            if s:
-                f = kron_index(j, k, c)
-                out[f] = out[f] + s * t
-        return Vec(self.field, out)
+        return Mat._trusted(self.field, (b * c, a), {
+            (j * c + k, i): v for (i, j, k), v in self.terms.items()})
 
 
 def rref(mat: Mat) -> tuple[Mat, tuple[int, ...]]:
@@ -537,9 +512,3 @@ def nullspace(a: Mat) -> list[Vec]:
             v[c] = -red[r, free]
         basis.append(Vec(a.field, v))
     return basis
-
-
-def column_space_basis(a: Mat) -> list[Vec]:
-    """The pivot columns of A: a basis of its image."""
-    _, pivots = rref(a)
-    return [a.col(j) for j in pivots]

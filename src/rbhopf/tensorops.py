@@ -12,14 +12,14 @@ Structure constants are sparse, so a chain of rewrites stays sparse: the
 fan-out of each step is bounded by the nonzero count of the map applied.
 Every map, split and merge rewrite runs one kernel, `TermSum._rewrite`,
 which removes one or two factors and puts the map's output factors in
-their place.  It reads the map through `_reading`, the map's sparse
-fan-out, built once from the rows of a `Mat` or the entries of a `Tensor3`
-and cached in the map's `_fans` slot, so a step never scans the zero
-entries of a dense `Mat`.  The reading is indexed by the flat input index
-(i, or i·b + j for a pair of factors) and holds precomputed output index
-tuples.  It stores coefficients equal to 1 as the field's `one`, and the
-kernel skips the product when either factor is that object; equal values
-that are other objects are still multiplied, so the skip is only a shortcut.
+their place.  It reads the map through `_reading`, the map's fan-out,
+built by one loop over its nonzero entries (`Mat`, `Tensor3` and `TermSum`
+share one sparse storage, see `linalg`) and cached in the map's `_fans`
+slot.  The reading is indexed by the flat input index (i, or i·b + j for a
+pair of factors) and holds precomputed output index tuples.  It stores
+coefficients equal to 1 as the field's `one`, and the kernel skips the
+product when either factor is that object; equal values that are other
+objects are still multiplied, so the skip is only a shortcut.
 
 Rewrites address factors by position from the front, so a sum may carry
 extra trailing factors that no rewrite touches.  `basis_batches` uses them
@@ -43,17 +43,16 @@ their results through the internal `TermSum._trusted`, which wraps the dict
 as it is: keys come from valid keys and fan-outs, and values are nonzero.
 Over a field a product of nonzeros is nonzero, and fan-outs and terms hold
 no zeros, so a zero can only appear where two contributions are added.  The
-kernel, `__add__` and `__sub__` record the keys whose sum became zero and
-pass them to `_trusted`, which deletes those still zero; no result is
-re-scanned.  `permute`, `drop_at`, `insert_at`, `__neg__` and `scale` (by a
-nonzero scalar; by zero it gives the empty sum) add nothing, so their dicts
-are wrapped as they are.  Like `Mat`, a `TermSum` is immutable, and a copy
-of one is the object itself.
+kernel, like the storage's `+` and `-`, records the keys whose sum became
+zero and passes them to `_trusted`, which deletes those still zero; no
+result is re-scanned.  `permute`, `drop_at` and `insert_at` add nothing, so
+their dicts are wrapped as they are.
 
 `_matrix_of` turns a rewrite chain into the matrix of the linear map it
-computes: it runs the chain once on `tagged_basis` and reads each column off
-the tags.  Convolutions, projections, module maps and the counit and
-antipode of a tensor product are built this way.
+computes: it runs the chain once on `tagged_basis` and re-keys each output
+term to (row, column), the column named by its tags.  Convolutions,
+projections, module maps and the counit and antipode of a tensor product
+are built this way.
 """
 
 from __future__ import annotations
@@ -61,10 +60,10 @@ from __future__ import annotations
 from itertools import product
 from math import prod
 from operator import itemgetter
-from types import MappingProxyType
 
-from .errors import FieldMismatchError, ShapeError
-from .linalg import Mat, Tensor3, Vec, _Immutable, flatten_index
+from .errors import ShapeError
+from .linalg import (Mat, Tensor3, Vec, _check_same_field, _Sparse,
+                     flatten_index)
 
 
 def _reading(m, role: str, b: int = 0) -> tuple:
@@ -73,40 +72,40 @@ def _reading(m, role: str, b: int = 0) -> tuple:
     Both are indexed by the flat input index: column j of a `Mat`; i of a
     comultiplication `Tensor3` (role "first"); i·dims[1] + j of a
     multiplication `Tensor3` (role "pair").  fan[n] is the tuple of
-    (output index tuple, value) pairs of input n, and values equal to 1 are
-    stored as the field's `one`.  The output index tuple of row i of a `Mat`
-    is (i,) for role "map", divmod(i, b) for "split" and () for "form" (a
-    one-row bilinear form); of an entry (i, j, k) of a `Tensor3` it is
-    (j, k) for "first" and (k,) for "pair".  The monomial table holds the
-    single output of each input, and exists only when every input has
-    exactly one output with value `one`; otherwise it is None.
+    (output index tuple, value) pairs of input n, in the order of the
+    sorted keys, and values equal to 1 are stored as the field's `one`.
+    The output index tuple of an entry (i, j) of a `Mat` is (i,) for role
+    "map", divmod(i, b) for "split" and () for "form" (a one-row bilinear
+    form); of an entry (i, j, k) of a `Tensor3` it is (j, k) for "first"
+    and (k,) for "pair".  The monomial table holds the single output of
+    each input, and exists only when every input has exactly one output
+    with value `one`; otherwise it is None.
     """
-    fans = m._fans
+    fans = getattr(m, "_fans", None)
     if fans is None:
         fans = {}
         object.__setattr__(m, "_fans", fans)
     got = fans.get((role, b))
     if got is not None:
         return got
-    if role == "first":
-        cols = [[] for _ in range(m.dims[0])]
-        for (i, j, k), v in sorted(m.entries.items()):
-            cols[i].append(((j, k), v))
-    elif role == "pair":
+    if role == "pair":
         n = m.dims[1]
-        cols = [[] for _ in range(m.dims[0] * n)]
-        for (i, j, k), v in sorted(m.entries.items()):
-            cols[i * n + j].append(((k,), v))
+        inputs = m.dims[0] * n
+        split = lambda i, j, k: (i * n + j, (k,))
+    elif role == "first":
+        inputs = m.dims[0]
+        split = lambda i, j, k: (i, (j, k))
     else:
-        cols = [[] for _ in range(m.cols)]
-        for i, row in enumerate(m.entries):
-            out = (i,) if role == "map" else divmod(i, b) if role == "split" else ()
-            for j, v in enumerate(row):
-                if v:
-                    cols[j].append((out, v))
+        inputs = m.dims[1]
+        split = {"map": lambda i, j: (j, (i,)),
+                 "split": lambda i, j: (j, divmod(i, b)),
+                 "form": lambda i, j: (j, ())}[role]
     one = m.field.one
-    fan = tuple(tuple((out, one if v == one else v) for out, v in col)
-                for col in cols)
+    cols = [[] for _ in range(inputs)]
+    for key, v in sorted(m.terms.items()):
+        col, out = split(*key)
+        cols[col].append((out, one if v == one else v))
+    fan = tuple(map(tuple, cols))
     mono = None
     if all(len(col) == 1 and col[0][1] is one for col in fan):
         mono = tuple(col[0][0] for col in fan)
@@ -114,44 +113,13 @@ def _reading(m, role: str, b: int = 0) -> tuple:
     return got
 
 
-class TermSum(_Immutable):
+class TermSum(_Sparse):
     """A sparse element of V_{d1} ⊗ ... ⊗ V_{dk}, keyed by basis multi-index."""
 
-    __slots__ = ("field", "dims", "terms")
-    _init_args = ("field", "dims", "terms")
+    __slots__ = ()
 
     def __init__(self, field, dims, terms):
-        coerce = field.coerce
-        clean = {}
-        dims = tuple(dims)
-        for key, val in terms.items():
-            if len(key) != len(dims) or any(
-                    not 0 <= i < d for i, d in zip(key, dims)):
-                raise ShapeError(f"key {key} out of range for dims {dims}")
-            val = coerce(val)
-            if val:
-                clean[key] = val
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "terms", MappingProxyType(clean))
-
-    @classmethod
-    def _trusted(cls, field, dims: tuple, terms: dict,
-                 cancelled=()) -> "TermSum":
-        """Internal: wrap valid keys and nonzero field-element values as is.
-
-        `cancelled` lists the keys where an accumulation summed to zero (a
-        key may repeat, or have been filled again later); those still zero
-        are deleted from `terms`.  No other value is looked at.
-        """
-        for key in cancelled:
-            if key in terms and not terms[key]:
-                del terms[key]
-        t = object.__new__(cls)
-        object.__setattr__(t, "field", field)
-        object.__setattr__(t, "dims", dims)
-        object.__setattr__(t, "terms", MappingProxyType(terms))
-        return t
+        self._validate(field, dims, terms)
 
     @classmethod
     def basis(cls, field, dims, idx) -> "TermSum":
@@ -166,11 +134,6 @@ class TermSum(_Immutable):
         if not 0 <= pos < len(self.dims):
             raise ShapeError(f"factor {pos} out of range for shape {self.dims}")
         return self.dims[pos]
-
-    def _check_field(self, other):
-        if self.field is not other.field and self.field != other.field:
-            raise FieldMismatchError(
-                f"mixed fields {self.field!r} and {other.field!r}")
 
     def _rewrite(self, pos: int, width: int, out_dims: tuple, m, role: str,
                  b: int = 0) -> "TermSum":
@@ -221,7 +184,7 @@ class TermSum(_Immutable):
 
     def map_at(self, pos: int, m: Mat) -> "TermSum":
         """Apply a linear map to factor `pos`."""
-        self._check_field(m)
+        _check_same_field(self, m)
         if m.cols != self._factor_dim(pos):
             raise ShapeError(
                 f"map with {m.cols} columns applied to factor of dim {self.dims[pos]}")
@@ -229,7 +192,7 @@ class TermSum(_Immutable):
 
     def split_at(self, pos: int, comul: Tensor3) -> "TermSum":
         """Replace factor `pos` by two factors through a comultiplication."""
-        self._check_field(comul)
+        _check_same_field(self, comul)
         d, a, b = comul.dims
         if d != self._factor_dim(pos):
             raise ShapeError(
@@ -238,7 +201,7 @@ class TermSum(_Immutable):
 
     def split_map_at(self, pos: int, m: Mat, out_dims: tuple[int, int]) -> "TermSum":
         """Replace factor `pos` by two factors through a map V → A ⊗ B."""
-        self._check_field(m)
+        _check_same_field(self, m)
         a, b = out_dims
         if m.rows != a * b or m.cols != self._factor_dim(pos):
             raise ShapeError(
@@ -247,7 +210,7 @@ class TermSum(_Immutable):
 
     def merge_at(self, pos: int, mul: Tensor3) -> "TermSum":
         """Combine factors `pos`, `pos+1` through a multiplication."""
-        self._check_field(mul)
+        _check_same_field(self, mul)
         a, b, c = mul.dims
         if (a, b) != self._pair_dims(pos):
             raise ShapeError(
@@ -257,7 +220,7 @@ class TermSum(_Immutable):
 
     def merge_map_at(self, pos: int, m: Mat) -> "TermSum":
         """Combine factors `pos`, `pos+1` through a map A ⊗ B → V."""
-        self._check_field(m)
+        _check_same_field(self, m)
         a, b = self._pair_dims(pos)
         if m.cols != a * b:
             raise ShapeError(
@@ -266,7 +229,7 @@ class TermSum(_Immutable):
 
     def pair_at(self, pos: int, form: Mat) -> "TermSum":
         """Contract factors `pos`, `pos+1` through a bilinear form (1 × a·b)."""
-        self._check_field(form)
+        _check_same_field(self, form)
         a, b = self._pair_dims(pos)
         if form.rows != 1 or form.cols != a * b:
             raise ShapeError(
@@ -275,7 +238,7 @@ class TermSum(_Immutable):
 
     def insert_at(self, pos: int, vec: Vec) -> "TermSum":
         """Insert a fixed vector as a new factor at position `pos`."""
-        self._check_field(vec)
+        _check_same_field(self, vec)
         if not 0 <= pos <= len(self.dims):
             raise ShapeError(f"insert position {pos} out of range")
         fan = [(i, x) for i, x in enumerate(vec.entries) if x]
@@ -323,60 +286,6 @@ class TermSum(_Immutable):
                                 {pick(key) + key[k:]: v
                                  for key, v in self.terms.items()})
 
-    def scale(self, scalar) -> "TermSum":
-        s = self.field.coerce(scalar)
-        if not s:
-            return TermSum._trusted(self.field, self.dims, {})
-        return TermSum._trusted(self.field, self.dims,
-                                {k: s * v for k, v in self.terms.items()})
-
-    def _check_same_shape(self, other: "TermSum"):
-        self._check_field(other)
-        if self.dims != other.dims:
-            raise ShapeError(f"shapes {self.dims} and {other.dims} differ")
-
-    def __add__(self, other: "TermSum") -> "TermSum":
-        self._check_same_shape(other)
-        out = self.terms.copy()
-        get = out.get
-        cancelled = []
-        for k, v in other.terms.items():
-            prev = get(k)
-            if prev is None:
-                out[k] = v
-            else:
-                out[k] = v = prev + v
-                if not v:
-                    cancelled.append(k)
-        return TermSum._trusted(self.field, self.dims, out, cancelled)
-
-    def __sub__(self, other: "TermSum") -> "TermSum":
-        self._check_same_shape(other)
-        if self.terms == other.terms:
-            return TermSum._trusted(self.field, self.dims, {})
-        out = self.terms.copy()
-        get = out.get
-        cancelled = []
-        for k, v in other.terms.items():
-            prev = get(k)
-            if prev is None:
-                out[k] = -v
-            else:
-                out[k] = v = prev - v
-                if not v:
-                    cancelled.append(k)
-        return TermSum._trusted(self.field, self.dims, out, cancelled)
-
-    def __neg__(self) -> "TermSum":
-        return TermSum._trusted(self.field, self.dims,
-                                {k: -v for k, v in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def items(self):
-        return sorted(self.terms.items())
-
     def to_vec(self) -> Vec:
         """Flatten to a vector under the `kron_index` convention."""
         size = 1
@@ -386,15 +295,6 @@ class TermSum(_Immutable):
         for key, val in self.terms.items():
             out[flatten_index(key, self.dims)] = val
         return Vec(self.field, out)
-
-    def __eq__(self, other):
-        if not isinstance(other, TermSum):
-            return NotImplemented
-        return (self.field == other.field and self.dims == other.dims
-                and self.terms == other.terms)
-
-    def __repr__(self):
-        return f"TermSum(dims={self.dims}, nnz={len(self.terms)})"
 
 
 def basis_batches(field, dims, lead: int = 1):
@@ -430,13 +330,12 @@ def _matrix_of(field, in_dims: tuple[int, ...], image) -> Mat:
     """The matrix whose column for basis index `idx` of `in_dims` is image(e_idx).
 
     `image` runs once, on every basis input at once (`tagged_basis`); the
-    tags of an output term name its column.  The entries are field elements
-    already, so the rows are wrapped by `Mat._trusted` as they are.
+    tags of an output term name its column.  Each term is re-keyed to
+    (row, column) and the result wrapped by `Mat._trusted` as it is.
     """
     res = image(tagged_basis(field, in_dims))
     k = len(in_dims)
-    out_dims, cols = res.dims[:-k], prod(in_dims)
-    rows = [[field.zero] * cols for _ in range(prod(out_dims))]
-    for key, val in res.terms.items():
-        rows[flatten_index(key[:-k], out_dims)][flatten_index(key[-k:], in_dims)] = val
-    return Mat._trusted(field, tuple(map(tuple, rows)), cols)
+    out_dims = res.dims[:-k]
+    return Mat._trusted(field, (prod(out_dims), prod(in_dims)), {
+        (flatten_index(key[:-k], out_dims), flatten_index(key[-k:], in_dims)): v
+        for key, v in res.terms.items()})

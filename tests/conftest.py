@@ -3,7 +3,8 @@ from itertools import product
 
 import pytest
 
-from rbhopf import GF, QQ, Mat, TermSum, builtin
+from rbhopf import (GF, QQ, Mat, ShapeError, TermSum, Vec, builtin, kron_index,
+                    rref)
 from rbhopf import hopfmod, prelie, rb, structures, ydsmash
 from rbhopf.structures import AxiomVerdict, DefectReport
 
@@ -143,3 +144,40 @@ def dense_bialgebra_map_verdict(f, src, dst):
         if not v.passed:
             return v
     return AxiomVerdict(True)
+
+
+def flip_matrix(field, dim_a: int, dim_b: int) -> Mat:
+    """Test-only reference: the permutation V_a ⊗ V_b → V_b ⊗ V_a, v⊗w ↦ w⊗v."""
+    return Mat.from_terms(field, (dim_a * dim_b,) * 2, {
+        (kron_index(j, i, dim_a), kron_index(i, j, dim_b)): 1
+        for i in range(dim_a) for j in range(dim_b)})
+
+
+def column_space_basis(a: Mat) -> list:
+    """Test-only reference: the pivot columns of A, a basis of its image."""
+    _, pivots = rref(a)
+    return [a.col(j) for j in pivots]
+
+
+def apply_mul(t, v: Vec, w: Vec) -> Vec:
+    """Test-only reference: Σ v_i w_j t[i,j,·], the product of two vectors
+    through the structure constants of a `Tensor3`."""
+    a, b, c = t.dims
+    if v.dim != a or w.dim != b:
+        raise ShapeError(f"arguments ({v.dim},{w.dim}) do not fit dims {t.dims}")
+    out = [t.field.zero] * c
+    for (i, j, k), x in t.entries.items():
+        out[k] = out[k] + v[i] * w[j] * x
+    return Vec(t.field, out)
+
+
+def apply_comul(t, v: Vec) -> Vec:
+    """Test-only reference: Σ v_i t[i,·,·] as a flat vector in V_b ⊗ V_c."""
+    a, b, c = t.dims
+    if v.dim != a:
+        raise ShapeError(f"argument dim {v.dim} does not fit dims {t.dims}")
+    out = [t.field.zero] * (b * c)
+    for (i, j, k), x in t.entries.items():
+        f = kron_index(j, k, c)
+        out[f] = out[f] + v[i] * x
+    return Vec(t.field, out)

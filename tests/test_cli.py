@@ -3,7 +3,7 @@ import os
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
-from rbhopf import QQ, builtin, example54_p1, example54_q
+from rbhopf import QQ, Mat, builtin, example54_p1, example54_q
 from rbhopf import cli
 from rbhopf.cli import main
 from rbhopf.fileformat import load, save
@@ -147,6 +147,18 @@ def test_rb_check_identity_weight(tmp_path):
     code, out, _ = run("rb-check", "builtin:example54", "--side", "coalgebra",
                        "--operator", str(eye), "--weight", "0")
     assert code == 1
+
+
+def test_rb_check_on_algebra_file_without_products(tmp_path):
+    """A three-line algebra file has the zero multiplication, on which every
+    operator is Rota-Baxter."""
+    algebra = tmp_path / "zero.rbh"
+    algebra.write_text("rbhopf 1 algebra\nfield Q\ndim 2\n")
+    op = str(tmp_path / "p.rbh")
+    save(Mat(QQ, ((1, 2), (3, 4))), op)
+    code, out, _ = run("rb-check", str(algebra), "--side", "algebra",
+                       "--operator", op, "--weight", "1", "--report", "machine")
+    assert code == 0 and "check rb-algebra pass" in out
 
 
 def test_rb_check_arity_validation(tmp_path):
@@ -314,6 +326,56 @@ def test_verify_budget_edges_per_check(monkeypatch):
                                  (3, "antipode", 3)):
         monkeypatch.setattr(cli, "VERIFY_BUDGET", budget)
         assert run("verify", "builtin:sweedler4", "--checks", checks)[0] == code
+
+
+def test_verify_budget_bounds_module_checks(tmp_path):
+    """A one-dimensional module over a dim-3000 bialgebra: module
+    associativity alone is 3000² basis inputs, refused before it runs."""
+    (tmp_path / "big.rbh").write_text(
+        "rbhopf 1 bialgebra\nfield Q\ndim 3000\n"
+        "mul 0 0 0 1 1\ncomul 0 0 0 1 1\n")
+    path = tmp_path / "m.rbh"
+    path.write_text("rbhopf 1 module\nfield Q\nside right\nhopf big.rbh\n"
+                    "mdim 1\n")
+    start = time.perf_counter()
+    code, out, err = run("verify", str(path), "--report", "machine")
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert err == f"error: hopf-module needs 9000000 basis inputs, more than " \
+                  f"{cli.VERIFY_BUDGET}\n"
+
+
+def test_verify_budget_edges_per_named_check(tmp_path, monkeypatch):
+    from rbhopf import (adjoint_yd, coquasitriangular_form,
+                        hopf_module_from_projection, tensor_square_projection)
+    from rbhopf.fileformat import Comodule
+    c2 = builtin("group:C2")
+    ref = {"hopf": "builtin:group:C2"}
+    payloads = {
+        # m = 4 over h = 2: m·h² = 16, and m²·h = 32 for the module algebra.
+        "module": hopf_module_from_projection(tensor_square_projection(c2)),
+        "comodule": Comodule(c2, 2, c2.comul.comul_matrix(), "right"),
+        "yd": adjoint_yd(c2),
+        "sigma": coquasitriangular_form(
+            c2, {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): -1}),
+    }
+    paths = {kind: str(tmp_path / f"{kind}.rbh") for kind in payloads}
+    for kind, payload in payloads.items():
+        save(payload, paths[kind], kind=kind, refs=ref)
+    paths["prelie"] = str(tmp_path / "prelie.rbh")
+    (tmp_path / "prelie.rbh").write_text("rbhopf 1 prelie\nfield Q\ndim 3\n")
+    for kind, check, charge in (("module", "hopf-module", 16),
+                                ("module", "hopf-module-algebra", 32),
+                                ("module", "hopf-module-coalgebra", 16),
+                                ("comodule", "comodule", 2),
+                                ("yd", "yd-module", 8),
+                                ("yd", "yd-coalgebra", 8),
+                                ("sigma", "coquasitriangular", 8),
+                                ("prelie", "prelie", 3)):
+        for budget, code in ((charge, 0), (charge - 1, 3)):
+            monkeypatch.setattr(cli, "VERIFY_BUDGET", budget)
+            assert run("verify", paths[kind], "--checks", check)[0] == code, \
+                (check, budget)
 
 
 def test_search_rejects_rationals():

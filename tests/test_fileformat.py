@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rbhopf import (GF, QQ, FormatError, Mat, PreLieCoalgebra, Tensor3,
+from rbhopf import (GF, QQ, AlgebraicStructure, FormatError, Mat,
+                    PreLieCoalgebra, Tensor3,
                     adjoint_yd, builtin, coquasitriangular_form,
                     example54_q, regular_hopf_module, smash_hopf_module_left)
 from rbhopf.fileformat import (MAX_DENSE_ENTRIES, Comodule, Document, dumps,
@@ -28,6 +29,21 @@ def test_structure_round_trip_over_f5(name, tmp_path):
     path = tmp_path / "s.rbh"
     save(s, path)
     assert load(path).payload == s
+
+
+ZERO = Tensor3(QQ, (2, 2, 2), {})
+
+
+@pytest.mark.parametrize("maps", [
+    {"mul": ZERO}, {"comul": ZERO},
+    {"mul": ZERO, "comul": builtin("group:C2").comul}],
+    ids=["algebra", "coalgebra", "bialgebra"])
+def test_zero_structure_maps_round_trip(maps):
+    s = AlgebraicStructure(2, QQ, **maps)
+    text = dumps(s)
+    doc = loads(text)
+    assert doc.kind == s.kind and doc.payload == s
+    assert dumps(doc) == text
 
 
 def test_save_load_save_is_byte_identical(tmp_path):

@@ -39,7 +39,7 @@ def test_regular_projection_is_unit_counit(h4):
 
 
 def test_projection_image_basis_by_column_reduction(h4):
-    from rbhopf import column_space_basis
+    from conftest import column_space_basis
     hm = regular_hopf_module(h4)
     p = coinvariant_projection(hm)
     basis = column_space_basis(p)

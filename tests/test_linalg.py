@@ -5,18 +5,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rbhopf import (GF, QQ, FieldMismatchError, Mat, ShapeError, Tensor3,
-                    TermSum, Vec, builtin, builtin_names, column_space_basis,
-                    flip_matrix, kron_index, nullspace, regular_hopf_module,
-                    rref, solve_linear, unkron_index)
+                    TermSum, Vec, builtin, builtin_names, kron_index,
+                    nullspace, regular_hopf_module, rref, solve_linear)
 from rbhopf.tensorops import _reading
-from conftest import random_mat, random_sparse_mat
+from conftest import (apply_comul, apply_mul, column_space_basis, flip_matrix,
+                      random_mat, random_sparse_mat)
 
 
 def test_kron_index_values():
     assert kron_index(0, 0, 7) == 0
     assert kron_index(1, 2, 3) == 5
     assert kron_index(2, 0, 4) == 8
-    assert unkron_index(5, 3) == (1, 2)
     with pytest.raises(ShapeError):
         kron_index(0, 3, 3)
 
@@ -122,15 +121,15 @@ def test_flip_matrix_is_self_inverse():
 def test_tensor3_mul_apply_example54():
     e54 = builtin("example54")
     x, y, z = (Vec.basis(QQ, 3, i) for i in range(3))
-    assert e54.mul.apply_mul(y, z) == z
-    assert e54.mul.apply_mul(z, y).is_zero()
-    assert e54.mul.apply_mul(y, y) == y
+    assert apply_mul(e54.mul, y, z) == z
+    assert apply_mul(e54.mul, z, y).is_zero()
+    assert apply_mul(e54.mul, y, y) == y
 
 
 def test_tensor3_comul_apply_grouplike():
     g = builtin("grouplike:2")
     e0 = Vec.basis(QQ, 2, 0)
-    assert g.comul.apply_comul(e0) == e0.tensor(e0)
+    assert apply_comul(g.comul, e0) == e0.tensor(e0)
 
 
 @settings(max_examples=20)
@@ -142,11 +141,11 @@ def test_tensor3_bilinearity_probes(data):
     v = Vec(QQ, data.draw(st.lists(entries, min_size=3, max_size=3)))
     w = Vec(QQ, data.draw(st.lists(entries, min_size=3, max_size=3)))
     a = data.draw(entries)
-    lhs = e54.mul.apply_mul(u + w.scale(a), v)
-    rhs = e54.mul.apply_mul(u, v) + e54.mul.apply_mul(w, v).scale(a)
+    lhs = apply_mul(e54.mul, u + w.scale(a), v)
+    rhs = apply_mul(e54.mul, u, v) + apply_mul(e54.mul, w, v).scale(a)
     assert lhs == rhs
-    lhs = e54.mul.apply_mul(v, u + w.scale(a))
-    rhs = e54.mul.apply_mul(v, u) + e54.mul.apply_mul(v, w).scale(a)
+    lhs = apply_mul(e54.mul, v, u + w.scale(a))
+    rhs = apply_mul(e54.mul, v, u) + apply_mul(e54.mul, v, w).scale(a)
     assert lhs == rhs
 
 
@@ -155,10 +154,10 @@ def test_tensor3_matrices_agree_with_apply():
     for i in range(4):
         for j in range(4):
             ei, ej = Vec.basis(QQ, 4, i), Vec.basis(QQ, 4, j)
-            assert h4.mul.mul_matrix() * ei.tensor(ej) == h4.mul.apply_mul(ei, ej)
+            assert h4.mul.mul_matrix() * ei.tensor(ej) == apply_mul(h4.mul, ei, ej)
     for i in range(4):
         ei = Vec.basis(QQ, 4, i)
-        assert h4.comul.comul_matrix() * ei == h4.comul.apply_comul(ei)
+        assert h4.comul.comul_matrix() * ei == apply_comul(h4.comul, ei)
 
 
 def test_tensor3_rejects_bad_indices():
@@ -240,3 +239,26 @@ def test_deepcopy_of_builtins_and_a_hopf_module(name, field):
     if s.kind == "hopf":
         hm = regular_hopf_module(s)
         assert copy.deepcopy(hm) == hm
+
+
+def test_termsum_is_hashable_like_the_other_containers():
+    t = TermSum(QQ, (2,), {(0,): 1})
+    assert hash(t) == hash(TermSum(QQ, (2,), {(0,): Fraction(1)}))
+    assert {t: 1}[TermSum.basis(QQ, (2,), (0,))] == 1
+
+
+def test_empty_matrices_keep_their_shape():
+    t = Mat.zeros(QQ, 0, 3).T
+    assert (t.rows, t.cols) == (3, 0)
+    m = Mat.from_columns(QQ, [Vec(QQ, ()), Vec(QQ, ())])
+    assert (m.rows, m.cols) == (0, 2)
+
+
+def test_equality_holds_only_within_one_class():
+    terms = {(0, 1, 1): 1, (1, 0, 0): 2}
+    t3, ts = Tensor3(QQ, (2, 2, 2), terms), TermSum(QQ, (2, 2, 2), terms)
+    assert t3.terms == ts.terms and t3 != ts and ts != t3
+    m = Mat(QQ, ((0, 1), (2, 0)))
+    flat = TermSum(QQ, (2, 2), dict(m.terms))
+    assert m.terms == flat.terms and m != flat and flat != m
+    assert len({t3, ts, m, flat}) == 4

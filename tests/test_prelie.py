@@ -3,9 +3,10 @@ from itertools import product
 import pytest
 
 from rbhopf import (GF, QQ, AlgebraicStructure, Mat, PreconditionError,
-                    Tensor3, builtin, check_pre_lie, flip_matrix,
+                    Tensor3, builtin, check_pre_lie,
                     prelie_from_rb_minus1, prelie_from_rb_zero,
                     search_rb_operators, twisted_comul)
+from conftest import flip_matrix
 
 
 def pre_lie_matrix_oracle(comul: Tensor3) -> bool:

@@ -9,7 +9,7 @@ from rbhopf import (GF, QQ, AlgebraicStructure, Mat, ShapeError, Tensor3,
                     check_coassociativity, check_comodule, check_module,
                     check_unit_counit, counit_solutions, find_bialgebra_counit,
                     tensor_product)
-from conftest import HOPF_FIXTURES
+from conftest import HOPF_FIXTURES, apply_mul
 
 
 def test_all_builtins_pass_their_axioms():
@@ -248,7 +248,7 @@ def test_defect_reproduces_by_reevaluation():
     i, j, k = v.defect.witness[:3]
     mul = bad.mul
     e = [Vec.basis(QQ, 2, n) for n in range(2)]
-    lhs = mul.apply_mul(mul.apply_mul(e[i], e[j]), e[k])
-    rhs = mul.apply_mul(e[i], mul.apply_mul(e[j], e[k]))
+    lhs = apply_mul(mul, apply_mul(mul, e[i], e[j]), e[k])
+    rhs = apply_mul(mul, e[i], apply_mul(mul, e[j], e[k]))
     out = v.defect.witness[3]
     assert (lhs - rhs)[out] == v.defect.residual[v.defect.witness]
