@@ -24,15 +24,18 @@ Sections by kind:
                action r c v / coaction r c v
     sigma:     hopf REF / sigma i j v
 
-(`v` stands for `num den` over Q, one residue over F_p.)  Every map is
-held sparse (`linalg`), but a `Mat` is still shown, printed and row-reduced
-as dense rows, so a file may declare at most `MAX_DENSE_ENTRIES` entries
-for each matrix (operator, action, coaction, antipode, sigma); a larger
-declaration is a `FormatError` raised before any entry is read.  The
-tensor sections (mul, comul, ccomul) have no such bound.  A map the kind
-requires (mul for algebra, comul for coalgebra and prelie, both for
-bialgebra and hopf) whose section is empty is zero, so a zero
-multiplication or comultiplication round-trips.  REF is either
+(`v` stands for `num den` over Q, one residue over F_p.)  Every map and
+vector, the unit included, is held sparse (`linalg`), but a `Mat` is still
+shown, printed and row-reduced as dense rows, so a file may declare at most
+`MAX_DENSE_ENTRIES` entries for each matrix (operator, action, coaction,
+antipode, sigma); a larger declaration is a `FormatError` raised before any
+entry is read.  The tensor sections (mul, comul, ccomul) have no such
+bound.  A map the kind requires (mul for algebra, comul for coalgebra and
+prelie, both for bialgebra and hopf) whose section is empty is zero.  An
+optional map (unit, counit, antipode, a module's mul and comul, ccounit)
+that is present but zero is written as one bare key line, e.g. `unit`; a
+section made of that line alone loads as the zero map, and a bare line
+beside entries is a `FormatError`.  So zero maps round-trip.  REF is either
 `builtin:<name>`, instantiated over the document's field, or a path to a
 companion file, resolved relative to the referring file.  Saving writes
 sections in the order above with entries sorted by index, so canonical
@@ -153,7 +156,13 @@ class _Lines:
 
 
 def _entry_table(field, rows, n_indices, dims):
-    """Parse `i... scalar` rows into a {indices: scalar} dict."""
+    """Parse `i... scalar` rows into a {indices: scalar} dict.
+
+    A section that is one bare key line is a present zero map; a bare line
+    beside entries is an error.
+    """
+    if len(rows) == 1 and not rows[0][1]:
+        return {}
     width = _scalar_width(field)
     out = {}
     for lineno, tokens in rows:
@@ -305,8 +314,7 @@ def _load_structure_body(lines: _Lines, field, kind: str):
             raise FormatError(f"expected {dim} names", lineno)
     cube = (dim,) * 3
     build = {
-        "unit": (1, lambda t: Vec(field, (t.get((i,), field.zero)
-                                          for i in range(dim)))),
+        "unit": (1, lambda t: Vec.from_terms(field, (dim,), t)),
         "counit": (1, lambda t: _row_matrix(field, t, dim)),
         "mul": (3, lambda t: Tensor3(field, cube, t)),
         "comul": (3, lambda t: Tensor3(field, cube, t)),
@@ -377,6 +385,16 @@ def _entry_lines(key, field, items):
             for idx, v in items]
 
 
+def _optional_lines(key, field, m, index=tuple):
+    """The entry lines of an optional map `m`: none when it is absent, one
+    bare `key` line when it is zero.  `index` maps each key to the indices
+    written (a counit's (0, j) to (j,))."""
+    if m is None:
+        return []
+    items = ((index(k), v) for k, v in m.items())
+    return _entry_lines(key, field, items) or [key]
+
+
 def dumps(payload, kind: str | None = None, refs: dict | None = None) -> str:
     """Serialize a payload to canonical file text.
 
@@ -419,10 +437,8 @@ def dumps(payload, kind: str | None = None, refs: dict | None = None) -> str:
                  f"mdim {payload.m_dim}"]
         lines += _entry_lines("action", field, payload.action.items())
         lines += _entry_lines("coaction", field, payload.coaction.items())
-        if payload.mul is not None:
-            lines += _entry_lines("mul", field, payload.mul.items())
-        if payload.comul is not None:
-            lines += _entry_lines("comul", field, payload.comul.items())
+        lines += _optional_lines("mul", field, payload.mul)
+        lines += _optional_lines("comul", field, payload.comul)
         return "\n".join(lines) + "\n"
     from .ydsmash import CoquasitriangularForm, YDModuleCoalgebra
     if isinstance(payload, YDModuleCoalgebra):
@@ -431,9 +447,8 @@ def dumps(payload, kind: str | None = None, refs: dict | None = None) -> str:
         lines = [f"rbhopf {FORMAT_VERSION} yd", f"field {field.name}",
                  f"hopf {_require_ref(refs)}", f"cdim {cstr.dim}"]
         lines += _entry_lines("ccomul", field, cstr.comul.items())
-        if cstr.counit is not None:
-            lines += _entry_lines("ccounit", field, (
-                ((j,), v) for (_, j), v in cstr.counit.items()))
+        lines += _optional_lines("ccounit", field, cstr.counit,
+                                 lambda k: k[1:])
         lines += _entry_lines("action", field, payload.action.items())
         lines += _entry_lines("coaction", field, payload.coaction.items())
         return "\n".join(lines) + "\n"
@@ -464,18 +479,13 @@ def _dump_structure(s: AlgebraicStructure, kind: str) -> str:
              f"dim {s.dim}"]
     if s.names is not None:
         lines.append("names " + " ".join(s.names))
-    if s.unit is not None:
-        lines += _entry_lines("unit", field, (
-            ((i,), v) for i, v in enumerate(s.unit.entries) if v))
-    if s.counit is not None:
-        lines += _entry_lines("counit", field, (
-            ((j,), v) for (_, j), v in s.counit.items()))
+    lines += _optional_lines("unit", field, s.unit)
+    lines += _optional_lines("counit", field, s.counit, lambda k: k[1:])
     if s.mul is not None:
         lines += _entry_lines("mul", field, s.mul.items())
     if s.comul is not None:
         lines += _entry_lines("comul", field, s.comul.items())
-    if s.antipode is not None:
-        lines += _entry_lines("antipode", field, s.antipode.items())
+    lines += _optional_lines("antipode", field, s.antipode)
     return "\n".join(lines) + "\n"
 
 

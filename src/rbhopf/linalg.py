@@ -1,18 +1,19 @@
-"""Exact vectors, and one sparse storage for every map and tensor.
+"""Exact vectors, maps and tensors, all on one sparse storage.
 
 Tensor products follow one global basis convention: e_i ⊗ e_j of V ⊗ W sits
 at flat index i*dim(W) + j (left factor major).  `kron_index` is the only
 place this is spelled out; every other tensor computation goes through it.
 
-`Mat`, `Tensor3` and the rewrite engine's `tensorops.TermSum` share one
-storage, `_Sparse`: a field, a `dims` tuple and a read-only mapping `terms`
-from index tuples to nonzero entries.  A `Mat` is keyed (row, column), a
-`Tensor3` (i, j, k), a `TermSum` by one index per tensor factor.  Entry
-validation, the trusted constructor, equality (only within one class),
-hashing, `items`, `is_zero` and elementwise `+`, `-`, negation and `scale`
-are written once, there.  No map is stored densely: `Mat.entries` is a
-dense-rows view built on access, for row reduction, printing and callers
-that want rows.
+Every container, `Vec`, `Mat`, `Tensor3` and the rewrite engine's
+`tensorops.TermSum`, is a `_Sparse`: a field, a `dims` tuple and a
+read-only mapping `terms` from index tuples to nonzero entries.  A `Vec` is
+keyed (i,), a `Mat` (row, column), a `Tensor3` (i, j, k), a `TermSum` by one
+index per tensor factor.  Entry validation, the trusted constructor,
+equality (only within one class), hashing, pickling, immutability, `items`,
+`is_zero` and elementwise `+`, `-`, negation and `scale` are written once,
+there.  Nothing is stored densely: `Vec.entries` is a dense tuple and
+`Mat.entries` dense rows, each built on access, for row reduction,
+printing and callers that want them.
 
 On `Mat`, `*` is composition (matrix product) and `@` is the Kronecker
 product, so (f⊗g)∘(h⊗k) = (f∘h)⊗(g∘k) reads (f @ g) * (h @ k) == (f * h) @ (g * k).
@@ -29,6 +30,7 @@ both.
 
 from __future__ import annotations
 
+from operator import index
 from types import MappingProxyType
 
 from .errors import FieldMismatchError, ShapeError
@@ -56,10 +58,16 @@ def _check_same_field(a, b):
         raise FieldMismatchError(f"mixed fields {a.field!r} and {b.field!r}")
 
 
-class _Immutable:
-    """Refuses attribute assignment; a copy is the object itself."""
+class _Sparse:
+    """The storage of `Vec`, `Mat`, `Tensor3` and `TermSum`.
 
-    __slots__ = ()
+    `field`, `dims` (one size per index), and `terms`, a read-only mapping
+    from index tuples to the nonzero entries.  `_fans` is unset until the
+    rewrite engine caches a reading of the object there.  Attributes cannot
+    be assigned, and a copy is the object itself.
+    """
+
+    __slots__ = ("field", "dims", "terms", "_fans")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -69,98 +77,6 @@ class _Immutable:
 
     def __deepcopy__(self, memo):
         return self
-
-
-class Vec(_Immutable):
-    """Immutable vector of exact scalars over one field."""
-
-    __slots__ = ("field", "entries")
-
-    def __init__(self, field, entries):
-        coerce = field.coerce
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "entries", tuple(coerce(x) for x in entries))
-
-    def __reduce__(self):
-        return Vec, (self.field, self.entries)
-
-    @classmethod
-    def zero(cls, field, dim: int) -> "Vec":
-        return cls(field, (field.zero,) * dim)
-
-    @classmethod
-    def basis(cls, field, dim: int, i: int) -> "Vec":
-        if not 0 <= i < dim:
-            raise ShapeError(f"basis index {i} out of range for dim {dim}")
-        return cls(field, tuple(field.one if j == i else field.zero
-                                for j in range(dim)))
-
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __getitem__(self, i):
-        return self.entries[i]
-
-    def __add__(self, other: "Vec") -> "Vec":
-        _check_same_field(self, other)
-        if len(other) != len(self):
-            raise ShapeError(f"vector dims {len(self)} vs {len(other)}")
-        return Vec(self.field, (a + b for a, b in zip(self.entries, other.entries)))
-
-    def __sub__(self, other: "Vec") -> "Vec":
-        return self + (-other)
-
-    def __neg__(self) -> "Vec":
-        return Vec(self.field, (-a for a in self.entries))
-
-    def scale(self, scalar) -> "Vec":
-        s = self.field.coerce(scalar)
-        return Vec(self.field, (s * a for a in self.entries))
-
-    __rmul__ = scale
-
-    def tensor(self, other: "Vec") -> "Vec":
-        """v ⊗ w as a flat vector under the `kron_index` convention."""
-        _check_same_field(self, other)
-        return Vec(self.field, (a * b for a in self.entries for b in other.entries))
-
-    def is_zero(self) -> bool:
-        return not any(self.entries)
-
-    def as_column(self) -> "Mat":
-        return Mat(self.field, tuple((a,) for a in self.entries))
-
-    def as_row(self) -> "Mat":
-        return Mat(self.field, (self.entries,))
-
-    def __eq__(self, other):
-        if not isinstance(other, Vec):
-            return NotImplemented
-        return self.field == other.field and self.entries == other.entries
-
-    def __hash__(self):
-        return hash((self.field, self.entries))
-
-    def __repr__(self):
-        return f"Vec({self.field!r}, [{', '.join(map(str, self.entries))}])"
-
-
-class _Sparse(_Immutable):
-    """The storage of `Mat`, `Tensor3` and `TermSum`.
-
-    `field`, `dims` (one size per index), and `terms`, a read-only mapping
-    from index tuples to the nonzero entries.  `_fans` is unset until the
-    rewrite engine caches a reading of the object there.
-    """
-
-    __slots__ = ("field", "dims", "terms", "_fans")
 
     def _validate(self, field, dims, terms):
         """Set the state from a mapping, checking every key against `dims`
@@ -282,6 +198,70 @@ class _Sparse(_Immutable):
         return self._trusted(self.field, self.dims,
                              {k: s * v for k, v in self.terms.items()})
 
+    __rmul__ = scale
+
+
+class Vec(_Sparse):
+    """Immutable vector of exact scalars, keyed (i,).
+
+    `entries` is the dense tuple, built from `terms` on each access;
+    iteration goes through it, and `v[i]` takes int indices, negative ones
+    too.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, field, entries):
+        terms = {(i,): x for i, x in enumerate(entries)}
+        self._validate(field, (len(terms),), terms)
+
+    @classmethod
+    def zero(cls, field, dim: int) -> "Vec":
+        return cls._trusted(field, (dim,), {})
+
+    @classmethod
+    def basis(cls, field, dim: int, i: int) -> "Vec":
+        if not 0 <= i < dim:
+            raise ShapeError(f"basis index {i} out of range for dim {dim}")
+        return cls._trusted(field, (dim,), {(i,): field.one})
+
+    @property
+    def dim(self) -> int:
+        return self.dims[0]
+
+    @property
+    def entries(self) -> tuple:
+        out = [self.field.zero] * self.dim
+        for (i,), v in self.terms.items():
+            out[i] = v
+        return tuple(out)
+
+    def __len__(self):
+        return self.dim
+
+    def __iter__(self):
+        return iter(self.entries)
+
+    def __getitem__(self, i):
+        return self.terms.get((range(self.dim)[index(i)],), self.field.zero)
+
+    def tensor(self, other: "Vec") -> "Vec":
+        """v ⊗ w as a flat vector under the `kron_index` convention."""
+        _check_same_field(self, other)
+        n = other.dim
+        right = other.terms.items()
+        return Vec._trusted(self.field, (self.dim * n,), {
+            (i * n + j,): a * b for (i,), a in self.terms.items()
+            for (j,), b in right})
+
+    def as_column(self) -> "Mat":
+        return Mat._trusted(self.field, (self.dim, 1),
+                            {(i, 0): v for (i,), v in self.terms.items()})
+
+    def as_row(self) -> "Mat":
+        return Mat._trusted(self.field, (1, self.dim),
+                            {(0, i): v for (i,), v in self.terms.items()})
+
 
 class Mat(_Sparse):
     """Immutable matrix of exact scalars, keyed (row, column).
@@ -349,7 +329,9 @@ class Mat(_Sparse):
                                for i, x in enumerate(c)})
 
     def col(self, j: int) -> Vec:
-        return Vec(self.field, (self[i, j] for i in range(self.rows)))
+        get = self.terms.get
+        return Vec._trusted(self.field, (self.rows,), {
+            (i,): v for i in range(self.rows) if (v := get((i, j)))})
 
     def __mul__(self, other):
         if isinstance(other, Mat):
@@ -379,18 +361,11 @@ class Mat(_Sparse):
             return self.apply(other)
         return self.scale(other)
 
-    __rmul__ = _Sparse.scale
-
     def apply(self, v: Vec) -> Vec:
         _check_same_field(self, v)
         if v.dim != self.cols:
             raise ShapeError(f"cannot apply {self.rows}x{self.cols} to dim {v.dim}")
-        out = [self.field.zero] * self.rows
-        x = v.entries
-        for (i, j), a in self.terms.items():
-            if x[j]:
-                out[i] = out[i] + a * x[j]
-        return Vec(self.field, out)
+        return (self * v.as_column()).col(0)
 
     def __matmul__(self, other: "Mat") -> "Mat":
         """Kronecker product, consistent with `kron_index`."""

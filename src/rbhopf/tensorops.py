@@ -13,8 +13,8 @@ fan-out of each step is bounded by the nonzero count of the map applied.
 Every map, split and merge rewrite runs one kernel, `TermSum._rewrite`,
 which removes one or two factors and puts the map's output factors in
 their place.  It reads the map through `_reading`, the map's fan-out,
-built by one loop over its nonzero entries (`Mat`, `Tensor3` and `TermSum`
-share one sparse storage, see `linalg`) and cached in the map's `_fans`
+built by one loop over its nonzero entries (every container shares one
+sparse storage, see `linalg`) and cached in the map's `_fans`
 slot.  The reading is indexed by the flat input index (i, or i·b + j for a
 pair of factors) and holds precomputed output index tuples.  It stores
 coefficients equal to 1 as the field's `one`, and the kernel skips the
@@ -127,8 +127,7 @@ class TermSum(_Sparse):
 
     @classmethod
     def from_vec(cls, vec: Vec) -> "TermSum":
-        return cls(vec.field, (vec.dim,),
-                   {(i,): v for i, v in enumerate(vec.entries) if v})
+        return cls._trusted(vec.field, vec.dims, dict(vec.terms))
 
     def _factor_dim(self, pos: int) -> int:
         if not 0 <= pos < len(self.dims):
@@ -241,12 +240,12 @@ class TermSum(_Sparse):
         _check_same_field(self, vec)
         if not 0 <= pos <= len(self.dims):
             raise ShapeError(f"insert position {pos} out of range")
-        fan = [(i, x) for i, x in enumerate(vec.entries) if x]
+        fan = list(vec.terms.items())
         out: dict = {}
         for key, val in self.terms.items():
             head, tail = key[:pos], key[pos:]
             for i, x in fan:
-                out[head + (i,) + tail] = x * val
+                out[head + i + tail] = x * val
         dims = self.dims[:pos] + (vec.dim,) + self.dims[pos:]
         return TermSum._trusted(self.field, dims, out)
 
@@ -288,13 +287,9 @@ class TermSum(_Sparse):
 
     def to_vec(self) -> Vec:
         """Flatten to a vector under the `kron_index` convention."""
-        size = 1
-        for d in self.dims:
-            size *= d
-        out = [self.field.zero] * size
-        for key, val in self.terms.items():
-            out[flatten_index(key, self.dims)] = val
-        return Vec(self.field, out)
+        dims = self.dims
+        return Vec._trusted(self.field, (prod(dims),), {
+            (flatten_index(key, dims),): v for key, v in self.terms.items()})
 
 
 def basis_batches(field, dims, lead: int = 1):

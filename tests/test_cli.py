@@ -291,6 +291,17 @@ def test_verify_budget_bounds_hostile_structure(tmp_path):
     assert err.count("\n") == 1
 
 
+def test_verify_huge_dim_unit_is_stored_sparse(tmp_path):
+    """The unit of a five-line file of dim 3,000,000 loads as one entry, and
+    verify refuses the structure by its budget."""
+    path = tmp_path / "unit.rbh"
+    path.write_text("rbhopf 1 algebra\nfield Q\ndim 3000000\nunit 0 1 1\n"
+                    "mul 0 0 0 1 1\n")
+    assert len(load(str(path)).payload.unit.terms) == 1
+    code, out, _ = run("verify", str(path), "--report", "machine")
+    assert code == 3 and out == ""
+
+
 def test_verify_budget_boundary_dimension(tmp_path):
     # dim 99 charges 99³ triples plus 19,208 closure inputs, dim 100 charges
     # 100³ plus its closure.

@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rbhopf import (GF, QQ, AlgebraicStructure, FormatError, Mat,
-                    PreLieCoalgebra, Tensor3,
+from rbhopf import (GF, QQ, AlgebraicStructure, FormatError, HopfModule, Mat,
+                    PreLieCoalgebra, Tensor3, Vec, YDModuleCoalgebra,
                     adjoint_yd, builtin, coquasitriangular_form,
                     example54_q, regular_hopf_module, smash_hopf_module_left)
 from rbhopf.fileformat import (MAX_DENSE_ENTRIES, Comodule, Document, dumps,
@@ -44,6 +44,50 @@ def test_zero_structure_maps_round_trip(maps):
     doc = loads(text)
     assert doc.kind == s.kind and doc.payload == s
     assert dumps(doc) == text
+
+
+def _zero_optional_maps():
+    """(payload, refs, section) for each optional map that can be zero."""
+    c2 = builtin("group:C2")
+    unit, counit = Vec.zero(QQ, 2), Mat.zeros(QQ, 1, 2)
+    hm = regular_hopf_module(c2)
+    module = {"action": hm.action, "coaction": hm.coaction, "side": hm.side}
+    yd = adjoint_yd(c2)
+    ref = {"hopf": "builtin:group:C2"}
+    return [
+        (AlgebraicStructure(2, QQ, mul=c2.mul, unit=unit), {}, "unit"),
+        (AlgebraicStructure(2, QQ, comul=c2.comul, counit=counit), {},
+         "counit"),
+        (AlgebraicStructure(2, QQ, mul=c2.mul, comul=c2.comul, unit=c2.unit,
+                            counit=c2.counit, antipode=Mat.zeros(QQ, 2, 2)),
+         {}, "antipode"),
+        (HopfModule(c2, 2, mul=ZERO, **module), ref, "mul"),
+        (HopfModule(c2, 2, comul=ZERO, **module), ref, "comul"),
+        (YDModuleCoalgebra(c2, AlgebraicStructure(2, QQ, comul=c2.comul,
+                                                  counit=counit),
+                           yd.action, yd.coaction), ref, "ccounit")]
+
+
+# One valid entry line per section: 1, 2 or 3 indices and the scalar 1.
+_ENTRY = {"unit": "unit 1 1 1", "counit": "counit 1 1 1",
+          "ccounit": "ccounit 1 1 1", "antipode": "antipode 1 1 1 1",
+          "mul": "mul 1 1 1 1 1", "comul": "comul 1 1 1 1 1"}
+
+
+@pytest.mark.parametrize("payload,refs,section", _zero_optional_maps(),
+                         ids=["unit", "counit", "antipode", "module-mul",
+                              "module-comul", "ccounit"])
+def test_zero_optional_maps_round_trip_as_a_bare_line(payload, refs, section):
+    text = dumps(payload, refs=refs)
+    bare = f"\n{section}\n"
+    assert bare in text
+    doc = loads(text)
+    assert doc.payload == payload
+    assert dumps(doc) == text
+    entry = f"\n{_ENTRY[section]}\n"
+    assert loads(text.replace(bare, entry)).payload != payload
+    with pytest.raises(FormatError, match="indices and a scalar"):
+        loads(text.replace(bare, bare + entry[1:]))
 
 
 def test_save_load_save_is_byte_identical(tmp_path):

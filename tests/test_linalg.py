@@ -93,6 +93,10 @@ def test_matrix_vector_apply_and_tensor():
     assert m * v == Vec(QQ, (3, 1))
     w = Vec(QQ, (2, 0))
     assert v.tensor(w) == Vec(QQ, (2, 0, 2, 0))
+    assert w[-1] == 0 and w[-2] == 2 and w.terms == {(0,): 2}
+    assert Vec.zero(QQ, 5).terms == {} and len(Vec.zero(QQ, 5)) == 5
+    with pytest.raises(IndexError):
+        w[2]
 
 
 def test_field_mixing_rejected():
@@ -224,7 +228,8 @@ def test_storage_is_read_only_so_fan_outs_stay_valid():
 
 def test_copies_are_the_object_itself():
     h4 = builtin("sweedler4")
-    for obj in (h4.unit, h4.antipode, h4.mul, TermSum.basis(QQ, (2,), (1,))):
+    for obj in (h4.unit, Vec.zero(QQ, 3), h4.antipode, h4.mul,
+                TermSum.basis(QQ, (2,), (1,))):
         assert copy.copy(obj) is obj
         assert copy.deepcopy(obj) is obj
 
@@ -245,6 +250,11 @@ def test_termsum_is_hashable_like_the_other_containers():
     t = TermSum(QQ, (2,), {(0,): 1})
     assert hash(t) == hash(TermSum(QQ, (2,), {(0,): Fraction(1)}))
     assert {t: 1}[TermSum.basis(QQ, (2,), (0,))] == 1
+    f5 = GF(5)
+    v = Vec(f5, (1, 7, 0))
+    residues = Vec(f5, (f5.from_int(1), f5.from_int(2), f5.zero))
+    assert v == residues and hash(v) == hash(residues)
+    assert v.terms == {(0,): f5.one, (1,): f5.from_int(2)}
 
 
 def test_empty_matrices_keep_their_shape():
@@ -262,3 +272,8 @@ def test_equality_holds_only_within_one_class():
     flat = TermSum(QQ, (2, 2), dict(m.terms))
     assert m.terms == flat.terms and m != flat and flat != m
     assert len({t3, ts, m, flat}) == 4
+    v = Vec(QQ, (0, 3))
+    ts1, col = TermSum.from_vec(v), v.as_column()
+    assert v.terms == ts1.terms and v != ts1 and ts1 != v
+    assert v.dims == ts1.dims and v != col and col != v
+    assert len({v, ts1, col}) == 3

@@ -34,7 +34,8 @@ def test_builtins_pickle_round_trip(name, field):
 
 def test_containers_pickle_through_their_constructors():
     f5 = GF(5)
-    for obj in (Vec(f5, (1, 2)), Mat.identity(QQ, 2), Mat(QQ, (), cols=3),
+    for obj in (Vec(f5, (1, 2)), Vec.zero(QQ, 3), Vec(QQ, ()),
+                Mat.identity(QQ, 2), Mat(QQ, (), cols=3),
                 Tensor3(f5, (1, 2, 2), {(0, 1, 1): 3}),
                 TermSum(QQ, (2, 3), {(1, 2): Fraction(1, 2)})):
         back = pickle.loads(pickle.dumps(obj))
