@@ -24,8 +24,7 @@ _EXPORTS = {
     "errors": ("BudgetExceededError", "FieldMismatchError", "FormatError",
                "PreconditionError", "ShapeError"),
     "fields": ("GF", "QQ", "Fp", "PrimeField", "Rationals", "field_from_name"),
-    "linalg": ("Mat", "Tensor3", "Vec", "kron_index", "nullspace", "rref",
-               "solve_linear"),
+    "linalg": ("Mat", "Tensor3", "Vec", "kron_index"),
     "tensorops": ("TermSum",),
     "structures": ("AlgebraicStructure", "AxiomVerdict", "DefectReport",
                    "builtin", "builtin_names", "check_antipode",

@@ -26,7 +26,7 @@ Sections by kind:
 
 (`v` stands for `num den` over Q, one residue over F_p.)  Every map and
 vector, the unit included, is held sparse (`linalg`), but a `Mat` is still
-shown, printed and row-reduced as dense rows, so a file may declare at most
+shown and printed as dense rows, so a file may declare at most
 `MAX_DENSE_ENTRIES` entries for each matrix (operator, action, coaction,
 antipode, sigma); a larger declaration is a `FormatError` raised before any
 entry is read.  The tensor sections (mul, comul, ccomul) have no such

@@ -12,8 +12,9 @@ index per tensor factor.  Entry validation, the trusted constructor,
 equality (only within one class), hashing, pickling, immutability, `items`,
 `is_zero` and elementwise `+`, `-`, negation and `scale` are written once,
 there.  Nothing is stored densely: `Vec.entries` is a dense tuple and
-`Mat.entries` dense rows, each built on access, for row reduction,
-printing and callers that want them.
+`Mat.entries` dense rows, each built on access, for printing and callers
+that want them.  Exact elimination is `_Echelon`, a sparse echelon basis of
+dict vectors.
 
 On `Mat`, `*` is composition (matrix product) and `@` is the Kronecker
 product, so (f⊗g)∘(h⊗k) = (f∘h)⊗(g∘k) reads (f @ g) * (h @ k) == (f * h) @ (g * k).
@@ -82,6 +83,8 @@ class _Sparse:
         """Set the state from a mapping, checking every key against `dims`
         and coercing every value; zero values are dropped."""
         dims = tuple(dims)
+        if any(d < 0 for d in dims):
+            raise ShapeError(f"negative dimension in {dims}")
         ranges = tuple(map(range, dims))
         coerce = field.coerce
         clean = {}
@@ -274,13 +277,11 @@ class Mat(_Sparse):
 
     def __init__(self, field, rows_of_entries, cols: int | None = None):
         rows = tuple(map(tuple, rows_of_entries))
-        if rows:
-            ncols = len(rows[0])
-            if any(len(r) != ncols for r in rows):
-                raise ShapeError("ragged rows in matrix")
-        else:
-            ncols = 0 if cols is None else cols
-        self._validate(field, (len(rows), ncols),
+        if cols is None:
+            cols = len(rows[0]) if rows else 0
+        if any(len(r) != cols for r in rows):
+            raise ShapeError(f"matrix rows must all have {cols} entries")
+        self._validate(field, (len(rows), cols),
                        {(i, j): x for i, row in enumerate(rows)
                         for j, x in enumerate(row)})
 
@@ -314,19 +315,6 @@ class Mat(_Sparse):
         return cls.from_terms(field, (rows, cols),
                               {(i, j): fn(i, j) for i in range(rows)
                                for j in range(cols)})
-
-    @classmethod
-    def from_columns(cls, field, columns, rows: int | None = None) -> "Mat":
-        columns = list(columns)
-        if rows is None:
-            if not columns:
-                raise ShapeError("cannot infer row count of empty matrix")
-            rows = len(columns[0])
-        if any(len(c) != rows for c in columns):
-            raise ShapeError("ragged columns in matrix")
-        return cls.from_terms(field, (rows, len(columns)),
-                              {(i, j): x for j, c in enumerate(columns)
-                               for i, x in enumerate(c)})
 
     def col(self, j: int) -> Vec:
         get = self.terms.get
@@ -378,11 +366,6 @@ class Mat(_Sparse):
             (i1 * r2 + i2, j1 * c2 + j2): a * b
             for (i1, j1), a in self.terms.items() for (i2, j2), b in right})
 
-    @property
-    def T(self) -> "Mat":
-        return Mat._trusted(self.field, (self.cols, self.rows),
-                            {(j, i): v for (i, j), v in self.terms.items()})
-
     def __str__(self):
         fmt = self.field.format
         rows = [[fmt(a) for a in row] for row in self.entries]
@@ -428,62 +411,72 @@ class Tensor3(_Sparse):
             (j * c + k, i): v for (i, j, k), v in self.terms.items()})
 
 
-def rref(mat: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form and pivot columns, over the exact field."""
-    rows = [list(r) for r in mat.entries]
-    nrows, ncols = mat.rows, mat.cols
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return Mat(mat.field, rows, cols=ncols), tuple(pivots)
+class _Echelon:
+    """The one exact Gaussian elimination: a sparse echelon basis.
 
-
-def solve_linear(a: Mat, b: Vec) -> Vec | None:
-    """One exact solution of A x = b, or None if the system is inconsistent.
-
-    Free variables are set to zero.
+    Vectors are dicts {index: nonzero coefficient}.  `rows` maps each pivot,
+    the smallest index of a stored vector, to that vector, whose pivot
+    coefficient is 1; no two stored vectors share a pivot, so the pivots are
+    the leading indices of the span.
     """
-    _check_same_field(a, b)
-    if b.dim != a.rows:
-        raise ShapeError("right-hand side does not match row count")
-    aug = Mat(a.field, tuple(row + (b[i],) for i, row in enumerate(a.entries)),
-              cols=a.cols + 1)
-    red, pivots = rref(aug)
-    if a.cols in pivots:
+
+    __slots__ = ("zero", "one", "rows")
+
+    def __init__(self, field):
+        self.zero, self.one = field.zero, field.one
+        self.rows: dict = {}
+
+    def _subtract(self, v: dict, c, row: dict):
+        """v -= c·row, in place, dropping the entries that become zero."""
+        zero = self.zero
+        for k, x in row.items():
+            y = v.get(k, zero) - c * x
+            if y:
+                v[k] = y
+            else:
+                del v[k]
+
+    def reduce(self, v: dict):
+        """Eliminate v's leading index while it is a pivot, in place; the
+        rest of v when it leaves the span's pivots, None when v is in it."""
+        rows = self.rows
+        while v:
+            p = min(v)
+            row = rows.get(p)
+            if row is None:
+                return v
+            self._subtract(v, v[p], row)
         return None
-    zero = a.field.zero
-    x = [zero] * a.cols
-    for r, c in enumerate(pivots):
-        x[c] = red[r, a.cols]
-    return Vec(a.field, x)
 
+    def add(self, v: dict):
+        """Store a reduced nonzero v under its leading index, scaled to 1."""
+        p = min(v)
+        c = v[p]
+        if c != self.one:
+            v = {k: x / c for k, x in v.items()}
+        self.rows[p] = v
 
-def nullspace(a: Mat) -> list[Vec]:
-    """Basis of the exact kernel of A, one vector per free column."""
-    red, pivots = rref(a)
-    pivot_set = set(pivots)
-    zero, one = a.field.zero, a.field.one
-    basis = []
-    for free in range(a.cols):
-        if free in pivot_set:
-            continue
-        v = [zero] * a.cols
-        v[free] = one
-        for r, c in enumerate(pivots):
-            v[c] = -red[r, free]
-        basis.append(Vec(a.field, v))
-    return basis
+    def solve(self, n: int):
+        """Read the stored rows as equations in unknowns 0..n-1 with the
+        right-hand side at index n.
+
+        Back-substitutes the rows into reduced echelon form, then returns
+        the solution whose free unknowns are 0 (None when n is a pivot,
+        that is when the system is inconsistent) and one kernel vector per
+        free unknown f: 1 at f, minus each pivot row's coefficient of f at
+        that row's pivot.  Given the pivots both are unique, so they are
+        what dense reduced row echelon form gives.
+        """
+        rows = self.rows
+        for p in sorted(rows, reverse=True):
+            row = rows[p]
+            for q in [k for k in row if k != p and k in rows]:
+                self._subtract(row, row[q], rows[q])
+        particular = None if n in rows else {
+            p: row[n] for p, row in rows.items() if n in row}
+        kernel = {f: {f: self.one} for f in range(n) if f not in rows}
+        for p, row in rows.items():
+            for f, x in row.items():
+                if f in kernel:
+                    kernel[f][p] = -x
+        return particular, list(kernel.values())

@@ -14,11 +14,11 @@ coalgebras, and a 3-dimensional bialgebra with a unit but no counit.
 
 from __future__ import annotations
 
-from itertools import permutations, product
+from itertools import islice, permutations
 
 from .errors import BudgetExceededError, ShapeError
 from .fields import QQ
-from .linalg import Mat, Tensor3, Vec, nullspace, solve_linear
+from .linalg import Mat, Tensor3, Vec, _Echelon
 from .record import Record
 from .tensorops import TermSum, _matrix_of, basis_batches
 
@@ -182,42 +182,17 @@ def _generators(s: AlgebraicStructure, charge=lambda count: None) -> list[int]:
     in U, and U is then closed again under products with G.  Each closure
     round computes the products of every pending (u, g) pair with one
     `merge_at` per side, the pairs told apart by a tag factor, and reduces
-    them against U, kept as a sparse echelon basis keyed by pivot (the
-    smallest index of a vector, whose coefficient is 1).  With few products
-    G can be the whole basis.
+    them against U, kept as a sparse echelon basis (`linalg._Echelon`).
+    With few products G can be the whole basis.
 
     `charge` is told each count of basis inputs before they are evaluated:
     the terms of a closure round, and the n² triples (x, g, y) of Light's
     test as soon as g joins G, so that an over-budget test stops early.
     """
     mul, field, n = s.mul, s.field, s.dim
-    zero, one = field.zero, field.one
-    echelon: dict = {}  # pivot -> {index: coefficient}
-    vecs: list = []     # the echelon vectors, in the order they were found
+    echelon = _Echelon(field)
+    vecs = echelon.rows.values()  # live, in the order the vectors were found
     gens: list = []
-
-    def reduce(v: dict):
-        while v:
-            p = min(v)
-            e = echelon.get(p)
-            if e is None:
-                return v
-            c = v[p]
-            for k, x in e.items():
-                y = v.get(k, zero) - c * x
-                if y:
-                    v[k] = y
-                else:
-                    del v[k]
-        return None
-
-    def add(v: dict):
-        p = min(v)
-        c = v[p]
-        if c != one:
-            v = {k: x / c for k, x in v.items()}
-        echelon[p] = v
-        vecs.append(v)
 
     def products(pairs):
         size = (n, n, len(pairs))
@@ -236,21 +211,21 @@ def _generators(s: AlgebraicStructure, charge=lambda count: None) -> list[int]:
     for i in range(n):
         if len(vecs) == n:
             break
-        v = reduce({i: one})
+        v = echelon.reduce({i: field.one})
         if v is None:
             continue
         charge(n * n)
         gens.append(i)
         pairs = [(u, i) for u in vecs]
         fresh = len(vecs)
-        add(v)
+        echelon.add(v)
         while fresh < len(vecs) < n:
-            pairs += [(u, g) for u in vecs[fresh:] for g in gens]
+            pairs += [(u, g) for u in islice(vecs, fresh, None) for g in gens]
             fresh = len(vecs)
             for w in products(pairs):
-                w = reduce(w)
+                w = echelon.reduce(w)
                 if w is not None:
-                    add(w)
+                    echelon.add(w)
             pairs = []
     return gens
 
@@ -526,45 +501,48 @@ def _require_side(side: str):
 def counit_solutions(s: AlgebraicStructure) -> tuple[Vec | None, list[Vec]]:
     """Affine solution set of the counit equations (ε⊗id)Δ = (id⊗ε)Δ = id.
 
-    Returns (particular solution or None, basis of the homogeneous kernel).
+    Returns (particular solution or None, basis of the homogeneous kernel):
+    the solution whose free coordinates are 0, and one kernel vector per
+    free coordinate.  Each equation is a sparse row over ε_0..ε_{n-1} with
+    its right-hand side at index n: Σ_j Δ[i,j,k] ε_j = δ_ik and
+    Σ_k Δ[i,j,k] ε_k = δ_ij.
     """
     comul = s.require("comul")
-    n = s.dim
-    field = s.field
-    zero, one = field.zero, field.one
-    rows, rhs = [], []
-    left = {}   # (i, k) -> coefficient row over ε_j
-    right = {}  # (i, j) -> coefficient row over ε_k
+    n, field = s.dim, s.field
+    left: dict = {}   # (i, k) -> {j: Δ[i,j,k]}
+    right: dict = {}  # (i, j) -> {k: Δ[i,j,k]}
     for (i, j, k), v in comul.entries.items():
-        row = left.setdefault((i, k), [zero] * n)
-        row[j] = row[j] + v
-        row = right.setdefault((i, j), [zero] * n)
-        row[k] = row[k] + v
-    for i, k in product(range(n), repeat=2):
-        rows.append(left.get((i, k), [zero] * n))
-        rhs.append(one if i == k else zero)
-        rows.append(right.get((i, k), [zero] * n))
-        rhs.append(one if i == k else zero)
-    a = Mat(field, rows, cols=n)
-    b = Vec(field, rhs)
-    return solve_linear(a, b), nullspace(a)
+        left.setdefault((i, k), {})[j] = v
+        right.setdefault((i, j), {})[k] = v
+    echelon = _Echelon(field)
+    for i in range(n):
+        for rows in (left, right):
+            rows.setdefault((i, i), {})[n] = field.one
+    for row in (*left.values(), *right.values()):
+        row = echelon.reduce(row)
+        if row is not None:
+            echelon.add(row)
+    particular, kernel = echelon.solve(n)
+
+    def vec(x):
+        return Vec._trusted(field, (n,), {(c,): v for c, v in x.items()})
+
+    return (None if particular is None else vec(particular),
+            [vec(x) for x in kernel])
 
 
 def find_bialgebra_counit(s: AlgebraicStructure) -> Vec | None:
     """The unique counit making s a counital bialgebra, or None if provably none.
 
-    Counitality is a linear system in ε.  If it is inconsistent, or its
-    unique solution is not multiplicative (or sends the unit elsewhere than
-    1), no counit exists and None is returned.  A positive-dimensional
-    solution space is not decided here.
+    Counitality is a linear system in ε, with at most one solution: if ε
+    and ε' both solve it, ε' = ε'(ε⊗id)Δ = (ε⊗ε')Δ = ε(id⊗ε')Δ = ε.  If it
+    is inconsistent, or its solution is not multiplicative (or sends the
+    unit elsewhere than 1), no counit exists and None is returned.
     """
     s.require("mul")
-    particular, kernel = counit_solutions(s)
+    particular, _ = counit_solutions(s)
     if particular is None:
         return None
-    if kernel:
-        raise NotImplementedError(
-            "counit space is positive-dimensional; cannot decide multiplicativity")
     eps = particular.as_row()
     candidate = AlgebraicStructure(s.dim, s.field, mul=s.mul, comul=s.comul,
                                    unit=s.unit, counit=eps)

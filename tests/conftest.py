@@ -3,8 +3,7 @@ from itertools import product
 
 import pytest
 
-from rbhopf import (GF, QQ, Mat, ShapeError, TermSum, Vec, builtin, kron_index,
-                    rref)
+from rbhopf import GF, QQ, Mat, ShapeError, TermSum, Vec, builtin, kron_index
 from rbhopf import hopfmod, prelie, rb, structures, ydsmash
 from rbhopf.structures import AxiomVerdict, DefectReport
 
@@ -151,6 +150,85 @@ def flip_matrix(field, dim_a: int, dim_b: int) -> Mat:
     return Mat.from_terms(field, (dim_a * dim_b,) * 2, {
         (kron_index(j, i, dim_a), kron_index(i, j, dim_b)): 1
         for i in range(dim_a) for j in range(dim_b)})
+
+
+def rref(mat: Mat) -> tuple[Mat, tuple[int, ...]]:
+    """Test-only reference: dense reduced row echelon form and pivot columns."""
+    rows = [list(r) for r in mat.entries]
+    nrows, ncols = mat.rows, mat.cols
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = rows[r][c]
+        rows[r] = [x / inv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return Mat(mat.field, rows, cols=ncols), tuple(pivots)
+
+
+def solve_linear(a: Mat, b: Vec):
+    """Test-only reference: one exact solution of A x = b with the free
+    variables set to zero, or None if the system is inconsistent."""
+    if b.dim != a.rows:
+        raise ShapeError("right-hand side does not match row count")
+    aug = Mat(a.field, tuple(row + (b[i],) for i, row in enumerate(a.entries)),
+              cols=a.cols + 1)
+    red, pivots = rref(aug)
+    if a.cols in pivots:
+        return None
+    x = [a.field.zero] * a.cols
+    for r, c in enumerate(pivots):
+        x[c] = red[r, a.cols]
+    return Vec(a.field, x)
+
+
+def nullspace(a: Mat) -> list:
+    """Test-only reference: a basis of the exact kernel of A, one vector per
+    free column."""
+    red, pivots = rref(a)
+    zero, one = a.field.zero, a.field.one
+    basis = []
+    for free in range(a.cols):
+        if free in pivots:
+            continue
+        v = [zero] * a.cols
+        v[free] = one
+        for r, c in enumerate(pivots):
+            v[c] = -red[r, free]
+        basis.append(Vec(a.field, v))
+    return basis
+
+
+def dense_counit_solutions(s):
+    """Test-only reference for `structures.counit_solutions`: the dense
+    2n² x n system, one row per (i, k) for each of (ε⊗id)Δ = id and
+    (id⊗ε)Δ = id, solved by `solve_linear` and `nullspace`."""
+    n, field = s.dim, s.field
+    zero, one = field.zero, field.one
+    rows, rhs = [], []
+    left, right = {}, {}
+    for (i, j, k), v in s.comul.entries.items():
+        row = left.setdefault((i, k), [zero] * n)
+        row[j] = row[j] + v
+        row = right.setdefault((i, j), [zero] * n)
+        row[k] = row[k] + v
+    for i, k in product(range(n), repeat=2):
+        rows.append(left.get((i, k), [zero] * n))
+        rhs.append(one if i == k else zero)
+        rows.append(right.get((i, k), [zero] * n))
+        rhs.append(one if i == k else zero)
+    a = Mat(field, rows, cols=n)
+    return solve_linear(a, Vec(field, rhs)), nullspace(a)
 
 
 def column_space_basis(a: Mat) -> list:

@@ -1,4 +1,6 @@
 import copy
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -6,10 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from rbhopf import (GF, QQ, FieldMismatchError, Mat, ShapeError, Tensor3,
                     TermSum, Vec, builtin, builtin_names, kron_index,
-                    nullspace, regular_hopf_module, rref, solve_linear)
+                    regular_hopf_module)
+from rbhopf.linalg import _Echelon
 from rbhopf.tensorops import _reading
 from conftest import (apply_comul, apply_mul, column_space_basis, flip_matrix,
-                      random_mat, random_sparse_mat)
+                      nullspace, random_mat, random_sparse_mat, rref,
+                      solve_linear)
 
 
 def test_kron_index_values():
@@ -113,6 +117,22 @@ def test_shape_errors():
         Mat.identity(QQ, 2) * Mat.identity(QQ, 3)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Mat.from_terms(QQ, (-1, 2), {}),
+    lambda: Mat(QQ, (), cols=-1),
+    lambda: Mat(QQ, ((1, 2),), cols=3),
+    lambda: Mat(QQ, ((1, 2),), cols=1),
+    lambda: Vec.from_terms(QQ, (-3,), {}),
+    lambda: Tensor3(QQ, (2, -1, 2), {}),
+    lambda: TermSum(QQ, (2, -2), {}),
+], ids=["from_terms-negative", "Mat-negative-cols", "Mat-short-rows",
+        "Mat-long-rows", "Vec-negative", "Tensor3-negative",
+        "TermSum-negative"])
+def test_public_constructors_reject_impossible_shapes(build):
+    with pytest.raises(ShapeError):
+        build()
+
+
 def test_flip_matrix_is_self_inverse():
     s = flip_matrix(QQ, 2, 3)
     t = flip_matrix(QQ, 3, 2)
@@ -189,6 +209,85 @@ def test_rref_over_prime_field():
     assert x is not None and a * x == Vec(f5, (1, 2))
 
 
+def _random_system(rng, field):
+    """A random system A x = b over `field`, with at most 6 rows and at
+    most 5 unknowns.  Rows are drawn sparse, zero, or as combinations of
+    earlier rows; b is A x for a random x half the time."""
+    nrows, ncols = rng.randrange(7), rng.randrange(6)
+
+    def scalar(zeros):
+        if rng.random() < zeros:
+            return field.zero
+        if field is QQ:
+            return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        return field.from_int(rng.randrange(field.p))
+
+    rows = []
+    for _ in range(nrows):
+        kind = rng.random()
+        if rows and kind < 0.3:
+            coeffs = [scalar(0.3) for _ in rows]
+            rows.append([sum((c * r[j] for c, r in zip(coeffs, rows)),
+                             field.zero) for j in range(ncols)])
+        elif kind < 0.4:
+            rows.append([field.zero] * ncols)
+        else:
+            rows.append([scalar(0.5) for _ in range(ncols)])
+    a = Mat(field, rows, cols=ncols)
+    if rng.random() < 0.5:
+        b = a * Vec(field, [scalar(0.3) for _ in range(ncols)])
+    else:
+        b = Vec(field, [scalar(0.3) for _ in range(nrows)])
+    return a, b
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "F5"])
+def test_echelon_matches_dense_rref(field):
+    """`_Echelon` against the dense reference: the same pivots, the same
+    reduced rows, particular solution and kernel basis, exactly."""
+    rng = random.Random(11)
+    counts = Counter()
+    for _ in range(400):
+        a, b = _random_system(rng, field)
+        n = a.cols
+        aug = [{} for _ in range(a.rows)]
+        for (i, j), x in a.terms.items():
+            aug[i][j] = x
+        for (i,), x in b.terms.items():
+            aug[i][n] = x
+        echelon = _Echelon(field)
+        for row in aug:
+            row = echelon.reduce(dict(row))
+            if row is not None:
+                echelon.add(row)
+        for row in aug:
+            assert echelon.reduce(dict(row)) is None
+        particular, kernel = echelon.solve(n)
+
+        dense = Mat(field, tuple(r + (b[i],) for i, r in enumerate(a.entries)),
+                    cols=n + 1)
+        red, pivots = rref(dense)
+        assert tuple(sorted(echelon.rows)) == pivots
+        assert [echelon.rows[p] for p in pivots] == [
+            {j: x for j, x in enumerate(red.entries[r]) if x}
+            for r in range(len(pivots))]
+        a_pivots = rref(a)[1]
+        assert tuple(p for p in pivots if p < n) == a_pivots
+        expected = solve_linear(a, b)
+        counts["zero rows"] += a.rows == 0
+        counts["all zero"] += a.rows > 0 and a.is_zero()
+        counts["rank-deficient"] += len(a_pivots) < min(a.rows, n)
+        counts["inconsistent"] += expected is None
+        if expected is None:
+            assert particular is None
+        else:
+            assert Vec.from_terms(field, (n,), {
+                (i,): x for i, x in particular.items()}) == expected
+        assert [Vec.from_terms(field, (n,), {(i,): x for i, x in v.items()})
+                for v in kernel] == nullspace(a)
+    assert min(counts.values()) > 0 and len(counts) == 4, counts
+
+
 def test_matrix_str_uses_exact_entries():
     m = Mat(QQ, ((Fraction(1, 2), 0), (3, -1)))
     assert "1/2" in str(m)
@@ -258,10 +357,10 @@ def test_termsum_is_hashable_like_the_other_containers():
 
 
 def test_empty_matrices_keep_their_shape():
-    t = Mat.zeros(QQ, 0, 3).T
-    assert (t.rows, t.cols) == (3, 0)
-    m = Mat.from_columns(QQ, [Vec(QQ, ()), Vec(QQ, ())])
-    assert (m.rows, m.cols) == (0, 2)
+    t = Mat.from_terms(QQ, (3, 0), {})
+    assert (t.rows, t.cols) == (3, 0) and t.entries == ((), (), ())
+    m = Mat(QQ, (), cols=2)
+    assert (m.rows, m.cols) == (0, 2) and m == Mat.zeros(QQ, 0, 2)
 
 
 def test_equality_holds_only_within_one_class():

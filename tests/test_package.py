@@ -6,6 +6,7 @@ import checks run in fresh interpreters and compare `sys.modules` before
 and after; they measure no time.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -39,12 +40,12 @@ PINNED = [
     "coquasitriangular_form", "counit_solutions", "example54_p1",
     "example54_p2", "example54_q", "field_from_name", "find_bialgebra_counit",
     "group_algebra", "hopf_module_from_projection",
-    "kron_index", "nullspace", "pi_operator", "prelie_from_rb_minus1",
+    "kron_index", "pi_operator", "prelie_from_rb_minus1",
     "prelie_from_rb_zero", "projection_bialgebra",
     "projection_left_closed_form", "projection_left_sigma_form",
-    "projection_right_closed_form", "regular_hopf_module", "rref",
+    "projection_right_closed_form", "regular_hopf_module",
     "search_rb_operators", "smash_coproduct", "smash_hopf_module_left",
-    "smash_hopf_module_right", "solve_linear", "tensor_product",
+    "smash_hopf_module_right", "tensor_product",
     "tensor_square_projection", "trivial_yd", "twisted_comul",
     "verify_projection_rb", "yd_action_from_form",
     "yd_from_comodule_coalgebra",
@@ -86,6 +87,36 @@ def test_unknown_name_raises_attribute_error():
     assert not hasattr(rbhopf, "dataclass")
     with pytest.raises(ImportError):
         exec("from rbhopf import no_such_name", {})
+
+
+def imported_but_unused(source: str) -> list:
+    """The names a module's `import` statements bind that no expression in
+    the module reads, `from __future__` imports aside."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in bound.items()
+                  if name not in read)
+
+
+def test_imported_but_unused_finds_a_stale_import():
+    assert imported_but_unused(
+        "from __future__ import annotations\n"
+        "import os.path\nfrom itertools import islice, product as prod\n"
+        "os.getcwd(islice)\n") == [(3, "prod")]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "rbhopf").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_imports_a_name_it_never_uses(path):
+    assert imported_but_unused(path.read_text(encoding="utf-8")) == []
 
 
 def modules_added(code: str) -> set:

@@ -1,4 +1,6 @@
 import pickle
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,7 +11,7 @@ from rbhopf import (GF, QQ, AlgebraicStructure, Mat, ShapeError, Tensor3,
                     check_coassociativity, check_comodule, check_module,
                     check_unit_counit, counit_solutions, find_bialgebra_counit,
                     tensor_product)
-from conftest import HOPF_FIXTURES, apply_mul
+from conftest import HOPF_FIXTURES, apply_mul, dense_counit_solutions
 
 
 def test_all_builtins_pass_their_axioms():
@@ -134,6 +136,53 @@ def test_counit_solver_on_example54(e54):
     assert kernel == []
     # the unique counitality solution is not multiplicative on z (z^2 = 0)
     assert find_bialgebra_counit(e54) is None
+
+
+def _random_comul(rng, field, n):
+    """A random Δ on n basis vectors.  Half the time Δ(e_i) = s_i e_i⊗e_i
+    plus terms x⊗y with x, y in the kernel of ε = (1/s_0, ..., 1/s_{n-1}),
+    so ε is a counit; otherwise sparse random constants."""
+    def scalar():
+        if field is QQ:
+            return Fraction(rng.choice((-2, -1, 1, 2, 3)), rng.randint(1, 3))
+        return field.from_int(rng.randrange(1, field.p))
+
+    terms: dict = {}
+
+    def add(key, c):
+        terms[key] = terms.get(key, field.zero) + c
+
+    if rng.random() < 0.5:
+        s = [scalar() for _ in range(n)]
+        for i in range(n):
+            add((i, i, i), s[i])
+            for _ in range(rng.randrange(3)):
+                a, b, c, d = (rng.randrange(n) for _ in range(4))
+                w = scalar()
+                for j, x in ((a, s[a]), (b, -s[b])):
+                    for k, y in ((c, s[c]), (d, -s[d])):
+                        add((i, j, k), w * x * y)
+    else:
+        for _ in range(rng.randrange(2 * n * n)):
+            add(tuple(rng.randrange(n) for _ in range(3)), scalar())
+    return AlgebraicStructure(n, field, comul=Tensor3(field, (n, n, n), terms))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5)],
+                         ids=["Q", "F2", "F3", "F5"])
+def test_counit_solutions_match_the_dense_system(field):
+    """The sparse counit solver against the dense 2n² x n system, and a
+    consistent system never has a kernel: a counit is unique."""
+    rng = random.Random(5)
+    counts = Counter()
+    for _ in range(250):
+        s = _random_comul(rng, field, rng.randint(1, 4))
+        particular, kernel = counit_solutions(s)
+        assert (particular, kernel) == dense_counit_solutions(s)
+        assert particular is None or kernel == []
+        counts["consistent"] += particular is not None
+        counts["kernel"] += bool(kernel)
+    assert counts["consistent"] > 0 and counts["kernel"] > 0, counts
 
 
 def test_counit_solver_finds_group_counit(c2):
