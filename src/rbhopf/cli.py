@@ -201,7 +201,10 @@ def _structure_check(name: str, s):
 
     Associativity charges the inputs it schedules as it goes (Light's test
     needs only |G|·n² of the n³ basis triples); every other check charges
-    its worst case up front, n² for bialgebra and n for the rest.
+    its worst case up front, n² for bialgebra and n for the rest.  The
+    bialgebra check is certified on G when associativity passed before it
+    (the pass is cached on the multiplication), but its charge is that of
+    the full check it falls back to.
     """
     if name == "associativity":
         return check_associativity(s, budget=VERIFY_BUDGET)
@@ -214,7 +217,10 @@ def _structure_check(name: str, s):
 # over H of dim h that is module associativity, m·h², or for a module
 # algebra also its action compatibility, m²·h; for a Yetter-Drinfeld
 # coalgebra of dim c, module associativity, c·h²; for a braiding form, BR2
-# and BR3, h³.
+# and BR3, h³.  The generator certificates (`structures._on_generators`)
+# usually evaluate far fewer, but when a precondition fails or exceeds its
+# own budget the full check runs, so the pre-charges stay at that worst
+# case: the fallback path.
 _NAMED_CHECKS = {
     "prelie": ("prelie", lambda p: p.dim),
     "hopf-module": ("module", lambda p: p.m_dim * p.hopf.dim ** 2),

@@ -27,9 +27,9 @@ from .linalg import Mat, Tensor3
 from .rb import RBVerdict, check_rb_coalgebra
 from .record import Record
 from .structures import (AlgebraicStructure, AxiomVerdict, _batched,
-                         _first_failure, _verdict, check_bialgebra_map,
-                         check_coassociativity, check_comodule, check_module,
-                         tensor_product)
+                         _first_failure, _generators_within, _on_generators,
+                         _verdict, check_bialgebra_map, check_coassociativity,
+                         check_comodule, check_module, tensor_product)
 from .tensorops import _matrix_of
 
 
@@ -93,7 +93,14 @@ def regular_hopf_module(hopf: AlgebraicStructure, side: str = "right") -> HopfMo
 
 
 def check_hopf_module(hm: HopfModule) -> AxiomVerdict:
-    """Module axioms, comodule axioms, and ρ(m·h) = ρ(m)Δ(h) (or the left analogue)."""
+    """Module axioms, comodule axioms, and ρ(m·h) = ρ(m)Δ(h) (or the left analogue).
+
+    Once the module axioms pass, the compatibility is certified on a
+    generating set G of H (`_on_generators`) when H is associative and
+    Δ(ab) = Δ(a)Δ(b): if it holds for h in {g, g'}, then ρ(m·(gg')) =
+    ρ((m·g)·g') = ρ(m)Δ(g)Δ(g') = ρ(m)Δ(gg'), since M⊗H is an associative
+    module over H⊗H; on the left, ρ((gg')·m) = Δ(g)Δ(g')ρ(m) likewise.
+    """
     v = check_module(hm.hopf, hm.m_dim, hm.action, hm.side)
     if not v.passed:
         return v
@@ -123,8 +130,9 @@ def check_hopf_module(hm: HopfModule) -> AxiomVerdict:
         return lhs - rhs
 
     dims = (hm.m_dim, hopf.dim) if right else (hopf.dim, hm.m_dim)
-    return _verdict(*_batched(f"{hm.side}-hopf-module-compatibility",
-                              hm.field, dims, compat))
+    gens = _generators_within(mul, hm.m_dim * hopf.dim, comul)
+    return _verdict(*_on_generators(f"{hm.side}-hopf-module-compatibility",
+                                    hm.field, dims, 1 if right else 0, gens, compat))
 
 
 def check_hopf_module_algebra(hm: HopfModule) -> AxiomVerdict:
@@ -132,6 +140,14 @@ def check_hopf_module_algebra(hm: HopfModule) -> AxiomVerdict:
 
     Right side: (mm')·h = m(m'·h) and ρ(mm') = m₍₀₎m'₍₀₎ ⊗ m₍₁₎m'₍₁₎.
     Left side: h·(mm') = (h·m)m' and ρ(mm') = m₍₋₁₎m'₍₋₁₎ ⊗ m₍₀₎m'₍₀₎.
+
+    Both are certified on generating sets (`_on_generators`).  The action
+    part, in h on a generating set of an associative H: the module axioms
+    passed first, so (mm')·(gg') = ((mm')·g)·g' = (m(m'·g))·g' =
+    m((m'·g)·g') = m(m'·(gg')), and on the left likewise.  The coaction
+    part, in m' on a generating set of M's multiplication when M and H are
+    associative: ρ(m(nn')) = ρ((mn)n') = ρ(m)ρ(n)ρ(n') = ρ(m)ρ(nn'), since
+    M⊗H (H⊗M on the left) is then an associative algebra.
     """
     if hm.mul is None:
         raise ValueError("module carries no multiplication")
@@ -163,12 +179,16 @@ def check_hopf_module_algebra(hm: HopfModule) -> AxiomVerdict:
         return lhs - rhs
 
     action_dims = (m_dim, m_dim, h) if right else (h, m_dim, m_dim)
-    return _first_failure([
-        _batched(f"{hm.side}-module-algebra-action", hm.field, action_dims,
-                 action_compat),
-        _batched(f"{hm.side}-module-algebra-coaction", hm.field, (m_dim, m_dim),
-                 coaction_compat),
-    ])
+    hgens = _generators_within(hmul, m_dim * m_dim * h)
+    v = _verdict(*_on_generators(f"{hm.side}-module-algebra-action", hm.field,
+                                 action_dims, 2 if right else 0, hgens,
+                                 action_compat))
+    if not v.passed:
+        return v
+    mgens = None if hgens is None else _generators_within(mmul, m_dim * m_dim)
+    return _verdict(*_on_generators(f"{hm.side}-module-algebra-coaction",
+                                    hm.field, (m_dim, m_dim), 1, mgens,
+                                    coaction_compat))
 
 
 def check_hopf_module_coalgebra(hm: HopfModule) -> AxiomVerdict:
@@ -177,6 +197,12 @@ def check_hopf_module_coalgebra(hm: HopfModule) -> AxiomVerdict:
     Right side: m₍₀₎₁ ⊗ m₍₀₎₂ ⊗ m₍₁₎ = m₁ ⊗ m₂₍₀₎ ⊗ m₂₍₁₎ and
     Δ(m·h) = m₁·h₁ ⊗ m₂·h₂.  Left side: m₍₋₁₎ ⊗ m₍₀₎₁ ⊗ m₍₀₎₂ =
     m₁₍₋₁₎ ⊗ m₁₍₀₎ ⊗ m₂ and Δ(h·m) = h₁·m₁ ⊗ h₂·m₂.
+
+    The action part is certified in h on a generating set of an
+    associative H with Δ(ab) = Δ(a)Δ(b) (`_on_generators`): the module
+    axioms passed first, so Δ(m·(gg')) = Δ((m·g)·g') =
+    (m₁·g₁)·g'₁ ⊗ (m₂·g₂)·g'₂ = m₁·(gg')₁ ⊗ m₂·(gg')₂, and on the left
+    likewise.
     """
     if hm.comul is None:
         raise ValueError("module carries no comultiplication")
@@ -210,11 +236,13 @@ def check_hopf_module_coalgebra(hm: HopfModule) -> AxiomVerdict:
                .merge_map_at(0, hm.action).merge_map_at(1, hm.action))
         return lhs - rhs
 
+    gens = _generators_within(hm.hopf.require("mul"), m_dim * h, hcomul)
     return _first_failure([
         _batched(f"{hm.side}-module-coalgebra-coaction", hm.field, (m_dim,),
                  coaction_compat),
-        _batched(f"{hm.side}-module-coalgebra-action", hm.field,
-                 (m_dim, h) if right else (h, m_dim), action_compat),
+        _on_generators(f"{hm.side}-module-coalgebra-action", hm.field,
+                       (m_dim, h) if right else (h, m_dim), 1 if right else 0,
+                       gens, action_compat),
     ])
 
 

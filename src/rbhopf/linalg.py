@@ -220,7 +220,7 @@ class Vec(_Sparse):
 
     @classmethod
     def zero(cls, field, dim: int) -> "Vec":
-        return cls._trusted(field, (dim,), {})
+        return cls.from_terms(field, (dim,), {})
 
     @classmethod
     def basis(cls, field, dim: int, i: int) -> "Vec":
@@ -304,11 +304,13 @@ class Mat(_Sparse):
 
     @classmethod
     def identity(cls, field, n: int) -> "Mat":
+        if n < 0:
+            raise ShapeError(f"negative dimension in {(n, n)}")
         return cls._trusted(field, (n, n), {(i, i): field.one for i in range(n)})
 
     @classmethod
     def zeros(cls, field, rows: int, cols: int) -> "Mat":
-        return cls._trusted(field, (rows, cols), {})
+        return cls.from_terms(field, (rows, cols), {})
 
     @classmethod
     def from_function(cls, field, rows: int, cols: int, fn) -> "Mat":

@@ -14,13 +14,13 @@ coalgebras, and a 3-dimensional bialgebra with a unit but no counit.
 
 from __future__ import annotations
 
-from itertools import islice, permutations
+from itertools import islice, permutations, product
 
 from .errors import BudgetExceededError, ShapeError
 from .fields import QQ
 from .linalg import Mat, Tensor3, Vec, _Echelon
 from .record import Record
-from .tensorops import TermSum, _matrix_of, basis_batches
+from .tensorops import TermSum, _cache, _matrix_of, basis_batches
 
 
 class DefectReport(Record):
@@ -85,6 +85,61 @@ def _batched(identity: str, field, dims: tuple, residual):
     lead = 1 if len(dims) > 1 else 0
     batches = ((p, residual(t)) for p, t in basis_batches(field, dims, lead))
     return identity, batches, len(dims) - lead
+
+
+def _on_generators(identity: str, field, dims: tuple, slot: int, gens,
+                   residual, charge=lambda count: None):
+    """A lazy verdict part like `_batched`, certified on generators.
+
+    For an identity that holds for all inputs once it holds for those whose
+    index in factor `slot` lies in `gens` (the checkers' docstrings prove
+    this for theirs), `residual` runs on one batch per g in `gens`: every
+    basis input with g in `slot`, tagged with its other indices.  If any
+    residual is nonzero, the same batches run for every other index of
+    `slot`, and `charge` is told their inputs first; the keys are put back
+    in (input indices..., output indices...) order, so the verdict is the
+    one `_batched` gives.  With `gens` None the part is `_batched`'s.
+    """
+    if gens is None:
+        return _batched(identity, field, dims, residual)
+    others = dims[:slot] + dims[slot + 1:]
+    rests = list(product(*map(range, others)))
+    tagged = dims + others
+    one = field.one
+
+    def batch(g):
+        return residual(TermSum._trusted(field, tagged, {
+            r[:slot] + (g,) + r[slot:] + r: one for r in rests}))
+
+    def residuals():
+        failed = False
+        for g in gens:
+            res = batch(g)
+            failed = failed or not res.is_zero()
+            yield (g,), res
+        if failed:
+            rest = sorted(set(range(dims[slot])).difference(gens))
+            charge(len(rest) * len(rests))
+            for g in rest:
+                yield (g,), batch(g)
+
+    # Keys arrive as (g, other indices..., output...).
+    key = None if slot == 0 else lambda k: k[1:slot + 1] + k[:1] + k[slot + 1:]
+    return identity, residuals(), len(others), key
+
+
+def _meter(budget: int | None, message: str):
+    """A `charge(count)` that adds up counts of basis inputs and raises
+    `BudgetExceededError(message)` once they exceed `budget` (None: never)."""
+    spent = 0
+
+    def charge(count: int):
+        nonlocal spent
+        spent += count
+        if budget is not None and spent > budget:
+            raise BudgetExceededError(message)
+
+    return charge
 
 
 def _first_failure(parts) -> AxiomVerdict:
@@ -245,47 +300,95 @@ def check_associativity(s: AlgebraicStructure,
 
     This needs no unit and holds over any field.  `_generators` picks G,
     and the identity is evaluated on the |G|·n² basis triples (x, g, y),
-    one batch of e_x⊗e_g⊗e_y tagged (x, y) per generator g.  If any
-    residual is nonzero, the same batches run for every other middle index
-    b, so a failure costs the n³ triples of the full check and its verdict
-    (residual over all basis triples, witness its first key) is the one the
-    full check reports.
+    one batch of e_x⊗e_g⊗e_y tagged (x, y) per generator g
+    (`_on_generators`).  If any residual is nonzero, the same batches run
+    for every other middle index b, so a failure costs the n³ triples of
+    the full check and its verdict (residual over all basis triples,
+    witness its first key) is the one the full check reports.
+
+    A pass is cached with G on `s.mul`, where the generator certificates
+    of the other checkers read it (`_generators_within`); a call without
+    `budget` on a multiplication already known to be associative does no
+    work.  Failures are not cached: their residual is a mutable dict.
 
     `budget`, when given, bounds the basis inputs the check hands to the
     rewrite kernel, closure products included: `BudgetExceededError` is
-    raised as soon as the inputs it is committed to exceed it.
+    raised as soon as the inputs it is committed to exceed it.  A budgeted
+    call does not read the cache, so it charges what it always did.
     """
     mul = s.require("mul")
-    field, n, one = s.field, s.dim, s.field.one
-    spent = 0
-
-    def charge(count: int):
-        nonlocal spent
-        spent += count
-        if budget is not None and spent > budget:
-            raise BudgetExceededError(
-                f"associativity on dim {n} needs more than {budget} basis inputs")
-
-    gens = _generators(s, charge)
-    residual = _associator(mul)
-    xy = [(x, y) for x in range(n) for y in range(n)]
-    failed = []
-
-    def run(middles):
-        for b in middles:
-            res = residual(TermSum._trusted(
-                field, (n,) * 5, {(x, b, y, x, y): one for x, y in xy}))
-            if not res.is_zero():
-                failed.append(((b,), res))
-
-    run(gens)
-    if not failed:
+    if budget is None and "light" in _cache(mul):
         return AxiomVerdict(True)
-    rest = sorted(set(range(n)).difference(gens))
-    charge(len(rest) * n * n)
-    run(rest)
-    # Keys arrive as (b, x, y, output); the full check reports (x, b, y, output).
-    return _verdict("associativity", failed, 2, key=lambda k: (k[1], k[0]) + k[2:])
+    return _light_test(s, _meter(
+        budget, f"associativity on dim {s.dim} needs more than {budget} basis inputs"))
+
+
+def _light_test(s: AlgebraicStructure, charge) -> AxiomVerdict:
+    """Light's test on `s.mul` (see `check_associativity`), charging the
+    inputs it schedules; a pass caches G under "light" on `s.mul`."""
+    gens = _generators(s, charge)
+    v = _verdict(*_on_generators("associativity", s.field, (s.dim,) * 3, 1,
+                                 gens, _associator(s.mul), charge))
+    if v.passed:
+        _cache(s.mul)["light"] = tuple(gens)
+    return v
+
+
+def _comul_product(mul: Tensor3, comul: Tensor3):
+    """The residual Δ(ab) - Δ(a)Δ(b) of a basis tensor a⊗b, or of a tagged batch."""
+    def residual(t):
+        lhs = t.merge_at(0, mul).split_at(0, comul)
+        rhs = (t.split_at(0, comul).split_at(2, comul)
+               .permute((0, 2, 1, 3)).merge_at(0, mul).merge_at(1, mul))
+        return lhs - rhs
+
+    return residual
+
+
+def _known_multiplicative(mul: Tensor3, comul: Tensor3, passed: bool = False) -> bool:
+    """Whether Δ(ab) = Δ(a)Δ(b) is known for `comul` with `mul`; a `passed`
+    check is recorded.  The comultiplications known are cached on `mul` and
+    told apart by identity, not equality: an equal Tensor3 is checked again
+    rather than hashed."""
+    known = _cache(mul).setdefault("comul-multiplicative", [])
+    if any(c is comul for c in known):
+        return True
+    if passed:
+        known.append(comul)
+    return passed
+
+
+def _generators_within(mul: Tensor3, budget: int, comul: Tensor3 | None = None):
+    """G of `mul` when a generator certificate may be used, else None.
+
+    A certificate needs `mul` associative (Light's test, whose G it uses)
+    and, when `comul` is given, Δ(ab) = Δ(a)Δ(b).  Each is read from the
+    cache on `mul` or, when not cached yet, computed on at most `budget`
+    basis inputs in all: the count of the identity to be certified, so that
+    a precondition costs no more than the full check it may replace.  None
+    when one fails or the budget runs out; the caller then runs the full
+    check.
+    """
+    charge = _meter(budget, "precondition over budget")
+    try:
+        gens = _cache(mul).get("light")
+        if gens is None:
+            s = AlgebraicStructure(mul.dims[0], mul.field, mul=mul)
+            if not _light_test(s, charge).passed:
+                return None
+            gens = _cache(mul)["light"]
+        if comul is None or _known_multiplicative(mul, comul):
+            return gens
+        n = mul.dims[0]
+        charge(len(gens) * n)
+        v = _verdict(*_on_generators("comul-multiplicative", mul.field, (n, n), 1,
+                                     gens, _comul_product(mul, comul), charge))
+        if v.passed:
+            _known_multiplicative(mul, comul, passed=True)
+            return gens
+    except BudgetExceededError:
+        pass
+    return None
 
 
 def check_coassociativity(s: AlgebraicStructure) -> AxiomVerdict:
@@ -327,23 +430,33 @@ def check_bialgebra(s: AlgebraicStructure) -> AxiomVerdict:
 
     Δ(ab) = Δ(a)Δ(b) on basis pairs; if a counit exists, ε(ab) = ε(a)ε(b);
     if a unit exists, Δ(1) = 1⊗1; if both exist, ε(1) = 1.
+
+    When the multiplication is associative, the first two are certified on
+    the pairs (a, g) with g in a generating set G (`_on_generators`): if
+    Δ(ab) = Δ(a)Δ(b) for all a and b in {g, g'}, then
+    Δ(a(gg')) = Δ((ag)g') = Δ(a)Δ(g)Δ(g') = Δ(a)Δ(gg'), and likewise for ε.
+    A pass of Δ(ab) = Δ(a)Δ(b) is cached on the multiplication.
     """
     mul = s.require("mul")
     comul = s.require("comul")
-    field, dims = s.field, (s.dim, s.dim)
-
-    def comul_mult(t):
-        lhs = t.merge_at(0, mul).split_at(0, comul)
-        rhs = (t.split_at(0, comul).split_at(2, comul)
-               .permute((0, 2, 1, 3)).merge_at(0, mul).merge_at(1, mul))
-        return lhs - rhs
-
-    parts = [_batched("comul-multiplicative", field, dims, comul_mult)]
+    field, n = s.field, s.dim
+    dims = (n, n)
+    gens = _generators_within(mul, n * n)
+    v = _verdict(*_on_generators("comul-multiplicative", field, dims, 1, gens,
+                                 _comul_product(mul, comul)))
+    if not v.passed:
+        return v
+    _known_multiplicative(mul, comul, passed=True)
+    parts = []
     if s.counit is not None:
         counit = s.counit
-        parts.append(_batched("counit-multiplicative", field, dims, lambda t: (
-            t.merge_at(0, mul).map_at(0, counit)
-            - t.map_at(0, counit).map_at(1, counit).drop_at(1))))
+
+        def counit_mult(t):
+            return (t.merge_at(0, mul).map_at(0, counit)
+                    - t.map_at(0, counit).map_at(1, counit).drop_at(1))
+
+        parts.append(_on_generators("counit-multiplicative", field, dims, 1,
+                                    gens, counit_mult))
     if s.unit is not None:
         unit = s.unit
 
@@ -414,7 +527,14 @@ def check_comodule(hopf: AlgebraicStructure, m_dim: int, coaction: Mat,
 
 def check_module(hopf: AlgebraicStructure, m_dim: int, action: Mat,
                  side: str) -> AxiomVerdict:
-    """Associativity and (when 1 exists) unitality of a module action."""
+    """Associativity and (when 1 exists) unitality of a module action.
+
+    When H is associative, associativity is certified on a generating set
+    G of H (`_on_generators`), in h' on the right and h on the left.  If
+    (m·h)·x = m·(hx) for all m, h and x in {g, g'}, then (m·h)·(gg') =
+    ((m·h)·g)·g' = (m·(hg))·g' = m·((hg)g') = m·(h(gg')); on the left,
+    (gg')·(h·m) = g·(g'·(h·m)) = g·((g'h)·m) = (g(g'h))·m = ((gg')h)·m.
+    """
     mul = hopf.require("mul")
     h = hopf.dim
     _require_side(side)
@@ -432,7 +552,9 @@ def check_module(hopf: AlgebraicStructure, m_dim: int, action: Mat,
                 - t.merge_at(0, mul).merge_map_at(0, action))
 
     dims = (m_dim, h, h) if right else (h, h, m_dim)
-    parts = [_batched(f"{side}-action-associativity", field, dims, assoc)]
+    gens = _generators_within(mul, m_dim * h * h)
+    parts = [_on_generators(f"{side}-action-associativity", field, dims,
+                            2 if right else 0, gens, assoc)]
     if hopf.unit is not None:
         unit_pos = 1 if right else 0
         parts.append(_batched(f"{side}-action-unital", field, (m_dim,), lambda t: (

@@ -66,6 +66,20 @@ from .linalg import (Mat, Tensor3, Vec, _check_same_field, _Sparse,
                      flatten_index)
 
 
+def _cache(m) -> dict:
+    """The dict in `m`'s `_fans` slot, made on first use.
+
+    It holds the readings of `m` (see `_reading`) and, on a multiplication,
+    the verdicts `structures` caches for it: both depend only on `m`,
+    which is immutable.
+    """
+    fans = getattr(m, "_fans", None)
+    if fans is None:
+        fans = {}
+        object.__setattr__(m, "_fans", fans)
+    return fans
+
+
 def _reading(m, role: str, b: int = 0) -> tuple:
     """(fan-out, monomial table) of a map, built once and cached on it.
 
@@ -81,10 +95,7 @@ def _reading(m, role: str, b: int = 0) -> tuple:
     each input, and exists only when every input has exactly one output
     with value `one`; otherwise it is None.
     """
-    fans = getattr(m, "_fans", None)
-    if fans is None:
-        fans = {}
-        object.__setattr__(m, "_fans", fans)
+    fans = _cache(m)
     got = fans.get((role, b))
     if got is not None:
         return got
@@ -104,7 +115,7 @@ def _reading(m, role: str, b: int = 0) -> tuple:
     cols = [[] for _ in range(inputs)]
     for key, v in sorted(m.terms.items()):
         col, out = split(*key)
-        cols[col].append((out, one if v == one else v))
+        cols[col].append((out, one if v is one or v == one else v))
     fan = tuple(map(tuple, cols))
     mono = None
     if all(len(col) == 1 and col[0][1] is one for col in fan):

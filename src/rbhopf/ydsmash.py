@@ -30,8 +30,9 @@ from .linalg import Mat, Tensor3, Vec, kron_index
 from .rb import RBVerdict, check_rb_coalgebra
 from .record import Record
 from .structures import (AlgebraicStructure, AxiomVerdict, _batched,
-                         _first_failure, _verdict, check_coassociativity,
-                         check_comodule, check_module)
+                         _first_failure, _generators_within, _on_generators,
+                         _verdict, check_coassociativity, check_comodule,
+                         check_module)
 from .tensorops import _matrix_of, tagged_basis
 
 
@@ -102,6 +103,11 @@ def check_yd_coalgebra(ydc: YDModuleCoalgebra) -> AxiomVerdict:
     On top of `check_yd_module`: Δ_C is coassociative, the action is a
     coalgebra map, Δ(h·c) = h₁·c₁ ⊗ h₂·c₂, and the coaction is one,
     c₍₋₁₎ ⊗ c₍₀₎₁ ⊗ c₍₀₎₂ = c₁₍₋₁₎c₂₍₋₁₎ ⊗ c₁₍₀₎ ⊗ c₂₍₀₎.
+
+    The action part is certified in h on a generating set of an
+    associative H with Δ(ab) = Δ(a)Δ(b) (`_on_generators`): the module
+    axioms passed first, so Δ((gg')·c) = Δ(g·(g'·c)) =
+    g₁·(g'₁·c₁) ⊗ g₂·(g'₂·c₂) = (gg')₁·c₁ ⊗ (gg')₂·c₂.
     """
     hopf, cstr = ydc.hopf, ydc.coalgebra
     v = check_yd_module(hopf, cstr.dim, ydc.action, ydc.coaction)
@@ -131,8 +137,10 @@ def check_yd_coalgebra(ydc: YDModuleCoalgebra) -> AxiomVerdict:
                .merge_at(0, hmul))
         return lhs - rhs
 
+    gens = _generators_within(hmul, hopf.dim * cstr.dim, hcomul)
     return _first_failure([
-        _batched("module-coalgebra", ydc.field, out_dims, module_coalgebra),
+        _on_generators("module-coalgebra", ydc.field, out_dims, 0, gens,
+                       module_coalgebra),
         _batched("comodule-coalgebra", ydc.field, (cstr.dim,), comodule_coalgebra),
     ])
 

@@ -125,9 +125,13 @@ def test_shape_errors():
     lambda: Vec.from_terms(QQ, (-3,), {}),
     lambda: Tensor3(QQ, (2, -1, 2), {}),
     lambda: TermSum(QQ, (2, -2), {}),
+    lambda: Mat.zeros(QQ, -1, 2),
+    lambda: Mat.identity(QQ, -2),
+    lambda: Vec.zero(QQ, -3),
 ], ids=["from_terms-negative", "Mat-negative-cols", "Mat-short-rows",
         "Mat-long-rows", "Vec-negative", "Tensor3-negative",
-        "TermSum-negative"])
+        "TermSum-negative", "Mat.zeros-negative", "Mat.identity-negative",
+        "Vec.zero-negative"])
 def test_public_constructors_reject_impossible_shapes(build):
     with pytest.raises(ShapeError):
         build()
