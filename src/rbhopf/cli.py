@@ -204,7 +204,10 @@ def _structure_check(name: str, s):
     its worst case up front, n² for bialgebra and n for the rest.  The
     bialgebra check is certified on G when associativity passed before it
     (the pass is cached on the multiplication), but its charge is that of
-    the full check it falls back to.
+    the full check it falls back to.  A loaded file never carries the
+    record by which a `tensor_product` multiplication inherits
+    associativity from its factors, so a saved tensor square runs the
+    full, budgeted Light's test here.
     """
     if name == "associativity":
         return check_associativity(s, budget=VERIFY_BUDGET)

@@ -230,7 +230,8 @@ def _associator(mul: Tensor3):
     return residual
 
 
-def _generators(s: AlgebraicStructure, charge=lambda count: None) -> list[int]:
+def _generators(s: AlgebraicStructure, charge=lambda count: None,
+                triples: bool = True) -> list[int]:
     """Basis indices G whose closure U under u ↦ u·g, u ↦ g·u is the whole space.
 
     Greedy: e_0, e_1, ... are taken in order, e_i joins G when it is not yet
@@ -241,8 +242,9 @@ def _generators(s: AlgebraicStructure, charge=lambda count: None) -> list[int]:
     With few products G can be the whole basis.
 
     `charge` is told each count of basis inputs before they are evaluated:
-    the terms of a closure round, and the n² triples (x, g, y) of Light's
-    test as soon as g joins G, so that an over-budget test stops early.
+    the terms of a closure round, and (with `triples`) the n² triples
+    (x, g, y) of Light's test as soon as g joins G, so that an over-budget
+    test stops early.
     """
     mul, field, n = s.mul, s.field, s.dim
     echelon = _Echelon(field)
@@ -269,7 +271,8 @@ def _generators(s: AlgebraicStructure, charge=lambda count: None) -> list[int]:
         v = echelon.reduce({i: field.one})
         if v is None:
             continue
-        charge(n * n)
+        if triples:
+            charge(n * n)
         gens.append(i)
         pairs = [(u, i) for u in vecs]
         fresh = len(vecs)
@@ -306,6 +309,15 @@ def check_associativity(s: AlgebraicStructure,
     the full check and its verdict (residual over all basis triples,
     witness its first key) is the one the full check reports.
 
+    A multiplication built by `tensor_product` needs no triples of its
+    own: (a⊗b)(c⊗d) = ac⊗bd, so ((a⊗b)(c⊗d))(e⊗f) = (ac)e⊗(bd)f and
+    (a⊗b)((c⊗d)(e⊗f)) = a(ce)⊗b(df), equal whenever both factors are
+    associative.  A call without `budget` therefore checks the factors
+    (recursively, at their size) and on a pass only computes G.  A product
+    can be associative when a factor is not (a zero multiplication on the
+    other side), so a failing factor sends the product through Light's
+    test unchanged, and its verdict is the one it always was.
+
     A pass is cached with G on `s.mul`, where the generator certificates
     of the other checkers read it (`_generators_within`); a call without
     `budget` on a multiplication already known to be associative does no
@@ -314,10 +326,11 @@ def check_associativity(s: AlgebraicStructure,
     `budget`, when given, bounds the basis inputs the check hands to the
     rewrite kernel, closure products included: `BudgetExceededError` is
     raised as soon as the inputs it is committed to exceed it.  A budgeted
-    call does not read the cache, so it charges what it always did.
+    call reads neither the cache nor the factors, so it charges what it
+    always did.
     """
     mul = s.require("mul")
-    if budget is None and "light" in _cache(mul):
+    if budget is None and _inherited(mul, lambda count: None):
         return AxiomVerdict(True)
     return _light_test(s, _meter(
         budget, f"associativity on dim {s.dim} needs more than {budget} basis inputs"))
@@ -332,6 +345,31 @@ def _light_test(s: AlgebraicStructure, charge) -> AxiomVerdict:
     if v.passed:
         _cache(s.mul)["light"] = tuple(gens)
     return v
+
+
+def _algebra(mul: Tensor3) -> AlgebraicStructure:
+    return AlgebraicStructure(mul.dims[0], mul.field, mul=mul)
+
+
+def _inherited(mul: Tensor3, charge) -> bool:
+    """Whether `mul` is known associative without evaluating a triple of
+    its own: cached, or a tensor product of associative factors (see
+    `check_associativity`).  The factors are proved as `_associative`
+    does; on a pass the product's G is computed, charging only its closure
+    products, and cached."""
+    cache = _cache(mul)
+    if "light" in cache:
+        return True
+    factors = cache.get("factors")
+    if factors is None or not all(_associative(f, charge) for f in factors):
+        return False
+    cache["light"] = tuple(_generators(_algebra(mul), charge, triples=False))
+    return True
+
+
+def _associative(mul: Tensor3, charge) -> bool:
+    """Whether `mul` is associative: inherited, else by Light's test."""
+    return _inherited(mul, charge) or _light_test(_algebra(mul), charge).passed
 
 
 def _comul_product(mul: Tensor3, comul: Tensor3):
@@ -365,18 +403,16 @@ def _generators_within(mul: Tensor3, budget: int, comul: Tensor3 | None = None):
     and, when `comul` is given, Δ(ab) = Δ(a)Δ(b).  Each is read from the
     cache on `mul` or, when not cached yet, computed on at most `budget`
     basis inputs in all: the count of the identity to be certified, so that
-    a precondition costs no more than the full check it may replace.  None
-    when one fails or the budget runs out; the caller then runs the full
-    check.
+    a precondition costs no more than the full check it may replace.  On a
+    tensor product of associative factors only the factors' proofs and the
+    closure products that find G are charged (`_inherited`).  None when
+    one fails or the budget runs out; the caller then runs the full check.
     """
     charge = _meter(budget, "precondition over budget")
     try:
-        gens = _cache(mul).get("light")
-        if gens is None:
-            s = AlgebraicStructure(mul.dims[0], mul.field, mul=mul)
-            if not _light_test(s, charge).passed:
-                return None
-            gens = _cache(mul)["light"]
+        if not _associative(mul, charge):
+            return None
+        gens = _cache(mul)["light"]
         if comul is None or _known_multiplicative(mul, comul):
             return gens
         n = mul.dims[0]
@@ -700,7 +736,17 @@ def _tensor3_product(x: Tensor3, y: Tensor3) -> Tensor3:
 
 
 def tensor_product(a: AlgebraicStructure, b: AlgebraicStructure) -> AlgebraicStructure:
-    """The tensor product structure on A ⊗ B (componentwise, no braiding)."""
+    """The tensor product structure on A ⊗ B (componentwise, no braiding).
+
+    The product multiplication records the factor multiplications it was
+    built from, under "factors" in its cache.  Since (a⊗b)(c⊗d) = ac⊗bd,
+    the associator of A⊗B on basis triples is
+    (ac)e⊗(bd)f - a(ce)⊗b(df), which vanishes when both factors are
+    associative; `check_associativity` then proves the factors instead of
+    the product (see there).  The multiplication is immutable, so the
+    record stays true; a copy of it (`Tensor3.from_terms`, pickling) has
+    no record and is checked in full.
+    """
     if a.field != b.field:
         raise ShapeError("tensor factors live over different fields")
     field = a.field
@@ -710,6 +756,7 @@ def tensor_product(a: AlgebraicStructure, b: AlgebraicStructure) -> AlgebraicStr
     mul = comul = None
     if a.mul is not None and b.mul is not None:
         mul = _tensor3_product(a.mul, b.mul)
+        _cache(mul)["factors"] = (a.mul, b.mul)
     if a.comul is not None and b.comul is not None:
         comul = _tensor3_product(a.comul, b.comul)
     unit = a.unit.tensor(b.unit) if a.unit is not None and b.unit is not None else None

@@ -13,10 +13,11 @@ from itertools import product
 
 import pytest
 
-from rbhopf import (GF, AlgebraicStructure, BudgetExceededError, Tensor3,
+from rbhopf import (GF, QQ, AlgebraicStructure, BudgetExceededError, Tensor3,
                     builtin, tensor_product)
 from rbhopf import check_associativity, structures
 from rbhopf.structures import _generators, _verdict
+from rbhopf.tensorops import _cache
 from conftest import per_basis, verdict_key
 
 
@@ -85,10 +86,15 @@ def test_generators_span_the_algebra_of_a_tensor_square():
 
 
 def test_light_test_work_bound_on_s3_tensor_square(monkeypatch):
-    big = tensor_product(builtin("group:S3"), builtin("group:S3"))
+    """Light's bound is pinned on the product multiplication copied without
+    its record of the factors; the product itself evaluates triples only
+    on its factors, here a group:S3 with nothing cached on its maps."""
+    product = tensor_product(builtin("group:S3"), builtin("group:S3"))
+    big = product.replace(mul=Tensor3.from_terms(
+        QQ, product.mul.dims, dict(product.mul.terms)))
     n, gens = big.dim, _generators(big)
     assert len(gens) <= 5
-    inputs = []
+    inputs, at_dim = [], []
     associator = structures._associator
 
     def counting(mul):
@@ -96,6 +102,7 @@ def test_light_test_work_bound_on_s3_tensor_square(monkeypatch):
 
         def counted(t):
             inputs.append(len(t.terms))
+            at_dim.append(mul.dims[0])
             return residual(t)
 
         return counted
@@ -104,6 +111,14 @@ def test_light_test_work_bound_on_s3_tensor_square(monkeypatch):
     assert check_associativity(big).passed
     assert inputs == [n * n] * len(gens)
     assert sum(inputs) <= len(gens) * n * n < n ** 3
+
+    s3 = structures.symmetric_group_algebra(QQ, 3)
+    product = tensor_product(s3, s3)
+    del inputs[:], at_dim[:]
+    assert check_associativity(product).passed
+    assert n not in at_dim and set(at_dim) == {6}
+    assert sum(inputs) <= 3 * 6 * 6
+    assert _cache(product.mul)["light"] == tuple(gens)
 
 
 def corrupted_s3():
