@@ -3,10 +3,11 @@
 Subcommands: verify, rb-check, construct, search, builtin-list.  Structures
 are file paths or `builtin:<name>` references; `--field Fp:<p>` re-grounds a
 builtin over a prime field.  Exit codes are a stable contract: 0 all checks
-passed, 1 a check failed, 2 input/parse error, 3 resource budget exceeded
-(a search's candidates, or the basis inputs a `verify` check may
-evaluate), 4 internal error (an unexpected exception, reported as one line
-on stderr instead of a traceback).
+passed, 1 a check failed, 2 input/parse error (any `ValueError` the package
+raises on its input, or an output path that cannot be written), 3 resource
+budget exceeded (a search's candidates, or the basis inputs a `verify`
+check may evaluate), 4 internal error (an unexpected exception, reported as
+one line on stderr instead of a traceback).
 
 `--report machine` emits a deterministic line-oriented key-value report
 (no timestamps); `--report human` is free-form and includes timing.
@@ -25,7 +26,7 @@ import sys
 import time
 
 from . import fileformat
-from .errors import BudgetExceededError, FormatError, PreconditionError
+from .errors import BudgetExceededError
 from .fields import QQ, field_from_name
 from .fileformat import Document, load, save
 from .structures import (builtin, builtin_names, check_antipode,
@@ -98,22 +99,13 @@ class InputError(Exception):
 
 
 def _field_option(value: str | None):
-    if value is None:
-        return None
-    try:
-        return field_from_name(value)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    return None if value is None else field_from_name(value)
 
 
 def _load_structure(ref: str, field_flag):
     """A structure payload from builtin:NAME or a file path."""
     if ref.startswith("builtin:"):
-        field = field_flag or QQ
-        try:
-            return builtin(ref[len("builtin:"):], field)
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
+        return builtin(ref[len("builtin:"):], field_flag or QQ)
     if field_flag is not None:
         raise InputError("--field applies only to builtin: references")
     doc = load(ref)
@@ -330,21 +322,18 @@ def cmd_rb_check(args) -> Report:
                          "(P then Q) and two weights (lambda then gamma)")
     for i, w in enumerate(args.weight):
         report.arg(f"weight{i + 1}" if args.side == "bialgebra" else "weight", w)
-    try:
-        if args.side == "algebra":
-            report.check("rb-algebra", check_rb_algebra(s, ops[0], weights[0]))
-        elif args.side == "coalgebra":
-            v = check_rb_coalgebra(s, ops[0], weights[0],
-                                   report_idempotency=args.idempotent)
-            report.check("rb-coalgebra", v)
-            if args.idempotent:
-                report.info("idempotent", "yes" if v.idempotent else "no")
-        else:
-            v = check_rb_bialgebra(s, ops[0], ops[1], weights[0], weights[1])
-            report.check("rb-algebra", v.algebra)
-            report.check("rb-coalgebra", v.coalgebra)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    if args.side == "algebra":
+        report.check("rb-algebra", check_rb_algebra(s, ops[0], weights[0]))
+    elif args.side == "coalgebra":
+        v = check_rb_coalgebra(s, ops[0], weights[0],
+                               report_idempotency=args.idempotent)
+        report.check("rb-coalgebra", v)
+        if args.idempotent:
+            report.info("idempotent", "yes" if v.idempotent else "no")
+    else:
+        v = check_rb_bialgebra(s, ops[0], ops[1], weights[0], weights[1])
+        report.check("rb-algebra", v.algebra)
+        report.check("rb-coalgebra", v.coalgebra)
     return report
 
 
@@ -398,10 +387,7 @@ def cmd_construct(args) -> Report:
             if hm.side != side:
                 raise InputError(f"{args.module} is a {hm.side} module")
             from .hopfmod import verify_projection_rb
-            try:
-                p, verdict = verify_projection_rb(hm)
-            except (PreconditionError, ValueError) as exc:
-                raise InputError(str(exc)) from None
+            p, verdict = verify_projection_rb(hm)
         else:
             if not args.yd:
                 raise InputError("construct projection needs --module or --yd")
@@ -409,10 +395,7 @@ def cmd_construct(args) -> Report:
             ydc = _resolve_yd(args, field)
             pipeline = (smash_hopf_module_right if side == "right"
                         else smash_hopf_module_left)
-            try:
-                _, p, verdict = pipeline(ydc)
-            except PreconditionError as exc:
-                raise InputError(str(exc)) from None
+            _, p, verdict = pipeline(ydc)
             report.check("closed-form-matches-generic", True)
         report.check("rb-coalgebra-weight-minus-1", verdict)
         report.info("idempotent", "yes" if verdict.idempotent else "no")
@@ -452,11 +435,7 @@ def cmd_construct(args) -> Report:
             raise InputError("construct pi-operator needs --hopf")
         from .hopfmod import (hopf_module_from_projection, pi_operator,
                               tensor_square_projection, verify_projection_rb)
-        hopf = _load_structure(args.hopf, field)
-        try:
-            pb = tensor_square_projection(hopf)
-        except (PreconditionError, ValueError) as exc:
-            raise InputError(str(exc)) from None
+        pb = tensor_square_projection(_load_structure(args.hopf, field))
         hm = hopf_module_from_projection(pb)
         pi = pi_operator(pb)
         p, verdict = verify_projection_rb(hm)
@@ -487,12 +466,9 @@ def cmd_search(args) -> Report:
     report.arg("weight", args.weight)
     s = _load_structure(args.structure, _field_option(args.field))
     weight = _parse_weight(s.field, args.weight)
-    try:
-        result = search_rb_operators(s, args.side, weight,
-                                     idempotent_only=args.idempotent_only,
-                                     budget=args.budget)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    result = search_rb_operators(s, args.side, weight,
+                                 idempotent_only=args.idempotent_only,
+                                 budget=args.budget)
     report.info("scanned", result.candidates_scanned)
     report.info("found", len(result.operators))
     if args.out_dir:
@@ -601,8 +577,14 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         report = args.run(args)
-    except (FormatError, InputError) as exc:
+    except (InputError, ValueError) as exc:
+        # Every input the package rejects raises a ValueError (`FormatError`,
+        # `ShapeError`, `PreconditionError`, a missing structure map).
         sys.stderr.write(f"error: {exc}\n")
+        return 2
+    except OSError as exc:
+        # `load` reports unreadable files itself, so this is a path written to.
+        sys.stderr.write(f"error: cannot write {exc.filename}: {exc.strerror}\n")
         return 2
     except BudgetExceededError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -51,7 +51,7 @@ from .errors import FormatError, ShapeError
 from .fields import field_from_name
 from .linalg import Mat, Tensor3, Vec
 from .record import Record
-from .structures import AlgebraicStructure, builtin
+from .structures import AlgebraicStructure, _h_position, builtin
 
 FORMAT_VERSION = "1"
 
@@ -72,6 +72,9 @@ class Comodule(Record):
     m_dim: int
     coaction: Mat
     side: str
+
+    def __post_init__(self):
+        _h_position(self.side)
 
 
 class Document(Record):
@@ -137,12 +140,13 @@ class _Lines:
         return item
 
     def expect(self, key: str):
+        """(line number, value) of a `key <value>` header line."""
         lineno, tokens = self.next()
         if tokens is None or tokens[0] != key:
             raise FormatError(f"expected a {key!r} line", lineno)
-        if len(tokens) < 2:
-            raise FormatError(f"{key} line is missing its value", lineno)
-        return lineno, tokens
+        if len(tokens) != 2:
+            raise FormatError(f"{key} line takes exactly one value", lineno)
+        return lineno, tokens[1]
 
     def take_section(self, key: str):
         """All consecutive lines starting with `key` (possibly none)."""
@@ -208,38 +212,34 @@ def loads(text: str, base_dir: str = ".") -> Document:
     kind = header[2]
     if kind not in ALL_KINDS:
         raise FormatError(f"unknown kind {kind!r}", lineno)
-    lineno, tokens = lines.expect("field")
+    lineno, name = lines.expect("field")
     try:
-        field = field_from_name(tokens[1])
-    except (ValueError, IndexError):
+        field = field_from_name(name)
+    except ValueError:
         raise FormatError("bad field line", lineno) from None
 
     refs: dict = {}
 
     def hopf_ref():
-        lineno, tokens = lines.expect("hopf")
-        if len(tokens) != 2:
-            raise FormatError("hopf line takes one reference", lineno)
-        refs["hopf"] = tokens[1]
-        return resolve_structure(tokens[1], field, base_dir)
+        _, refs["hopf"] = lines.expect("hopf")
+        return resolve_structure(refs["hopf"], field, base_dir)
 
     if kind in STRUCTURE_KINDS or kind == "prelie":
         payload = _load_structure_body(lines, field, kind)
     elif kind == "operator":
-        lineno, tokens = lines.expect("rows")
-        nrows = _parse_int(tokens[1], lineno)
-        lineno, tokens = lines.expect("cols")
-        ncols = _parse_int(tokens[1], lineno)
+        lineno, value = lines.expect("rows")
+        nrows = _parse_int(value, lineno)
+        lineno, value = lines.expect("cols")
+        ncols = _parse_int(value, lineno)
         payload = _matrix_from_rows(field, lines.take_section("entry"),
                                     (nrows, ncols), lineno)
     elif kind in ("module", "comodule"):
-        lineno, tokens = lines.expect("side")
-        side = tokens[1]
+        lineno, side = lines.expect("side")
         if side not in ("left", "right"):
             raise FormatError(f"bad side {side!r}", lineno)
         hopf = hopf_ref()
-        lineno, tokens = lines.expect("mdim")
-        m_dim = _parse_int(tokens[1], lineno)
+        lineno, value = lines.expect("mdim")
+        m_dim = _parse_int(value, lineno)
         h = hopf.dim
         if kind == "module":
             action = _matrix_from_rows(field, lines.take_section("action"),
@@ -263,8 +263,8 @@ def loads(text: str, base_dir: str = ".") -> Document:
             payload = Comodule(hopf, m_dim, coaction, side)
     elif kind == "yd":
         hopf = hopf_ref()
-        cdim_line, tokens = lines.expect("cdim")
-        c_dim = _parse_int(tokens[1], cdim_line)
+        cdim_line, value = lines.expect("cdim")
+        c_dim = _parse_int(value, cdim_line)
         h = hopf.dim
         ccomul = Tensor3(field, (c_dim,) * 3,
                          _entry_table(field, lines.take_section("ccomul"), 3,
@@ -303,8 +303,8 @@ _REQUIRED = {"algebra": ("mul",), "coalgebra": ("comul",),
 
 
 def _load_structure_body(lines: _Lines, field, kind: str):
-    dim_line, tokens = lines.expect("dim")
-    dim = _parse_int(tokens[1], dim_line)
+    dim_line, value = lines.expect("dim")
+    dim = _parse_int(value, dim_line)
     names = None
     lineno, tokens = lines.peek()
     if tokens is not None and tokens[0] == "names":

@@ -18,6 +18,14 @@ every basis vector at once, each tagged with its own index, through the
 same `TermSum` rewrites the checkers use (`tensorops._matrix_of`).  The
 validation of i and π (`check_bialgebra_map`) runs on the same sparse
 rewrites, so no library path forms a Kronecker product of dense matrices.
+
+Each identity is written once for both sides.  The placement rule
+`structures._h_position` validates a side and gives H's factor position
+next to M: 1 on the right (M⊗H), 0 on the left (H⊗M), M's being the
+other.  Every rewrite chain reads its factor positions, its certificate
+slot and, through `structures._placed`, its input shapes from it, so a
+left module runs the right module's chain with positions mirrored, on the
+same maps: no H^{op,cop} structure is built.
 """
 
 from __future__ import annotations
@@ -27,8 +35,9 @@ from .linalg import Mat, Tensor3
 from .rb import RBVerdict, check_rb_coalgebra
 from .record import Record
 from .structures import (AlgebraicStructure, AxiomVerdict, _batched,
-                         _first_failure, _generators_within, _on_generators,
-                         _verdict, check_bialgebra_map, check_coassociativity,
+                         _first_failure, _generators_within, _h_position,
+                         _on_generators, _placed, _verdict,
+                         check_bialgebra_map, check_coassociativity,
                          check_comodule, check_module, tensor_product)
 from .tensorops import _matrix_of
 
@@ -51,8 +60,7 @@ class HopfModule(Record):
     comul: Tensor3 | None = None
 
     def __post_init__(self):
-        if self.side not in ("left", "right"):
-            raise ShapeError(f"side must be 'left' or 'right', got {self.side!r}")
+        _h_position(self.side)
         h, m = self.hopf.dim, self.m_dim
         if m < 0:
             raise ShapeError("module dimension must be nonnegative")
@@ -72,8 +80,7 @@ class HopfModule(Record):
         return self.hopf.field
 
     def coaction_dims(self) -> tuple[int, int]:
-        return ((self.m_dim, self.hopf.dim) if self.side == "right"
-                else (self.hopf.dim, self.m_dim))
+        return _placed(_h_position(self.side), (self.m_dim,), (self.hopf.dim,))
 
     def as_coalgebra(self) -> AlgebraicStructure:
         """M with its own comultiplication, forgetting the Hopf action."""
@@ -110,29 +117,23 @@ def check_hopf_module(hm: HopfModule) -> AxiomVerdict:
     hopf = hm.hopf
     comul = hopf.require("comul")
     mul = hopf.require("mul")
+    h_pos = _h_position(hm.side)
     out_dims = hm.coaction_dims()
-    right = hm.side == "right"
 
     def compat(t):
         lhs = t.merge_map_at(0, hm.action).split_map_at(0, hm.coaction, out_dims)
-        if right:
-            rhs = (t.split_at(1, comul)
-                   .split_map_at(0, hm.coaction, out_dims)
-                   .permute((0, 2, 1, 3))
-                   .merge_map_at(0, hm.action)
-                   .merge_at(1, mul))
-        else:
-            rhs = (t.split_at(0, comul)
-                   .split_map_at(2, hm.coaction, out_dims)
-                   .permute((0, 2, 1, 3))
-                   .merge_at(0, mul)
-                   .merge_map_at(1, hm.action))
+        # ρ(m)Δ(h) as m₍₀₎⊗h₁⊗m₍₁₎⊗h₂ (h₁⊗m₍₋₁₎⊗h₂⊗m₍₀₎ on the left): the
+        # action merges the pair at 2·(1 - h_pos), then H's pair at h_pos.
+        rhs = (t.split_at(h_pos, comul)
+               .split_map_at(2 - 2 * h_pos, hm.coaction, out_dims)
+               .permute((0, 2, 1, 3))
+               .merge_map_at(2 - 2 * h_pos, hm.action)
+               .merge_at(h_pos, mul))
         return lhs - rhs
 
-    dims = (hm.m_dim, hopf.dim) if right else (hopf.dim, hm.m_dim)
     gens = _generators_within(mul, hm.m_dim * hopf.dim, comul)
     return _verdict(*_on_generators(f"{hm.side}-hopf-module-compatibility",
-                                    hm.field, dims, 1 if right else 0, gens, compat))
+                                    hm.field, out_dims, h_pos, gens, compat))
 
 
 def check_hopf_module_algebra(hm: HopfModule) -> AxiomVerdict:
@@ -157,32 +158,27 @@ def check_hopf_module_algebra(hm: HopfModule) -> AxiomVerdict:
     mmul = hm.mul
     hmul = hm.hopf.require("mul")
     m_dim, h = hm.m_dim, hm.hopf.dim
+    h_pos = _h_position(hm.side)
     out_dims = hm.coaction_dims()
-    right = hm.side == "right"
 
     def action_compat(t):
-        if right:
-            return (t.merge_at(0, mmul).merge_map_at(0, hm.action)
-                    - t.merge_map_at(1, hm.action).merge_at(0, mmul))
-        return (t.merge_at(1, mmul).merge_map_at(0, hm.action)
-                - t.merge_map_at(0, hm.action).merge_at(0, mmul))
+        # m⊗m'⊗h on the right, h⊗m⊗m' on the left.
+        return (t.merge_at(1 - h_pos, mmul).merge_map_at(0, hm.action)
+                - t.merge_map_at(h_pos, hm.action).merge_at(0, mmul))
 
     def coaction_compat(t):
         lhs = t.merge_at(0, mmul).split_map_at(0, hm.coaction, out_dims)
-        both = (t.split_map_at(0, hm.coaction, out_dims)
-                .split_map_at(2, hm.coaction, out_dims)
-                .permute((0, 2, 1, 3)))
-        if right:
-            rhs = both.merge_at(0, mmul).merge_at(1, hmul)
-        else:
-            rhs = both.merge_at(0, hmul).merge_at(1, mmul)
+        # ρ(m)ρ(m') with M's pair at 2·(1 - h_pos), then H's at h_pos.
+        rhs = (t.split_map_at(0, hm.coaction, out_dims)
+               .split_map_at(2, hm.coaction, out_dims)
+               .permute((0, 2, 1, 3))
+               .merge_at(2 - 2 * h_pos, mmul).merge_at(h_pos, hmul))
         return lhs - rhs
 
-    action_dims = (m_dim, m_dim, h) if right else (h, m_dim, m_dim)
     hgens = _generators_within(hmul, m_dim * m_dim * h)
     v = _verdict(*_on_generators(f"{hm.side}-module-algebra-action", hm.field,
-                                 action_dims, 2 if right else 0, hgens,
-                                 action_compat))
+                                 _placed(h_pos, (m_dim, m_dim), (h,)),
+                                 2 * h_pos, hgens, action_compat))
     if not v.passed:
         return v
     mgens = None if hgens is None else _generators_within(mmul, m_dim * m_dim)
@@ -215,35 +211,39 @@ def check_hopf_module_coalgebra(hm: HopfModule) -> AxiomVerdict:
     mcomul = hm.comul
     hcomul = hm.hopf.require("comul")
     m_dim, h = hm.m_dim, hm.hopf.dim
+    h_pos = _h_position(hm.side)
     out_dims = hm.coaction_dims()
-    right = hm.side == "right"
 
     def coaction_compat(t):
-        if right:
-            lhs = t.split_map_at(0, hm.coaction, out_dims).split_at(0, mcomul)
-            rhs = t.split_at(0, mcomul).split_map_at(1, hm.coaction, out_dims)
-        else:
-            lhs = t.split_map_at(0, hm.coaction, out_dims).split_at(1, mcomul)
-            rhs = t.split_at(0, mcomul).split_map_at(0, hm.coaction, out_dims)
-        return lhs - rhs
-
-    def action_compat(t):
-        # Split M (Δ_M) and H (Δ_H) where they sit in the input.
-        first, second = (mcomul, hcomul) if right else (hcomul, mcomul)
-        lhs = t.merge_map_at(0, hm.action).split_at(0, mcomul)
-        rhs = (t.split_at(0, first).split_at(2, second)
-               .permute((0, 2, 1, 3))
-               .merge_map_at(0, hm.action).merge_map_at(1, hm.action))
+        lhs = t.split_map_at(0, hm.coaction, out_dims).split_at(1 - h_pos, mcomul)
+        rhs = t.split_at(0, mcomul).split_map_at(h_pos, hm.coaction, out_dims)
         return lhs - rhs
 
     gens = _generators_within(hm.hopf.require("mul"), m_dim * h, hcomul)
     return _first_failure([
         _batched(f"{hm.side}-module-coalgebra-coaction", hm.field, (m_dim,),
                  coaction_compat),
-        _on_generators(f"{hm.side}-module-coalgebra-action", hm.field,
-                       (m_dim, h) if right else (h, m_dim), 1 if right else 0,
-                       gens, action_compat),
+        _on_generators(f"{hm.side}-module-coalgebra-action", hm.field, out_dims,
+                       h_pos, gens,
+                       _module_coalgebra_action(h_pos, hm.action, mcomul, hcomul)),
     ])
+
+
+def _module_coalgebra_action(h_pos: int, action: Mat, mcomul: Tensor3,
+                             hcomul: Tensor3):
+    """The residual Δ(m·h) - m₁·h₁ ⊗ m₂·h₂ of a basis tensor, or of a tagged
+    batch, with H at `h_pos` (`_h_position`): Δ(h·m) - h₁·m₁ ⊗ h₂·m₂ on the
+    left, the identity of left Yetter-Drinfeld module coalgebras too."""
+    first, second = _placed(h_pos, (mcomul,), (hcomul,))
+
+    def residual(t):
+        lhs = t.merge_map_at(0, action).split_at(0, mcomul)
+        rhs = (t.split_at(0, first).split_at(2, second)
+               .permute((0, 2, 1, 3))
+               .merge_map_at(0, action).merge_map_at(1, action))
+        return lhs - rhs
+
+    return residual
 
 
 def coinvariant_projection(hm: HopfModule) -> Mat:
@@ -254,7 +254,7 @@ def coinvariant_projection(hm: HopfModule) -> Mat:
     """
     antipode = hm.hopf.require("antipode")
     out_dims = hm.coaction_dims()
-    h_pos = 1 if hm.side == "right" else 0
+    h_pos = _h_position(hm.side)
     return _matrix_of(hm.field, (hm.m_dim,), lambda t: (
         t.split_map_at(0, hm.coaction, out_dims)
         .map_at(h_pos, antipode)
@@ -320,9 +320,8 @@ def hopf_module_from_projection(pb: ProjectionBialgebra,
     """
     big, hopf = pb.big, pb.hopf
     field, n = big.field, big.dim
-    h_pos = 1 if side == "right" else 0
-    in_dims = (n, hopf.dim) if side == "right" else (hopf.dim, n)
-    action = _matrix_of(field, in_dims, lambda t: (
+    h_pos = _h_position(side)
+    action = _matrix_of(field, _placed(h_pos, (n,), (hopf.dim,)), lambda t: (
         t.map_at(h_pos, pb.embed).merge_at(0, big.mul)))
     coaction = _matrix_of(field, (n,), lambda t: (
         t.split_at(0, big.comul).map_at(h_pos, pb.project)))
@@ -337,9 +336,7 @@ def pi_operator(pb: ProjectionBialgebra, side: str = "right") -> Mat:
     """
     eye = Mat.identity(pb.big.field, pb.big.dim)
     isp = pb.embed * pb.hopf.antipode * pb.project
-    if side == "right":
-        return convolution(eye, isp, pb.big)
-    return convolution(isp, eye, pb.big)
+    return convolution(*_placed(_h_position(side), (eye,), (isp,)), pb.big)
 
 
 def tensor_square_projection(hopf: AlgebraicStructure) -> ProjectionBialgebra:

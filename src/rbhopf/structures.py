@@ -253,15 +253,15 @@ def _generators(s: AlgebraicStructure, charge=lambda count: None,
 
     def products(pairs):
         size = (n, n, len(pairs))
-        right = TermSum._trusted(field, size, {
+        ug = TermSum._trusted(field, size, {
             (k, g, p): c for p, (u, g) in enumerate(pairs) for k, c in u.items()})
-        left = TermSum._trusted(field, size, {
+        gu = TermSum._trusted(field, size, {
             (g, k, p): c for p, (u, g) in enumerate(pairs) for k, c in u.items()})
-        charge(2 * len(right.terms))
+        charge(2 * len(ug.terms))
         out = [{} for _ in range(2 * len(pairs))]
-        for (k, p), c in right.merge_at(0, mul).terms.items():
+        for (k, p), c in ug.merge_at(0, mul).terms.items():
             out[p][k] = c
-        for (k, p), c in left.merge_at(0, mul).terms.items():
+        for (k, p), c in gu.merge_at(0, mul).terms.items():
             out[len(pairs) + p][k] = c
         return out
 
@@ -527,6 +527,22 @@ def check_antipode(s: AlgebraicStructure) -> AxiomVerdict:
         _batched("antipode-right", s.field, (s.dim,), side(1))])
 
 
+def _h_position(side: str) -> int:
+    """Where H sits next to M on `side`: 1 on the right (M⊗H), 0 on the left (H⊗M).
+
+    The placement rule every left/right identity is written with: it names
+    H's factor, M's is the other one, and `_placed` builds shapes from it.
+    """
+    if side not in ("left", "right"):
+        raise ShapeError(f"side must be 'left' or 'right', got {side!r}")
+    return ("left", "right").index(side)
+
+
+def _placed(h_pos: int, m_part: tuple, h_part: tuple) -> tuple:
+    """`m_part` and `h_part` joined in the order `h_pos` gives (`_h_position`)."""
+    return (h_part + m_part, m_part + h_part)[h_pos]
+
+
 def check_comodule(hopf: AlgebraicStructure, m_dim: int, coaction: Mat,
                    side: str) -> AxiomVerdict:
     """Coassociativity and (when ε exists) counitality of a coaction.
@@ -537,13 +553,12 @@ def check_comodule(hopf: AlgebraicStructure, m_dim: int, coaction: Mat,
     """
     comul = hopf.require("comul")
     h = hopf.dim
-    _require_side(side)
-    out_dims = (m_dim, h) if side == "right" else (h, m_dim)
+    h_pos = _h_position(side)
+    m_pos = 1 - h_pos
+    out_dims = _placed(h_pos, (m_dim,), (h,))
     if coaction.rows != m_dim * h or coaction.cols != m_dim or \
             coaction.field != hopf.field:
         raise ShapeError(f"coaction must be {m_dim * h} x {m_dim}")
-    # Positions of H and M in ρ(m).
-    h_pos, m_pos = (1, 0) if side == "right" else (0, 1)
 
     def coassoc(t):
         rho = t.split_map_at(0, coaction, out_dims)
@@ -573,28 +588,22 @@ def check_module(hopf: AlgebraicStructure, m_dim: int, action: Mat,
     """
     mul = hopf.require("mul")
     h = hopf.dim
-    _require_side(side)
-    cols = m_dim * h if side == "right" else h * m_dim
-    if action.rows != m_dim or action.cols != cols or action.field != hopf.field:
-        raise ShapeError(f"action must be {m_dim} x {cols}")
+    h_pos = _h_position(side)
+    if action.rows != m_dim or action.cols != m_dim * h or action.field != hopf.field:
+        raise ShapeError(f"action must be {m_dim} x {m_dim * h}")
     field = hopf.field
-    right = side == "right"
 
     def assoc(t):
-        if right:
-            return (t.merge_map_at(0, action).merge_map_at(0, action)
-                    - t.merge_at(1, mul).merge_map_at(0, action))
-        return (t.merge_map_at(1, action).merge_map_at(0, action)
-                - t.merge_at(0, mul).merge_map_at(0, action))
+        return (t.merge_map_at(1 - h_pos, action).merge_map_at(0, action)
+                - t.merge_at(h_pos, mul).merge_map_at(0, action))
 
-    dims = (m_dim, h, h) if right else (h, h, m_dim)
+    dims = _placed(h_pos, (m_dim,), (h, h))
     gens = _generators_within(mul, m_dim * h * h)
     parts = [_on_generators(f"{side}-action-associativity", field, dims,
-                            2 if right else 0, gens, assoc)]
+                            2 * h_pos, gens, assoc)]
     if hopf.unit is not None:
-        unit_pos = 1 if right else 0
         parts.append(_batched(f"{side}-action-unital", field, (m_dim,), lambda t: (
-            t.insert_at(unit_pos, hopf.unit).merge_map_at(0, action) - t)))
+            t.insert_at(h_pos, hopf.unit).merge_map_at(0, action) - t)))
     return _first_failure(parts)
 
 
@@ -645,11 +654,6 @@ def check_bialgebra_map(f: Mat, src: AlgebraicStructure,
         (*_batched("map-counit", field, (ns,), counital),
          lambda k: (k[1], k[0])),
     ])
-
-
-def _require_side(side: str):
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
 # ---------------------------------------------------------------------------

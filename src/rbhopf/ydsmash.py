@@ -24,8 +24,8 @@ well-defined by coassociativity.
 from __future__ import annotations
 
 from .errors import PreconditionError, ShapeError
-from .hopfmod import (HopfModule, check_hopf_module_coalgebra,
-                      coinvariant_projection)
+from .hopfmod import (HopfModule, _module_coalgebra_action,
+                      check_hopf_module_coalgebra, coinvariant_projection)
 from .linalg import Mat, Tensor3, Vec, kron_index
 from .rb import RBVerdict, check_rb_coalgebra
 from .record import Record
@@ -121,13 +121,6 @@ def check_yd_coalgebra(ydc: YDModuleCoalgebra) -> AxiomVerdict:
     hcomul = hopf.require("comul")
     out_dims = (hopf.dim, cstr.dim)
 
-    def module_coalgebra(t):
-        lhs = t.merge_map_at(0, ydc.action).split_at(0, ccomul)
-        rhs = (t.split_at(0, hcomul).split_at(2, ccomul)
-               .permute((0, 2, 1, 3))
-               .merge_map_at(0, ydc.action).merge_map_at(1, ydc.action))
-        return lhs - rhs
-
     def comodule_coalgebra(t):
         lhs = t.split_map_at(0, ydc.coaction, out_dims).split_at(1, ccomul)
         rhs = (t.split_at(0, ccomul)
@@ -140,7 +133,7 @@ def check_yd_coalgebra(ydc: YDModuleCoalgebra) -> AxiomVerdict:
     gens = _generators_within(hmul, hopf.dim * cstr.dim, hcomul)
     return _first_failure([
         _on_generators("module-coalgebra", ydc.field, out_dims, 0, gens,
-                       module_coalgebra),
+                       _module_coalgebra_action(0, ydc.action, ccomul, hcomul)),
         _batched("comodule-coalgebra", ydc.field, (cstr.dim,), comodule_coalgebra),
     ])
 
