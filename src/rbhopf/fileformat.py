@@ -75,6 +75,13 @@ class Comodule(Record):
 
     def __post_init__(self):
         _h_position(self.side)
+        h, m = self.hopf.dim, self.m_dim
+        if m < 0:
+            raise ShapeError("module dimension must be nonnegative")
+        if (self.coaction.rows, self.coaction.cols) != (m * h, m):
+            raise ShapeError(f"coaction must be {m * h} x {m}")
+        if self.coaction.field != self.hopf.field:
+            raise ShapeError("comodule components live over different fields")
 
 
 class Document(Record):

@@ -36,8 +36,8 @@ from .rb import RBVerdict, check_rb_coalgebra
 from .record import Record
 from .structures import (AlgebraicStructure, AxiomVerdict, _batched,
                          _first_failure, _generators_within, _h_position,
-                         _on_generators, _placed, _verdict,
-                         check_bialgebra_map, check_coassociativity,
+                         _inherited_generators, _on_generators, _placed,
+                         _verdict, check_bialgebra_map, check_coassociativity,
                          check_comodule, check_module, tensor_product)
 from .tensorops import _matrix_of
 
@@ -143,12 +143,26 @@ def check_hopf_module_algebra(hm: HopfModule) -> AxiomVerdict:
     Left side: h·(mm') = (h·m)m' and ρ(mm') = m₍₋₁₎m'₍₋₁₎ ⊗ m₍₀₎m'₍₀₎.
 
     Both are certified on generating sets (`_on_generators`).  The action
-    part, in h on a generating set of an associative H: the module axioms
-    passed first, so (mm')·(gg') = ((mm')·g)·g' = (m(m'·g))·g' =
-    m((m'·g)·g') = m(m'·(gg')), and on the left likewise.  The coaction
-    part, in m' on a generating set of M's multiplication when M and H are
-    associative: ρ(m(nn')) = ρ((mn)n') = ρ(m)ρ(n)ρ(n') = ρ(m)ρ(nn'), since
-    M⊗H (H⊗M on the left) is then an associative algebra.
+    part, in h on a generating set G_H of an associative H: the module
+    axioms passed first, so (mm')·(gg') = ((mm')·g)·g' = (m(m'·g))·g' =
+    m((m'·g)·g') = m(m'·(gg')), and on the left likewise.
+
+    When M is also known associative without a Light's test of its own (a
+    cached pass, or a tensor product of associative factors), the action
+    part is certified in a second slot too: the M factor at position 1,
+    m' on the right and m on the left, in M's generating set G_M.  Fix g
+    in G_H and let B_g = {m' : (mm')·g = m(m'·g) for all m}.  For m'₁, m'₂
+    in B_g, (m(m'₁m'₂))·g = ((mm'₁)m'₂)·g = (mm'₁)(m'₂·g) =
+    m(m'₁(m'₂·g)) = m((m'₁m'₂)·g), so B_g is a subspace closed under
+    products, G_M ⊆ B_g gives B_g = M, and the argument in h above covers
+    H.  On the left, B_g = {m : g·(mm') = (g·m)m' for all m'} likewise.
+    Each step lets the other M factor range over all of M, so only one M
+    slot is certified: on G_M × G_M the identity pins the map on products
+    of two generators but not on longer words.
+
+    The coaction part, in m' on a generating set of M's multiplication
+    when M and H are associative: ρ(m(nn')) = ρ((mn)n') = ρ(m)ρ(n)ρ(n') =
+    ρ(m)ρ(nn'), since M⊗H (H⊗M on the left) is then an associative algebra.
     """
     if hm.mul is None:
         raise ValueError("module carries no multiplication")
@@ -176,9 +190,13 @@ def check_hopf_module_algebra(hm: HopfModule) -> AxiomVerdict:
         return lhs - rhs
 
     hgens = _generators_within(hmul, m_dim * m_dim * h)
+    slot, gens = 2 * h_pos, hgens
+    mgens = None if hgens is None else _inherited_generators(mmul, m_dim * m_dim * h)
+    if mgens is not None:
+        slot, gens = (slot, 1), (hgens, mgens)
     v = _verdict(*_on_generators(f"{hm.side}-module-algebra-action", hm.field,
                                  _placed(h_pos, (m_dim, m_dim), (h,)),
-                                 2 * h_pos, hgens, action_compat))
+                                 slot, gens, action_compat))
     if not v.passed:
         return v
     mgens = None if hgens is None else _generators_within(mmul, m_dim * m_dim)

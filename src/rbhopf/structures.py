@@ -87,45 +87,64 @@ def _batched(identity: str, field, dims: tuple, residual):
     return identity, batches, len(dims) - lead
 
 
-def _on_generators(identity: str, field, dims: tuple, slot: int, gens,
+def _on_generators(identity: str, field, dims: tuple, slot, gens,
                    residual, charge=lambda count: None):
     """A lazy verdict part like `_batched`, certified on generators.
 
-    For an identity that holds for all inputs once it holds for those whose
-    index in factor `slot` lies in `gens` (the checkers' docstrings prove
-    this for theirs), `residual` runs on one batch per g in `gens`: every
-    basis input with g in `slot`, tagged with its other indices.  If any
-    residual is nonzero, the same batches run for every other index of
-    `slot`, and `charge` is told their inputs first; the keys are put back
-    in (input indices..., output indices...) order, so the verdict is the
-    one `_batched` gives.  With `gens` None the part is `_batched`'s.
+    `slot` names one input factor and `gens` its indices, or `slot` is a
+    tuple of factors and `gens` the tuple of their index sets; one factor
+    is the one-element case.  For an identity that holds for all inputs
+    once it holds on the certified grid, the inputs whose indices in the
+    slots form a combination in the product of `gens` (the checkers'
+    docstrings prove this for theirs), `residual` runs on one batch per
+    combination c: every basis input with c in the slots, tagged with its
+    other indices.  If any residual is nonzero, the same batches run for
+    every combination outside the grid, and `charge` is told their inputs
+    first; the keys are put back in (input indices..., output indices...)
+    order, so the verdict is the one `_batched` gives.  With `gens` None
+    the part is `_batched`'s.
     """
     if gens is None:
         return _batched(identity, field, dims, residual)
-    others = dims[:slot] + dims[slot + 1:]
+    if isinstance(slot, int):
+        slot, gens = (slot,), (gens,)
+    slots, gens = zip(*sorted(zip(slot, gens)))
+    others = tuple(d for i, d in enumerate(dims) if i not in slots)
     rests = list(product(*map(range, others)))
     tagged = dims + others
     one = field.one
 
-    def batch(g):
+    def batch(c):
+        axes = list(map(range, dims))
+        for i, g in zip(slots, c):
+            axes[i] = (g,)
+        # Both products run in lexicographic order of the other indices.
         return residual(TermSum._trusted(field, tagged, {
-            r[:slot] + (g,) + r[slot:] + r: one for r in rests}))
+            x + r: one for x, r in zip(product(*axes), rests)}))
 
     def residuals():
         failed = False
-        for g in gens:
-            res = batch(g)
+        for c in product(*gens):
+            res = batch(c)
             failed = failed or not res.is_zero()
-            yield (g,), res
+            yield c, res
         if failed:
-            rest = sorted(set(range(dims[slot])).difference(gens))
+            grid = set(product(*gens))
+            rest = [c for c in product(*(range(dims[i]) for i in slots))
+                    if c not in grid]
             charge(len(rest) * len(rests))
-            for g in rest:
-                yield (g,), batch(g)
+            for c in rest:
+                yield c, batch(c)
 
-    # Keys arrive as (g, other indices..., output...).
-    key = None if slot == 0 else lambda k: k[1:slot + 1] + k[:1] + k[slot + 1:]
-    return identity, residuals(), len(others), key
+    def key(k):
+        # Keys arrive as (c..., other indices..., output...).
+        x = list(k[len(slots):len(slots) + len(others)])
+        for i, g in zip(slots, k):
+            x.insert(i, g)
+        return tuple(x) + k[len(slots) + len(others):]
+
+    leading = slots == tuple(range(len(slots)))
+    return identity, residuals(), len(others), None if leading else key
 
 
 def _meter(budget: int | None, message: str):
@@ -422,6 +441,18 @@ def _generators_within(mul: Tensor3, budget: int, comul: Tensor3 | None = None):
         if v.passed:
             _known_multiplicative(mul, comul, passed=True)
             return gens
+    except BudgetExceededError:
+        pass
+    return None
+
+
+def _inherited_generators(mul: Tensor3, budget: int):
+    """G of `mul` when it is known associative without a Light's test of
+    its own (`_inherited`: a cached pass, or a tensor product of
+    associative factors, charged within `budget`), else None."""
+    try:
+        if _inherited(mul, _meter(budget, "precondition over budget")):
+            return _cache(mul)["light"]
     except BudgetExceededError:
         pass
     return None

@@ -2,9 +2,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rbhopf import (GF, QQ, AlgebraicStructure, FormatError, HopfModule, Mat,
-                    PreLieCoalgebra, Tensor3, Vec, YDModuleCoalgebra,
-                    adjoint_yd, builtin, coquasitriangular_form,
-                    example54_q, regular_hopf_module, smash_hopf_module_left)
+                    PreLieCoalgebra, ShapeError, Tensor3, Vec,
+                    YDModuleCoalgebra, adjoint_yd, builtin,
+                    coquasitriangular_form, example54_q, regular_hopf_module,
+                    smash_hopf_module_left)
 from rbhopf.fileformat import (MAX_DENSE_ENTRIES, Comodule, Document, dumps,
                                load, loads, save)
 
@@ -165,6 +166,19 @@ def test_comodule_round_trip(tmp_path):
     path = tmp_path / "cm.rbh"
     save(cm, path, refs={"hopf": "builtin:group:C2"})
     assert load(path).payload == cm
+
+
+@pytest.mark.parametrize("m_dim, coaction", [
+    (3, lambda c2: c2.comul.comul_matrix()),          # 4 x 2, not 6 x 3
+    (2, lambda c2: Mat.zeros(QQ, 4, 3)),
+    (-1, lambda c2: Mat.zeros(QQ, 0, 0)),
+    (2, lambda c2: builtin("group:C2", GF(3)).comul.comul_matrix()),
+], ids=["mdim-3", "cols", "negative", "field"])
+def test_comodule_rejects_a_coaction_that_does_not_fit(m_dim, coaction):
+    c2 = builtin("group:C2")
+    with pytest.raises(ShapeError):
+        dumps(Comodule(c2, m_dim, coaction(c2), "right"),
+              refs={"hopf": "builtin:group:C2"})
 
 
 def test_prelie_round_trip(tmp_path):
