@@ -6,10 +6,15 @@ Rational scalars are `fractions.Fraction` (always in lowest terms with a
 positive denominator); prime-field scalars are `Fp` residues that carry
 their modulus.  Python ints interoperate with both, acting as the canonical
 image of the integers in either field.
+Each field interns `zero`, `one` and `minus_one` (over F_2 `minus_one`
+is `one`).  The sparse storage (`linalg`) skips arithmetic on the interned
+±1 by identity, the rewrite kernel on `one`; equal values that are other
+objects get the arithmetic.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import FieldMismatchError
@@ -154,6 +159,7 @@ class Rationals:
     finite = False
     zero = Fraction(0)
     one = Fraction(1)
+    minus_one = Fraction(-1)
 
     def from_int(self, n: int) -> Fraction:
         return Fraction(n)
@@ -199,6 +205,7 @@ class PrimeField:
         self.p = p
         self.zero = Fp(0, p)
         self.one = Fp(1, p)
+        self.minus_one = self.one if p == 2 else Fp(p - 1, p)
 
     @property
     def name(self) -> str:
@@ -246,8 +253,9 @@ _prime_fields: dict[int, PrimeField] = {}
 def GF(p: int) -> PrimeField:
     """The field F_p: one `PrimeField` per p, so `GF(p).one` is one object.
 
-    Rewrites recognise the unit scalar by identity (`v is field.one`), so
-    structures, operators and files over F_p should share this instance.
+    Rewrites recognise the scalars ±1 by identity (`v is field.one`,
+    `v is field.minus_one`), so structures, operators and files over F_p
+    should share this instance.
     """
     field = _prime_fields.get(p)
     if field is None:
@@ -255,10 +263,21 @@ def GF(p: int) -> PrimeField:
     return field
 
 
+_DECIMAL = re.compile("-?[0-9]+")
+
+
+def parse_decimal(text: str) -> int:
+    """An ASCII decimal integer, `-?[0-9]+`, else ValueError (`int` also
+    takes other scripts' digits, `_`, `+` and surrounding blanks)."""
+    if _DECIMAL.fullmatch(text) is None:
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def field_from_name(name: str):
-    """Inverse of `field.name`: "Q" or "Fp:<p>"."""
+    """Inverse of `field.name`: "Q" or "Fp:<p>", p in ASCII decimal."""
     if name == "Q":
         return QQ
     if name.startswith("Fp:"):
-        return GF(int(name[3:]))
+        return GF(parse_decimal(name[3:]))
     raise ValueError(f"unknown field {name!r}")

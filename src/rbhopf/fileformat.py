@@ -10,6 +10,8 @@ prelie, operator, module, comodule, yd, sigma.  A `field` line follows
 explicit integer pairs `num den` over Q, never decimal strings, so
 exactness survives serialization, and as single residues over F_p (the
 modulus appears once, in the field line).  Only nonzero entries are stored.
+Every integer (dims, indices, scalars, the p of `Fp:<p>`) is ASCII decimal,
+`-?[0-9]+`, as `save` writes it; anything else is a `FormatError`.
 
 Sections by kind:
 
@@ -48,7 +50,7 @@ import os
 from fractions import Fraction
 
 from .errors import FormatError, ShapeError
-from .fields import field_from_name
+from .fields import field_from_name, parse_decimal
 from .linalg import Mat, Tensor3, Vec
 from .record import Record
 from .structures import AlgebraicStructure, _h_position, builtin
@@ -107,8 +109,8 @@ def _scalar_width(field) -> int:
 def _parse_scalar(field, tokens, lineno):
     try:
         if field.finite:
-            return field.from_int(int(tokens[0]))
-        num, den = int(tokens[0]), int(tokens[1])
+            return field.from_int(parse_decimal(tokens[0]))
+        num, den = parse_decimal(tokens[0]), parse_decimal(tokens[1])
         if den == 0:
             raise FormatError("zero denominator", lineno)
         return Fraction(num, den)
@@ -118,7 +120,7 @@ def _parse_scalar(field, tokens, lineno):
 
 def _parse_int(token, lineno, minimum=0):
     try:
-        value = int(token)
+        value = parse_decimal(token)
     except ValueError:
         raise FormatError(f"expected an integer, got {token!r}", lineno) from None
     if value < minimum:

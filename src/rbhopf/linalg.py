@@ -11,10 +11,13 @@ keyed (i,), a `Mat` (row, column), a `Tensor3` (i, j, k), a `TermSum` by one
 index per tensor factor.  Entry validation, the trusted constructor,
 equality (only within one class), hashing, pickling, immutability, `items`,
 `is_zero` and elementwise `+`, `-`, negation and `scale` are written once,
-there.  Nothing is stored densely: `Vec.entries` is a dense tuple and
-`Mat.entries` dense rows, each built on access, for printing and callers
-that want them.  Exact elimination is `_Echelon`, a sparse echelon basis of
-dict vectors.
+there.  They know the field's interned `one` and `minus_one` by identity,
+as the rewrite kernel knows `one`: negation swaps them, `one + minus_one`
+and `x - x` (one object twice) cancel, and `scale(-1)` negates, with no
+scalar arithmetic; other values get the field's.  Nothing is stored
+densely: `Vec.entries` is a dense tuple and `Mat.entries` dense rows, each
+built on access, for printing and callers that want them.  Exact
+elimination is `_Echelon`, a sparse echelon basis of dict vectors.
 
 On `Mat`, `*` is composition (matrix product) and `@` is the Kronecker
 product, so (f⊗g)∘(h⊗k) = (f∘h)⊗(g∘k) reads (f @ g) * (h @ k) == (f * h) @ (g * k).
@@ -160,6 +163,7 @@ class _Sparse:
 
     def __add__(self, other):
         self._check_same_shape(other)
+        one, minus_one = self.field.one, self.field.minus_one
         out = self.terms.copy()
         get = out.get
         cancelled = []
@@ -167,6 +171,9 @@ class _Sparse:
             prev = get(k)
             if prev is None:
                 out[k] = v
+            elif (prev is one and v is minus_one
+                  or prev is minus_one and v is one):
+                del out[k]
             else:
                 out[k] = v = prev + v
                 if not v:
@@ -177,13 +184,17 @@ class _Sparse:
         self._check_same_shape(other)
         if self.terms == other.terms:
             return self._trusted(self.field, self.dims, {})
+        one, minus_one = self.field.one, self.field.minus_one
         out = self.terms.copy()
         get = out.get
         cancelled = []
         for k, v in other.terms.items():
             prev = get(k)
             if prev is None:
-                out[k] = -v
+                out[k] = (minus_one if v is one else
+                          one if v is minus_one else -v)
+            elif prev is v:
+                del out[k]
             else:
                 out[k] = v = prev - v
                 if not v:
@@ -191,11 +202,15 @@ class _Sparse:
         return self._trusted(self.field, self.dims, out, cancelled)
 
     def __neg__(self):
-        return self._trusted(self.field, self.dims,
-                             {k: -v for k, v in self.terms.items()})
+        one, minus_one = self.field.one, self.field.minus_one
+        return self._trusted(self.field, self.dims, {
+            k: minus_one if v is one else one if v is minus_one else -v
+            for k, v in self.terms.items()})
 
     def scale(self, scalar):
         s = self.field.coerce(scalar)
+        if s == self.field.minus_one:
+            return -self
         if not s:
             return self._trusted(self.field, self.dims, {})
         return self._trusted(self.field, self.dims,

@@ -17,10 +17,10 @@ from __future__ import annotations
 from itertools import islice, permutations, product
 
 from .errors import BudgetExceededError, ShapeError
-from .fields import QQ
+from .fields import QQ, parse_decimal
 from .linalg import Mat, Tensor3, Vec, _Echelon
 from .record import Record
-from .tensorops import TermSum, _cache, _matrix_of, basis_batches
+from .tensorops import TermSum, _cache, _matrix_of, _reading, basis_batches
 
 
 class DefectReport(Record):
@@ -370,19 +370,48 @@ def _algebra(mul: Tensor3) -> AlgebraicStructure:
     return AlgebraicStructure(mul.dims[0], mul.field, mul=mul)
 
 
+def _unit_index(mul: Tensor3):
+    """The u for which e_u is a two-sided unit of `mul`, read from its
+    fan-out, or None when no basis vector is one."""
+    n = mul.dims[0]
+    fan = _reading(mul, "pair")[0]
+    one = mul.field.one
+    for u in range(n):
+        if all(fan[u * n + i] == fan[i * n + u] == (((i,), one),)
+               for i in range(n)):
+            return u
+    return None
+
+
 def _inherited(mul: Tensor3, charge) -> bool:
     """Whether `mul` is known associative without evaluating a triple of
     its own: cached, or a tensor product of associative factors (see
     `check_associativity`).  The factors are proved as `_associative`
-    does; on a pass the product's G is computed, charging only its closure
-    products, and cached."""
+    does; on a pass the product's G is found and cached.
+
+    When the factors A, B have basis vectors e_u, e_v that are two-sided
+    units, G = {g⊗e_v : g ∈ G_A} ∪ {e_u⊗h : h ∈ G_B}, with no product of
+    A⊗B evaluated.  Words in G_A span A (Light's closure of G_A lies in
+    their span) and (a⊗1)(a'⊗1) = aa'⊗1, so words in G_A⊗1 span A⊗1;
+    likewise 1⊗B; and (a⊗1)(1⊗b) = a⊗b, so words in G span A⊗B, which is
+    all Light's criterion and the certificates ask of G.  Otherwise G is
+    the closure `_generators` finds at product size, charging its
+    products."""
     cache = _cache(mul)
     if "light" in cache:
         return True
     factors = cache.get("factors")
     if factors is None or not all(_associative(f, charge) for f in factors):
         return False
-    cache["light"] = tuple(_generators(_algebra(mul), charge, triples=False))
+    units = list(map(_unit_index, factors))
+    if None in units:
+        gens = _generators(_algebra(mul), charge, triples=False)
+    else:
+        ga, gb = (_cache(f)["light"] for f in factors)
+        nb = factors[1].dims[0]
+        gens = sorted({g * nb + units[1] for g in ga}
+                      | {units[0] * nb + h for h in gb})
+    cache["light"] = tuple(gens)
     return True
 
 
@@ -995,7 +1024,7 @@ def builtin(name: str, field=QQ) -> AlgebraicStructure:
     if key in _builtin_cache:
         return _builtin_cache[key]
     if name.startswith("grouplike:"):
-        dim = int(name.split(":", 1)[1])
+        dim = parse_decimal(name.split(":", 1)[1])
         if dim < 1:
             raise ValueError(f"grouplike dimension must be positive, got {dim}")
         s = grouplike_coalgebra(field, dim)

@@ -1,4 +1,4 @@
-"""Input errors in `construct` and `search` exit 2, not 4.
+"""Input errors in `construct`, `search` and `verify` exit 2, not 4.
 
 Every case must exit 2 with nothing on stdout and exactly one `error:`
 line on stderr: a `ValueError` the package raises on its input, or an
@@ -10,7 +10,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from rbhopf import QQ, Mat
+from rbhopf import GF, QQ, Mat, builtin
 from rbhopf.cli import main
 from rbhopf.fileformat import save
 
@@ -66,3 +66,33 @@ def test_search_out_dir_that_is_a_file(tmp_path):
     assert_input_error(("search", "builtin:grouplike:2", "--side", "coalgebra",
                         "--weight", "0", "--field", "Fp:2", "--out-dir", path),
                        f"cannot write {path}")
+
+
+# Integers in a file are ASCII decimal, as `save` writes them; `int` alone
+# would also take other scripts' digits, `_` separators and a `+`.
+@pytest.mark.parametrize("field, old, new, lineno", [
+    (QQ, "dim 2", "dim ２", 3),                      # fullwidth 2
+    (GF(3), "field Fp:3", "field Fp:٣", 2),         # Arabic-Indic 3
+    (QQ, "mul 0 0 0 1 1", "mul ٠ 0 0 1 1", 8),      # Arabic-Indic 0
+    (QQ, "mul 0 0 0 1 1", "mul 0 0 0 1_0 1_0", 8),
+    (QQ, "dim 2", "dim +2", 3),
+    (GF(3), "unit 0 1", "unit 0 ７", 5),              # fullwidth 7
+], ids=["dim", "field", "index", "scalar-underscore", "dim-plus",
+        "residue"])
+def test_verify_rejects_integers_that_are_not_ascii_decimal(
+        tmp_path, field, old, new, lineno):
+    path = tmp_path / "c2.rbh"
+    save(builtin("group:C2", field), path)
+    text = path.read_text(encoding="utf-8")
+    assert text.splitlines()[lineno - 1] == old
+    assert run("verify", path)[0] == 0
+    path.write_text(text.replace(old + "\n", new + "\n"), encoding="utf-8")
+    assert_input_error(("verify", path), f"line {lineno}: ")
+
+
+@pytest.mark.parametrize("dim", ["٢", "1_0", "+2"])
+def test_builtin_grouplike_dimension_is_ascii_decimal(tmp_path, dim):
+    assert_input_error(("search", f"builtin:grouplike:{dim}", "--side",
+                        "coalgebra", "--weight", "0", "--field", "Fp:2",
+                        "--out-dir", tmp_path / "ops"),
+                       "not a decimal integer")

@@ -277,3 +277,49 @@ def test_module_algebra_coaction_is_certified(side, inputs_per_identity):
     assert check_hopf_module_algebra(hm).passed
     assert inputs_per_identity[f"{side}-module-algebra-coaction"] == 5 * 36
     assert _cache(hm.mul)["light"] == (0, 1, 2, 6, 12)
+
+
+# ---------------------------------------------------------------------------
+# G of a product from its factors' G
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def closures_at(monkeypatch):
+    """The dimension of every `_generators` closure."""
+    dims = []
+    generators = structures._generators
+
+    def counting(s, *args, **kwargs):
+        dims.append(s.dim)
+        return generators(s, *args, **kwargs)
+
+    monkeypatch.setattr(structures, "_generators", counting)
+    return dims
+
+
+def c2_in_idempotent_basis():
+    """group:C2 in the basis e0+e1, e0-e1: f0² = 2f0, f1² = 2f1, f0f1 = 0.
+    Its unit (f0+f1)/2 is not a basis vector."""
+    return AlgebraicStructure(2, QQ, mul=Tensor3(
+        QQ, (2, 2, 2), {(0, 0, 0): 2, (1, 1, 1): 2}))
+
+
+def test_unital_factors_give_g_with_no_closure_at_product_size(closures_at):
+    s4 = structures.symmetric_group_algebra(QQ, 4)   # nothing cached
+    big = tensor_product(s4, s4)
+    assert check_associativity(big).passed
+    assert closures_at == [24]
+    assert _cache(s4.mul)["light"] == (0, 1, 2, 6)
+    assert _cache(big.mul)["light"] == (0, 1, 2, 6, 24, 48, 144)
+
+
+@pytest.mark.parametrize("order", ["c2-first", "c2-second"])
+def test_a_factor_with_no_basis_unit_takes_the_closure(order, closures_at):
+    c2, s3 = c2_in_idempotent_basis(), builtin("group:S3")
+    assert structures._unit_index(c2.mul) is None
+    assert structures._unit_index(s3.mul) == 0
+    big = tensor_product(*((c2, s3) if order == "c2-first" else (s3, c2)))
+    copy = without_record(big)
+    got = assert_same_verdict(big)
+    assert got.passed and 12 in closures_at
+    assert _cache(big.mul)["light"] == tuple(structures._generators(copy))
