@@ -331,38 +331,40 @@ def check_associativity(s: AlgebraicStructure,
     A multiplication built by `tensor_product` needs no triples of its
     own: (a⊗b)(c⊗d) = ac⊗bd, so ((a⊗b)(c⊗d))(e⊗f) = (ac)e⊗(bd)f and
     (a⊗b)((c⊗d)(e⊗f)) = a(ce)⊗b(df), equal whenever both factors are
-    associative.  A call without `budget` therefore checks the factors
-    (recursively, at their size) and on a pass only computes G.  A product
-    can be associative when a factor is not (a zero multiplication on the
-    other side), so a failing factor sends the product through Light's
-    test unchanged, and its verdict is the one it always was.
+    associative.  A call without `budget` therefore asks `_proved`, the
+    one prover the generator certificates of the other checkers use too:
+    it reads a G recorded on `s.mul`, or proves the factors (recursively,
+    at their size) and on a pass only computes G.  A product can be
+    associative when a factor is not (a zero multiplication on the other
+    side), so a failing factor sends the product through Light's test
+    unchanged, and its verdict is the one it always was.
 
-    A pass is cached with G on `s.mul`, where the generator certificates
-    of the other checkers read it (`_generators_within`); a call without
-    `budget` on a multiplication already known to be associative does no
-    work.  Failures are not cached: their residual is a mutable dict.
+    A pass records G under "light" on `s.mul`, so a call without `budget`
+    on a multiplication already proved associative does no work.
+    Failures are not recorded: their residual is a mutable dict.
 
     `budget`, when given, bounds the basis inputs the check hands to the
     rewrite kernel, closure products included: `BudgetExceededError` is
     raised as soon as the inputs it is committed to exceed it.  A budgeted
-    call reads neither the cache nor the factors, so it charges what it
+    call reads neither the record nor the factors, so it charges what it
     always did.
     """
     mul = s.require("mul")
-    if budget is None and _inherited(mul, lambda count: None):
+    if budget is None and _proved(mul, lambda count: None,
+                                  own_test=False) is not None:
         return AxiomVerdict(True)
-    return _light_test(s, _meter(
+    return _light_test(mul, _meter(
         budget, f"associativity on dim {s.dim} needs more than {budget} basis inputs"))
 
 
-def _light_test(s: AlgebraicStructure, charge) -> AxiomVerdict:
-    """Light's test on `s.mul` (see `check_associativity`), charging the
-    inputs it schedules; a pass caches G under "light" on `s.mul`."""
-    gens = _generators(s, charge)
-    v = _verdict(*_on_generators("associativity", s.field, (s.dim,) * 3, 1,
-                                 gens, _associator(s.mul), charge))
+def _light_test(mul: Tensor3, charge) -> AxiomVerdict:
+    """Light's test on `mul` (see `check_associativity`), charging the
+    inputs it schedules; a pass records G under "light" on `mul`."""
+    gens = _generators(_algebra(mul), charge)
+    v = _verdict(*_on_generators("associativity", mul.field, mul.dims, 1,
+                                 gens, _associator(mul), charge))
     if v.passed:
-        _cache(s.mul)["light"] = tuple(gens)
+        _cache(mul)["light"] = tuple(gens)
     return v
 
 
@@ -383,41 +385,43 @@ def _unit_index(mul: Tensor3):
     return None
 
 
-def _inherited(mul: Tensor3, charge) -> bool:
-    """Whether `mul` is known associative without evaluating a triple of
-    its own: cached, or a tensor product of associative factors (see
-    `check_associativity`).  The factors are proved as `_associative`
-    does; on a pass the product's G is found and cached.
+def _proved(mul: Tensor3, charge, own_test: bool = True):
+    """G of `mul` when `mul` is proved associative, else None.
 
-    When the factors A, B have basis vectors e_u, e_v that are two-sided
-    units, G = {g⊗e_v : g ∈ G_A} ∪ {e_u⊗h : h ∈ G_B}, with no product of
-    A⊗B evaluated.  Words in G_A span A (Light's closure of G_A lies in
-    their span) and (a⊗1)(a'⊗1) = aa'⊗1, so words in G_A⊗1 span A⊗1;
-    likewise 1⊗B; and (a⊗1)(1⊗b) = a⊗b, so words in G span A⊗B, which is
-    all Light's criterion and the certificates ask of G.  Otherwise G is
-    the closure `_generators` finds at product size, charging its
-    products."""
+    The one prover of associativity; `charge` is told the basis inputs
+    each step schedules.  Three sources, in order:
+
+    1. the G recorded under "light" on `mul` by an earlier proof;
+    2. for a `tensor_product` whose factors are `_proved` (recursively, at
+       their size), G read off the factors (see `check_associativity`);
+    3. with `own_test`, Light's test on `mul`, whose pass records G.
+
+    In 2, when the factors A, B have basis vectors e_u, e_v that are
+    two-sided units, G = {g⊗e_v : g ∈ G_A} ∪ {e_u⊗h : h ∈ G_B}, with no
+    product of A⊗B evaluated.  Words in G_A span A (Light's closure of G_A
+    lies in their span) and (a⊗1)(a'⊗1) = aa'⊗1, so words in G_A⊗1 span
+    A⊗1; likewise 1⊗B; and (a⊗1)(1⊗b) = a⊗b, so words in G span A⊗B,
+    which is all Light's criterion and the certificates ask of G.
+    Otherwise G is the closure `_generators` finds at product size,
+    charging its products.  A failing factor falls through to 3.
+    """
     cache = _cache(mul)
     if "light" in cache:
-        return True
+        return cache["light"]
     factors = cache.get("factors")
-    if factors is None or not all(_associative(f, charge) for f in factors):
-        return False
-    units = list(map(_unit_index, factors))
-    if None in units:
-        gens = _generators(_algebra(mul), charge, triples=False)
-    else:
-        ga, gb = (_cache(f)["light"] for f in factors)
-        nb = factors[1].dims[0]
-        gens = sorted({g * nb + units[1] for g in ga}
-                      | {units[0] * nb + h for h in gb})
-    cache["light"] = tuple(gens)
-    return True
-
-
-def _associative(mul: Tensor3, charge) -> bool:
-    """Whether `mul` is associative: inherited, else by Light's test."""
-    return _inherited(mul, charge) or _light_test(_algebra(mul), charge).passed
+    if factors is not None and all(_proved(f, charge) is not None for f in factors):
+        units = list(map(_unit_index, factors))
+        if None in units:
+            gens = _generators(_algebra(mul), charge, triples=False)
+        else:
+            ga, gb = (_cache(f)["light"] for f in factors)
+            nb = factors[1].dims[0]
+            gens = sorted({g * nb + units[1] for g in ga}
+                          | {units[0] * nb + h for h in gb})
+        cache["light"] = tuple(gens)
+    elif own_test:
+        _light_test(mul, charge)
+    return cache.get("light")
 
 
 def _comul_product(mul: Tensor3, comul: Tensor3):
@@ -431,44 +435,33 @@ def _comul_product(mul: Tensor3, comul: Tensor3):
     return residual
 
 
-def _known_multiplicative(mul: Tensor3, comul: Tensor3, passed: bool = False) -> bool:
-    """Whether Δ(ab) = Δ(a)Δ(b) is known for `comul` with `mul`; a `passed`
-    check is recorded.  The comultiplications known are cached on `mul` and
-    told apart by identity, not equality: an equal Tensor3 is checked again
-    rather than hashed."""
-    known = _cache(mul).setdefault("comul-multiplicative", [])
-    if any(c is comul for c in known):
-        return True
-    if passed:
-        known.append(comul)
-    return passed
-
-
 def _generators_within(mul: Tensor3, budget: int, comul: Tensor3 | None = None):
     """G of `mul` when a generator certificate may be used, else None.
 
-    A certificate needs `mul` associative (Light's test, whose G it uses)
-    and, when `comul` is given, Δ(ab) = Δ(a)Δ(b).  Each is read from the
-    cache on `mul` or, when not cached yet, computed on at most `budget`
-    basis inputs in all: the count of the identity to be certified, so that
-    a precondition costs no more than the full check it may replace.  On a
-    tensor product of associative factors only the factors' proofs and the
-    closure products that find G are charged (`_inherited`).  None when
-    one fails or the budget runs out; the caller then runs the full check.
+    A certificate needs `mul` associative (`_proved`, whose G it uses)
+    and, when `comul` is given, Δ(ab) = Δ(a)Δ(b).  The comultiplications
+    proved multiplicative with `mul` are recorded under "multiplicative"
+    on `mul`, keyed by `id` and holding the comultiplication itself, so
+    the id stays unique: an equal Tensor3 is checked again rather than
+    hashed.  Each fact not recorded yet is proved on at most `budget`
+    basis inputs in all: the count of the identity to be certified, so
+    that a precondition costs no more than the full check it may replace.
+    None when one fails or the budget runs out; the caller then runs the
+    full check.
     """
     charge = _meter(budget, "precondition over budget")
     try:
-        if not _associative(mul, charge):
-            return None
-        gens = _cache(mul)["light"]
-        if comul is None or _known_multiplicative(mul, comul):
+        gens = _proved(mul, charge)
+        if gens is None or comul is None:
             return gens
-        n = mul.dims[0]
-        charge(len(gens) * n)
-        v = _verdict(*_on_generators("comul-multiplicative", mul.field, (n, n), 1,
-                                     gens, _comul_product(mul, comul), charge))
+        known = _cache(mul).setdefault("multiplicative", {})
+        if id(comul) in known:
+            return gens
+        charge(len(gens) * mul.dims[0])
+        v = _verdict(*_on_generators("comul-multiplicative", mul.field, mul.dims[:2],
+                                     1, gens, _comul_product(mul, comul), charge))
         if v.passed:
-            _known_multiplicative(mul, comul, passed=True)
+            known[id(comul)] = comul
             return gens
     except BudgetExceededError:
         pass
@@ -476,15 +469,14 @@ def _generators_within(mul: Tensor3, budget: int, comul: Tensor3 | None = None):
 
 
 def _inherited_generators(mul: Tensor3, budget: int):
-    """G of `mul` when it is known associative without a Light's test of
-    its own (`_inherited`: a cached pass, or a tensor product of
-    associative factors, charged within `budget`), else None."""
+    """G of `mul` when it is `_proved` without a Light's test of its own
+    (a recorded G, or a tensor product of associative factors, charged
+    within `budget`), else None."""
     try:
-        if _inherited(mul, _meter(budget, "precondition over budget")):
-            return _cache(mul)["light"]
+        return _proved(mul, _meter(budget, "precondition over budget"),
+                       own_test=False)
     except BudgetExceededError:
-        pass
-    return None
+        return None
 
 
 def check_coassociativity(s: AlgebraicStructure) -> AxiomVerdict:
@@ -531,7 +523,8 @@ def check_bialgebra(s: AlgebraicStructure) -> AxiomVerdict:
     the pairs (a, g) with g in a generating set G (`_on_generators`): if
     Δ(ab) = Δ(a)Δ(b) for all a and b in {g, g'}, then
     Δ(a(gg')) = Δ((ag)g') = Δ(a)Δ(g)Δ(g') = Δ(a)Δ(gg'), and likewise for ε.
-    A pass of Δ(ab) = Δ(a)Δ(b) is cached on the multiplication.
+    A pass of Δ(ab) = Δ(a)Δ(b) is recorded under "multiplicative" on the
+    multiplication (see `_generators_within`).
     """
     mul = s.require("mul")
     comul = s.require("comul")
@@ -542,7 +535,7 @@ def check_bialgebra(s: AlgebraicStructure) -> AxiomVerdict:
                                  _comul_product(mul, comul)))
     if not v.passed:
         return v
-    _known_multiplicative(mul, comul, passed=True)
+    _cache(mul).setdefault("multiplicative", {})[id(comul)] = comul
     parts = []
     if s.counit is not None:
         counit = s.counit
@@ -806,10 +799,10 @@ def tensor_product(a: AlgebraicStructure, b: AlgebraicStructure) -> AlgebraicStr
     built from, under "factors" in its cache.  Since (a⊗b)(c⊗d) = ac⊗bd,
     the associator of A⊗B on basis triples is
     (ac)e⊗(bd)f - a(ce)⊗b(df), which vanishes when both factors are
-    associative; `check_associativity` then proves the factors instead of
-    the product (see there).  The multiplication is immutable, so the
-    record stays true; a copy of it (`Tensor3.from_terms`, pickling) has
-    no record and is checked in full.
+    associative; `_proved` then proves the factors instead of the product
+    and reads G off them (see there).  The multiplication is immutable, so
+    the record stays true; a copy of it (`Tensor3.from_terms`, pickling)
+    has no record and is checked in full.
     """
     if a.field != b.field:
         raise ShapeError("tensor factors live over different fields")

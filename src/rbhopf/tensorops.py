@@ -70,8 +70,8 @@ def _cache(m) -> dict:
     """The dict in `m`'s `_fans` slot, made on first use.
 
     It holds the readings of `m` (see `_reading`) and, on a multiplication,
-    the verdicts `structures` caches for it and the factors a
-    `tensor_product` built it from: all depend only on `m`, which is
+    the facts `structures` records for it (see `structures._proved` and
+    `structures._generators_within`): all depend only on `m`, which is
     immutable.
     """
     fans = getattr(m, "_fans", None)

@@ -235,6 +235,31 @@ def test_construct_projection_from_module_file(tmp_path):
     assert doc.payload == h4.unit.as_column() * h4.counit
 
 
+def test_construct_from_yd_file(tmp_path):
+    """`--yd <file>` gives what `--yd adjoint` gives for the same YD
+    coalgebra; a YD file stores no coalgebra names, so the smash file
+    differs only by its `names` line."""
+    from rbhopf import adjoint_yd
+    yd = tmp_path / "yd.rbh"
+    save(adjoint_yd(builtin("sweedler4")), yd, refs={"hopf": "builtin:sweedler4"})
+    for what in ("projection-right", "projection-left", "smash"):
+        from_file, adjoint = tmp_path / f"{what}-f.rbh", tmp_path / f"{what}-a.rbh"
+        assert run("construct", what, "--yd", str(yd), "-o", str(from_file))[0] == 0
+        assert run("construct", what, "--hopf", "builtin:sweedler4",
+                   "--yd", "adjoint", "-o", str(adjoint))[0] == 0
+        if what == "smash":
+            got, want = load(from_file).payload, load(adjoint).payload
+            assert got.comul == want.comul and got.names is None
+            assert got == want.replace(names=None)
+        else:
+            assert from_file.read_bytes() == adjoint.read_bytes()
+    alg = tmp_path / "alg.rbh"
+    save(builtin("group:C2"), alg)
+    code, _, err = run("construct", "smash", "--yd", str(alg),
+                       "-o", str(tmp_path / "x.rbh"))
+    assert code == 2 and "not a yd structure" in err
+
+
 def test_construct_prelie_rejects_other_weights(tmp_path):
     q = tmp_path / "q.rbh"
     save(example54_q(3), q)

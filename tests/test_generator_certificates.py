@@ -28,7 +28,7 @@ from rbhopf import (GF, QQ, AlgebraicStructure, BudgetExceededError,
                     hopf_module_from_projection, regular_hopf_module,
                     tensor_square_projection)
 from rbhopf import hopfmod, structures, ydsmash
-from rbhopf.structures import _generators, _known_multiplicative, _verdict
+from rbhopf.structures import _generators, _verdict
 from rbhopf.tensorops import TermSum, _cache, _matrix_of
 from conftest import patched_batching, per_basis, verdict_key
 
@@ -419,7 +419,7 @@ def test_multiplicative_comultiplications_are_known_by_identity():
     s = fresh_s3()
     twin = Tensor3(QQ, s.comul.dims, dict(s.comul.terms))
     assert twin == s.comul and twin is not s.comul
-    assert not _known_multiplicative(s.mul, s.comul)
+    assert id(s.comul) not in _cache(s.mul).get("multiplicative", {})
     assert check_bialgebra(s).passed
-    assert _known_multiplicative(s.mul, s.comul)
-    assert not _known_multiplicative(s.mul, twin)
+    assert id(s.comul) in _cache(s.mul).get("multiplicative", {})
+    assert id(twin) not in _cache(s.mul).get("multiplicative", {})

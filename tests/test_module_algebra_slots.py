@@ -22,7 +22,8 @@ import pytest
 from rbhopf import (GF, QQ, AlgebraicStructure, HopfModule, Mat, Tensor3,
                     builtin, check_associativity, check_hopf_module,
                     check_hopf_module_algebra, hopf_module_from_projection,
-                    regular_hopf_module)
+                    regular_hopf_module, tensor_product)
+from rbhopf import hopfmod
 from rbhopf.structures import (_batched, _generators, _h_position,
                                _on_generators, _placed, _verdict)
 from rbhopf.tensorops import _cache
@@ -256,3 +257,31 @@ def test_non_associative_m_gets_no_m_slot(side, field):
     assert not got.passed
     assert got.defect.identity == f"{side}-module-algebra-action"
     assert not check_associativity(m).passed
+
+
+# ---------------------------------------------------------------------------
+# A factor proof over the M slot's budget
+# ---------------------------------------------------------------------------
+
+def test_over_budget_factor_proof_leaves_the_m_slot_unread(monkeypatch):
+    """M = A⊗k over the trivial Hopf algebra, with A the non-unital
+    k[x]/(x⁷) on x, ..., x⁶ (e_i·e_j = e_{i+j+1}).  The M-slot read may
+    spend m²·h = 36 inputs; Light's test on A needs more, so the read
+    answers None, the verdict is the full check's, and neither
+    multiplication gains a G."""
+    a = Tensor3(QQ, (6,) * 3, {(i, j, i + j + 1): 1
+                               for i in range(6) for j in range(6) if i + j < 5})
+    m = tensor_product(AlgebraicStructure(6, QQ, mul=a), builtin("trivial"))
+    eye = Mat.identity(QQ, 6)
+    hm = HopfModule(builtin("trivial"), 6, eye, eye, "right", mul=m.mul)
+    inherited_generators, reads = hopfmod._inherited_generators, []
+
+    def spied(mul, budget):
+        reads.append((budget, inherited_generators(mul, budget)))
+        return reads[-1][1]
+
+    monkeypatch.setattr(hopfmod, "_inherited_generators", spied)
+    got = assert_matches_full(hm)
+    assert got.passed
+    assert reads == [(36, None)]
+    assert "light" not in _cache(a) and "light" not in _cache(m.mul)

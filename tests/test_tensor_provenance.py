@@ -2,7 +2,7 @@
 
 `tensor_product` records the factor multiplications on the product's, and
 an unbudgeted `check_associativity` proves the factors instead of running
-Light's triples on the product (`structures._inherited`).  Every verdict
+Light's triples on the product (`structures._proved`).  Every verdict
 here must equal, by `verdict_key` and by `repr`, the one the same
 multiplication gets with no record: a `Tensor3.from_terms` copy, which
 takes Light's test at product size.  Non-associative factors on either
