@@ -10,7 +10,14 @@ executable here as `verify_projection_rb`.
 A bialgebra C with a projection onto a Hopf algebra H (bialgebra maps
 i: H→C, π: C→H, π∘i = id) becomes such a module via c·h = c·i(h) and
 ρ(c) = c₁⊗π(c₂); the associated projection is the convolution
-Π = id ⋆ (i∘S∘π).
+Π = id ⋆ (i∘S∘π).  Such a module carries its module associativity:
+c·(hh') = c·i(hh') = c·(i(h)i(h')) = (c·i(h))·i(h') once C is associative
+and i multiplicative.  `hopf_module_from_projection` records on the action
+how it was built, `check_bialgebra_map` records its passes on i, and
+`check_module` drops the associativity identity when both records and C's
+proved associativity agree.  A copy, a pickle or a loaded file has no
+record and runs the identity; the comodule axioms and the compatibility
+always run.
 
 The constructed maps (convolutions, the action and coaction of that module,
 coinvariant projections, i and π of the tensor square) are built by pushing
@@ -37,7 +44,8 @@ from .record import Record
 from .structures import (AlgebraicStructure, AxiomVerdict, _batched,
                          _first_failure, _generators_within, _h_position,
                          _inherited_generators, _on_generators, _placed,
-                         _verdict, check_bialgebra_map, check_coassociativity,
+                         _record_projection_action, _verdict,
+                         check_bialgebra_map, check_coassociativity,
                          check_comodule, check_module, tensor_product)
 from .tensorops import _matrix_of
 
@@ -335,12 +343,19 @@ def hopf_module_from_projection(pb: ProjectionBialgebra,
     and ρ(c) = π(c₁)⊗c₂.  C's own multiplication and comultiplication ride
     along, so the result supports both the module algebra and the module
     coalgebra checks.
+
+    The action records that it is C's multiplication after i at `side`
+    (`structures._record_projection_action`).  With i's record of a passed
+    `check_bialgebra_map` and C's associativity known, `check_module`
+    reads module associativity off them (see there).  The action is
+    immutable, so the record stays true; a copy has none.
     """
     big, hopf = pb.big, pb.hopf
     field, n = big.field, big.dim
     h_pos = _h_position(side)
     action = _matrix_of(field, _placed(h_pos, (n,), (hopf.dim,)), lambda t: (
         t.map_at(h_pos, pb.embed).merge_at(0, big.mul)))
+    _record_projection_action(action, side, pb.embed, big.mul)
     coaction = _matrix_of(field, (n,), lambda t: (
         t.split_at(0, big.comul).map_at(h_pos, pb.project)))
     return HopfModule(hopf, n, action, coaction, side,

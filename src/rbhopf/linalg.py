@@ -13,7 +13,8 @@ equality (only within one class), hashing, pickling, immutability, `items`,
 `is_zero` and elementwise `+`, `-`, negation and `scale` are written once,
 there.  They know the field's interned `one` and `minus_one` by identity,
 as the rewrite kernel knows `one`: negation swaps them, `one + minus_one`
-and `x - x` (one object twice) cancel, and `scale(-1)` negates, with no
+and `x - x` (one object twice) cancel, `scale(-1)` negates, and the
+matrix product `*` takes the other factor of a product with `one`, with no
 scalar arithmetic; other values get the field's.  Nothing is stored
 densely: `Vec.entries` is a dense tuple and `Mat.entries` dense rows, each
 built on access, for printing and callers that want them.  Exact
@@ -348,16 +349,19 @@ class Mat(_Sparse):
             right = [[] for _ in range(other.rows)]
             for (k, j), b in other.terms.items():
                 right[k].append((j, b))
+            one = self.field.one
             out: dict = {}
             get = out.get
             cancelled = []
             for (i, k), a in self.terms.items():
+                unit = a is one
                 for j, b in right[k]:
+                    x = b if unit else a if b is one else a * b
                     prev = get((i, j))
                     if prev is None:
-                        out[i, j] = a * b
+                        out[i, j] = x
                     else:
-                        out[i, j] = x = prev + a * b
+                        out[i, j] = x = prev + x
                         if not x:
                             cancelled.append((i, j))
             return Mat._trusted(self.field, (self.rows, other.cols), out,

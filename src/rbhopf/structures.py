@@ -638,6 +638,24 @@ def check_module(hopf: AlgebraicStructure, m_dim: int, action: Mat,
     (m·h)·x = m·(hx) for all m, h and x in {g, g'}, then (m·h)·(gg') =
     ((m·h)·g)·g' = (m·(hg))·g' = m·((hg)g') = m·(h(gg')); on the left,
     (gg')·(h·m) = g·(g'·(h·m)) = g·((g'h)·m) = (g(g'h))·m = ((gg')h)·m.
+
+    An action built by `hopfmod.hopf_module_from_projection` carries its
+    associativity, and its part is dropped, when three records agree:
+
+    - the action's own, that it is c·h = c·i(h) on the right or
+      h·c = i(h)·c on the left, for a map i and C's multiplication, on
+      this `side`;
+    - i's, that `check_bialgebra_map` passed it from exactly H's
+      multiplication to that one of C's;
+    - C's G, known without a Light's test of C's own
+      (`_inherited_generators`) within the identity's m·h·h inputs.
+
+    C is then associative and i multiplicative, so on the right
+    (c·h)·h' = (c·i(h))·i(h') = c·(i(h)i(h')) = c·i(hh') = c·(hh'), and
+    on the left i(h)·(i(h')·c) = (i(h)i(h'))·c = i(hh')·c.  Anything
+    without matching records (a copy, a pickle, a loaded file, an i that
+    never passed, a replaced action, H or side) runs the certified
+    identity above, so no verdict depends on the records.
     """
     mul = hopf.require("mul")
     h = hopf.dim
@@ -650,14 +668,37 @@ def check_module(hopf: AlgebraicStructure, m_dim: int, action: Mat,
         return (t.merge_map_at(1 - h_pos, action).merge_map_at(0, action)
                 - t.merge_at(h_pos, mul).merge_map_at(0, action))
 
-    dims = _placed(h_pos, (m_dim,), (h, h))
-    gens = _generators_within(mul, m_dim * h * h)
-    parts = [_on_generators(f"{side}-action-associativity", field, dims,
-                            2 * h_pos, gens, assoc)]
+    budget = m_dim * h * h
+    parts = []
+    if not _carried_associativity(mul, action, side, budget):
+        parts.append(_on_generators(
+            f"{side}-action-associativity", field,
+            _placed(h_pos, (m_dim,), (h, h)), 2 * h_pos,
+            _generators_within(mul, budget), assoc))
     if hopf.unit is not None:
         parts.append(_batched(f"{side}-action-unital", field, (m_dim,), lambda t: (
             t.insert_at(h_pos, hopf.unit).merge_map_at(0, action) - t)))
     return _first_failure(parts)
+
+
+def _record_projection_action(action: Mat, side: str, embed: Mat,
+                              big_mul: Tensor3):
+    """Record that `action` is `big_mul` after `embed` at `side`: c·h =
+    c·i(h) on the right, h·c = i(h)·c on the left (see `check_module`)."""
+    _cache(action)["projection-action"] = (side, embed, big_mul)
+
+
+def _carried_associativity(mul: Tensor3, action: Mat, side: str,
+                           budget: int) -> bool:
+    """Whether the records on `action` prove it associative over `mul` on
+    `side` (see `check_module`), C's G charged within `budget`."""
+    built = _cache(action).get("projection-action")
+    if built is None or built[0] != side:
+        return False
+    _, embed, big_mul = built
+    if (id(mul), id(big_mul)) not in _cache(embed).get("bialgebra-map", {}):
+        return False
+    return _inherited_generators(big_mul, budget) is not None
 
 
 def check_bialgebra_map(f: Mat, src: AlgebraicStructure,
@@ -675,6 +716,10 @@ def check_bialgebra_map(f: Mat, src: AlgebraicStructure,
       Δf(e_i) - (f⊗f)Δ(e_i);
     - map-unit: (k, 0) for the e_k coefficient of f(1) - 1;
     - map-counit: (0, i) for ε(f(e_i)) - ε(e_i).
+
+    A pass is recorded on `f` under "bialgebra-map", keyed by the ids of
+    src.mul and dst.mul and holding both, so the ids stay unique; failures
+    are not recorded.  `check_module` reads it (see there).
     """
     for s in (src, dst):
         for attr in ("mul", "comul", "unit", "counit"):
@@ -698,7 +743,7 @@ def check_bialgebra_map(f: Mat, src: AlgebraicStructure,
     def counital(t):
         return t.map_at(0, f).map_at(0, dst.counit) - t.map_at(0, src.counit)
 
-    return _first_failure([
+    v = _first_failure([
         (*_batched("map-multiplicative", field, (ns, ns), multiplicative),
          lambda k: (k[2], k[0] * ns + k[1])),
         (*_batched("map-comultiplicative", field, (ns,), comultiplicative),
@@ -707,6 +752,10 @@ def check_bialgebra_map(f: Mat, src: AlgebraicStructure,
         (*_batched("map-counit", field, (ns,), counital),
          lambda k: (k[1], k[0])),
     ])
+    if v.passed:
+        _cache(f).setdefault("bialgebra-map", {})[
+            id(src.mul), id(dst.mul)] = (src.mul, dst.mul)
+    return v
 
 
 # ---------------------------------------------------------------------------

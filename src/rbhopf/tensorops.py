@@ -69,10 +69,14 @@ from .linalg import (Mat, Tensor3, Vec, _check_same_field, _Sparse,
 def _cache(m) -> dict:
     """The dict in `m`'s `_fans` slot, made on first use.
 
-    It holds the readings of `m` (see `_reading`) and, on a multiplication,
-    the facts `structures` records for it (see `structures._proved` and
-    `structures._generators_within`): all depend only on `m`, which is
-    immutable.
+    It holds the readings of `m` (see `_reading`) and the facts recorded
+    for `m`: on a multiplication, its G and factors (`structures._proved`)
+    and the comultiplications proved multiplicative with it
+    (`structures._generators_within`); on a map, the multiplications
+    between which `structures.check_bialgebra_map` passed it; on an action
+    built by `hopfmod.hopf_module_from_projection`, how it was built
+    (`structures.check_module` reads the last two).  All depend only on
+    `m`, which is immutable, and on objects the record holds.
     """
     fans = getattr(m, "_fans", None)
     if fans is None:
@@ -248,16 +252,21 @@ class TermSum(_Sparse):
         return self._rewrite(pos, 2, (), form, "form")
 
     def insert_at(self, pos: int, vec: Vec) -> "TermSum":
-        """Insert a fixed vector as a new factor at position `pos`."""
+        """Insert a fixed vector as a new factor at position `pos`.
+
+        As in `_rewrite`, a product with the field's `one` is skipped."""
         _check_same_field(self, vec)
         if not 0 <= pos <= len(self.dims):
             raise ShapeError(f"insert position {pos} out of range")
+        one = self.field.one
         fan = list(vec.terms.items())
         out: dict = {}
         for key, val in self.terms.items():
             head, tail = key[:pos], key[pos:]
+            unit = val is one
             for i, x in fan:
-                out[head + i + tail] = x * val
+                out[head + i + tail] = (
+                    x if unit else val if x is one else x * val)
         dims = self.dims[:pos] + (vec.dim,) + self.dims[pos:]
         return TermSum._trusted(self.field, dims, out)
 
