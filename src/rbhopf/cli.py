@@ -13,9 +13,10 @@ one line on stderr instead of a traceback).
 (no timestamps); `--report human` is free-form and includes timing.
 
 Start-up is most of a short command, so this module imports at the top only
-what every command uses (the file format and the structure checkers); each
-command imports the Rota-Baxter, Hopf-module, Yetter-Drinfeld and pre-Lie
-modules it needs inside its own branch.
+what every command uses (the file format and the structures).  `verify`
+reads one table, `_CHECKS`, and looks each checker up by name on the
+package when it runs; the other commands import the Rota-Baxter,
+Hopf-module, Yetter-Drinfeld and pre-Lie modules they need in their branch.
 """
 
 from __future__ import annotations
@@ -29,10 +30,7 @@ from . import fileformat
 from .errors import BudgetExceededError
 from .fields import QQ, field_from_name
 from .fileformat import Document, load, save
-from .structures import (builtin, builtin_names, check_antipode,
-                         check_associativity, check_bialgebra,
-                         check_coassociativity, check_comodule,
-                         check_unit_counit)
+from .structures import _AXIOMS, builtin, builtin_names, check_coassociativity
 
 MAX_DEFECT_ENTRIES = 16
 
@@ -132,49 +130,6 @@ def _parse_weight(field, text: str):
 # verify
 # ---------------------------------------------------------------------------
 
-_STRUCTURE_CHECKS = {
-    "associativity": check_associativity,
-    "coassociativity": check_coassociativity,
-    "unit-counit": check_unit_counit,
-    "bialgebra": check_bialgebra,
-    "antipode": check_antipode,
-}
-
-_CHECK_GROUPS = {
-    "hopf": ("associativity", "coassociativity", "unit-counit", "bialgebra",
-             "antipode"),
-}
-
-
-def _default_checks(doc_kind: str, payload) -> list[str]:
-    if doc_kind in fileformat.STRUCTURE_KINDS:
-        checks = []
-        if payload.mul is not None:
-            checks.append("associativity")
-        if payload.comul is not None:
-            checks.append("coassociativity")
-        if payload.unit is not None or payload.counit is not None:
-            checks.append("unit-counit")
-        if payload.mul is not None and payload.comul is not None:
-            checks.append("bialgebra")
-        if payload.antipode is not None:
-            checks.append("antipode")
-        return checks
-    if doc_kind == "module":
-        checks = ["hopf-module"]
-        if payload.mul is not None:
-            checks.append("hopf-module-algebra")
-        if payload.comul is not None:
-            checks.append("hopf-module-coalgebra")
-        return checks
-    return {
-        "prelie": ["prelie"],
-        "comodule": ["comodule"],
-        "yd": ["yd-module", "yd-coalgebra"],
-        "sigma": ["coquasitriangular"],
-    }[doc_kind]
-
-
 # Most basis inputs one `verify` check may evaluate.  A basis input costs
 # about 1.3 µs on a sparse algebra and 2.5 µs on the tensor square of S3
 # (2-vCPU VM), so a check stays within about 2.5 s when its products have
@@ -182,91 +137,73 @@ def _default_checks(doc_kind: str, payload) -> list[str]:
 VERIFY_BUDGET = 10 ** 6
 
 
-def _charge(name: str, inputs: int):
-    if inputs > VERIFY_BUDGET:
-        raise BudgetExceededError(
-            f"{name} needs {inputs} basis inputs, more than {VERIFY_BUDGET}")
-
-
-def _structure_check(name: str, s):
-    """Run one structure check within `VERIFY_BUDGET` basis inputs.
-
-    Associativity charges the inputs it schedules as it goes (Light's test
-    needs only |G|·n² of the n³ basis triples); every other check charges
-    its worst case up front, n² for bialgebra and n for the rest.  The
-    bialgebra check is certified on G when associativity passed before it
-    (the pass is cached on the multiplication), but its charge is that of
-    the full check it falls back to.  A loaded file never carries the
-    record by which a `tensor_product` multiplication inherits
-    associativity from its factors, so a saved tensor square runs the
-    full, budgeted Light's test here.
-    """
-    if name == "associativity":
-        return check_associativity(s, budget=VERIFY_BUDGET)
-    _charge(f"{name} on dim {s.dim}", s.dim ** (2 if name == "bialgebra" else 1))
-    return _STRUCTURE_CHECKS[name](s)
-
-
-# The other checks: the document kind each applies to, and the basis inputs
-# of its largest identity, charged before it runs.  For a module of dim m
-# over H of dim h that is module associativity, m·h², or for a module
-# algebra also its action compatibility, m²·h; for a Yetter-Drinfeld
-# coalgebra of dim c, module associativity, c·h²; for a braiding form, BR2
-# and BR3, h³.  The generator certificates (`structures._on_generators`)
-# usually evaluate far fewer, but when a precondition fails or exceeds its
-# own budget the full check runs, so the pre-charges stay at that worst
-# case: the fallback path.
-_NAMED_CHECKS = {
-    "prelie": ("prelie", lambda p: p.dim),
-    "hopf-module": ("module", lambda p: p.m_dim * p.hopf.dim ** 2),
-    "hopf-module-algebra": ("module", lambda p: (
-        p.m_dim * p.hopf.dim * max(p.m_dim, p.hopf.dim))),
-    "hopf-module-coalgebra": ("module", lambda p: p.m_dim * p.hopf.dim ** 2),
-    "comodule": ("comodule", lambda p: p.m_dim),
-    "yd-module": ("yd", lambda p: p.coalgebra.dim * p.hopf.dim ** 2),
-    "yd-coalgebra": ("yd", lambda p: p.coalgebra.dim * p.hopf.dim ** 2),
-    "coquasitriangular": ("sigma", lambda p: p.hopf.dim ** 3),
+# The checks of `verify`, one row each: the document kinds it applies to;
+# when it runs by default (a test of the payload, None for always); its
+# public checker, an `rbhopf` export looked up when it runs, so a command
+# imports only the modules of the checks it runs; the arguments it takes
+# from the payload (None for the payload itself); and the basis inputs it
+# is charged before it runs.
+#
+# On a structure of dim n the bialgebra check charges n² and the others n.
+# Associativity (charge None) is passed the budget instead and charges the
+# inputs it schedules as it goes: Light's test needs only |G|·n² of the n³
+# basis triples.  The bialgebra check is certified on G when associativity
+# passed before it (the pass is cached on the multiplication), but its
+# charge is that of the full check it falls back to.  A loaded file never
+# carries the record by which a `tensor_product` multiplication inherits
+# associativity from its factors, so a saved tensor square runs the full,
+# budgeted Light's test here.
+#
+# Every other check charges the basis inputs of its largest identity.  For
+# a module of dim m over H of dim h that is module associativity, m·h², or
+# for a module algebra also its action compatibility, m²·h; for a
+# Yetter-Drinfeld coalgebra of dim c, module associativity, c·h²; for a
+# braiding form, BR2 and BR3, h³.  The generator certificates
+# (`structures._on_generators`) usually evaluate far fewer, but when a
+# precondition fails or exceeds its own budget the full check runs, so the
+# pre-charges stay at that worst case: the fallback path.
+_STRUCTURE_CHARGES = {"associativity": None, "bialgebra": lambda p: p.dim ** 2}
+_CHECKS = {
+    **{name: (fileformat.STRUCTURE_KINDS, applies, checker, None,
+              _STRUCTURE_CHARGES.get(name, lambda p: p.dim))
+       for name, checker, applies in _AXIOMS},
+    "prelie": (("prelie",), None, "check_pre_lie", lambda p: (p.comul,),
+               lambda p: p.dim),
+    "hopf-module": (("module",), None, "check_hopf_module", None,
+                    lambda p: p.m_dim * p.hopf.dim ** 2),
+    "hopf-module-algebra": (
+        ("module",), lambda p: p.mul is not None, "check_hopf_module_algebra",
+        None, lambda p: p.m_dim * p.hopf.dim * max(p.m_dim, p.hopf.dim)),
+    "hopf-module-coalgebra": (
+        ("module",), lambda p: p.comul is not None,
+        "check_hopf_module_coalgebra", None, lambda p: p.m_dim * p.hopf.dim ** 2),
+    "comodule": (("comodule",), None, "check_comodule",
+                 lambda p: (p.hopf, p.m_dim, p.coaction, p.side), lambda p: p.m_dim),
+    "yd-module": (("yd",), None, "check_yd_module",
+                  lambda p: (p.hopf, p.coalgebra.dim, p.action, p.coaction),
+                  lambda p: p.coalgebra.dim * p.hopf.dim ** 2),
+    "yd-coalgebra": (("yd",), None, "check_yd_coalgebra", None,
+                     lambda p: p.coalgebra.dim * p.hopf.dim ** 2),
+    "coquasitriangular": (("sigma",), None, "check_coquasitriangular", None,
+                          lambda p: p.hopf.dim ** 3),
 }
+_CHECK_GROUPS = {"hopf": tuple(name for name, _, _ in _AXIOMS)}
 
 
-def _run_named_check(name: str, doc_kind: str, payload, report: Report):
-    if doc_kind in fileformat.STRUCTURE_KINDS and name in _STRUCTURE_CHECKS:
-        try:
-            report.check(name, _structure_check(name, payload))
-        except ValueError as exc:
-            raise InputError(f"check {name}: {exc}") from None
-        return
-    kind, inputs = _NAMED_CHECKS.get(name, (None, None))
-    if kind != doc_kind:
-        raise InputError(f"check {name!r} does not apply to kind {doc_kind!r}")
-    _charge(name, inputs(payload))
+def _run_check(name: str, doc: Document, report: Report):
+    """Charge one check of `_CHECKS` against `VERIFY_BUDGET`, run it, report it."""
+    _, _, checker, args, charge = _CHECKS[name]
+    p = doc.payload
+    inputs = charge(p) if charge else 0
+    if inputs > VERIFY_BUDGET:
+        label = (f"{name} on dim {p.dim}"
+                 if doc.kind in fileformat.STRUCTURE_KINDS else name)
+        raise BudgetExceededError(
+            f"{label} needs {inputs} basis inputs, more than {VERIFY_BUDGET}")
     try:
-        if name == "prelie":
-            from .prelie import check_pre_lie
-            report.check(name, check_pre_lie(payload.comul))
-        elif name == "hopf-module":
-            from .hopfmod import check_hopf_module
-            report.check(name, check_hopf_module(payload))
-        elif name == "hopf-module-algebra":
-            from .hopfmod import check_hopf_module_algebra
-            report.check(name, check_hopf_module_algebra(payload))
-        elif name == "hopf-module-coalgebra":
-            from .hopfmod import check_hopf_module_coalgebra
-            report.check(name, check_hopf_module_coalgebra(payload))
-        elif name == "comodule":
-            report.check(name, check_comodule(payload.hopf, payload.m_dim,
-                                              payload.coaction, payload.side))
-        elif name == "yd-module":
-            from .ydsmash import check_yd_module
-            report.check(name, check_yd_module(payload.hopf,
-                                               payload.coalgebra.dim,
-                                               payload.action, payload.coaction))
-        elif name == "yd-coalgebra":
-            from .ydsmash import check_yd_coalgebra
-            report.check(name, check_yd_coalgebra(payload))
-        else:
-            from .ydsmash import check_coquasitriangular
-            report.check(name, check_coquasitriangular(payload))
+        check = getattr(sys.modules[__package__], checker)
+        budget = {} if charge else {"budget": VERIFY_BUDGET}
+        report.check(name, check(*(args(p) if args else (p,)), **budget))
     except ValueError as exc:
         raise InputError(f"check {name}: {exc}") from None
 
@@ -286,18 +223,19 @@ def cmd_verify(args) -> Report:
         raise InputError("an operator file has nothing to verify on its own; "
                          "use rb-check")
     if args.checks:
-        names = []
-        for item in args.checks.split(","):
-            item = item.strip()
-            names.extend(_CHECK_GROUPS.get(item, (item,)))
-        if doc.kind in fileformat.STRUCTURE_KINDS:
-            for name in names:
-                if name not in _STRUCTURE_CHECKS:
-                    raise InputError(f"unknown check {name!r}")
+        names = [name for item in args.checks.split(",")
+                 for name in _CHECK_GROUPS.get(item.strip(), (item.strip(),))]
+        for name in names:
+            if name not in _CHECKS:
+                raise InputError(f"unknown check {name!r}")
+            if doc.kind not in _CHECKS[name][0]:
+                raise InputError(f"check {name!r} does not apply to kind "
+                                 f"{doc.kind!r}")
     else:
-        names = _default_checks(doc.kind, doc.payload)
+        names = [name for name, (kinds, default, *_) in _CHECKS.items()
+                 if doc.kind in kinds and (default is None or default(doc.payload))]
     for name in names:
-        _run_named_check(name, doc.kind, doc.payload, report)
+        _run_check(name, doc, report)
     return report
 
 
@@ -354,8 +292,11 @@ def _resolve_yd(args, field):
     return doc.payload
 
 
-def _reload_equal(path: str, payload) -> bool:
-    return load(path).payload == payload
+def _write(report: Report, payload, path: str, key: str = "output"):
+    """Save `payload`, report the path under `key` and check it reloads equal."""
+    save(payload, path)
+    report.info(key, path)
+    report.check(key.replace("output", "reload"), load(path).payload == payload)
 
 
 def cmd_construct(args) -> Report:
@@ -374,9 +315,7 @@ def cmd_construct(args) -> Report:
             return report
         smash = smash_coproduct(ydc)
         report.check("coassociativity", check_coassociativity(smash))
-        save(smash, args.output)
-        report.info("output", args.output)
-        report.check("reload", _reload_equal(args.output, smash))
+        _write(report, smash, args.output)
     elif args.what in ("projection-right", "projection-left"):
         side = args.what.rsplit("-", 1)[1]
         if args.module:
@@ -401,9 +340,7 @@ def cmd_construct(args) -> Report:
         report.info("idempotent", "yes" if verdict.idempotent else "no")
         if not verdict.idempotent:
             report.failed = True
-        save(p, args.output)
-        report.info("output", args.output)
-        report.check("reload", _reload_equal(args.output, p))
+        _write(report, p, args.output)
     elif args.what == "prelie":
         if not (args.structure and args.operator and args.weight):
             raise InputError("construct prelie needs --structure, --operator "
@@ -427,9 +364,7 @@ def cmd_construct(args) -> Report:
             return report
         plc = build(s, q)
         report.check("pre-lie", check_pre_lie(plc.comul))
-        save(plc, args.output)
-        report.info("output", args.output)
-        report.check("reload", _reload_equal(args.output, plc))
+        _write(report, plc, args.output)
     elif args.what == "pi-operator":
         if not args.hopf:
             raise InputError("construct pi-operator needs --hopf")
@@ -441,14 +376,9 @@ def cmd_construct(args) -> Report:
         p, verdict = verify_projection_rb(hm)
         report.check("convolution-matches-projection", pi == p)
         report.check("rb-coalgebra-weight-minus-1", verdict)
-        save(pi, args.output)
-        report.info("output", args.output)
-        report.check("reload", _reload_equal(args.output, pi))
+        _write(report, pi, args.output)
         if args.structure_out:
-            save(pb.big, args.structure_out)
-            report.info("structure-output", args.structure_out)
-            report.check("structure-reload",
-                         _reload_equal(args.structure_out, pb.big))
+            _write(report, pb.big, args.structure_out, "structure-output")
     else:
         raise InputError(f"unknown construction {args.what!r}")
     return report
