@@ -30,7 +30,8 @@ from . import fileformat
 from .errors import BudgetExceededError
 from .fields import QQ, field_from_name
 from .fileformat import Document, load, save
-from .structures import _AXIOMS, builtin, builtin_names, check_coassociativity
+from .structures import (_AXIOM_INPUTS, _AXIOMS, _unverified_builtin, builtin,
+                         builtin_names, check_coassociativity)
 
 MAX_DEFECT_ENTRIES = 16
 
@@ -144,7 +145,8 @@ VERIFY_BUDGET = 10 ** 6
 # from the payload (None for the payload itself); and the basis inputs it
 # is charged before it runs.
 #
-# On a structure of dim n the bialgebra check charges n² and the others n.
+# On a structure of dim n the bialgebra check charges n² and the others n
+# (`structures._AXIOM_INPUTS`).
 # Associativity (charge None) is passed the budget instead and charges the
 # inputs it schedules as it goes: Light's test needs only |G|·n² of the n³
 # basis triples.  The bialgebra check is certified on G when associativity
@@ -162,10 +164,9 @@ VERIFY_BUDGET = 10 ** 6
 # (`structures._on_generators`) usually evaluate far fewer, but when a
 # precondition fails or exceeds its own budget the full check runs, so the
 # pre-charges stay at that worst case: the fallback path.
-_STRUCTURE_CHARGES = {"associativity": None, "bialgebra": lambda p: p.dim ** 2}
 _CHECKS = {
     **{name: (fileformat.STRUCTURE_KINDS, applies, checker, None,
-              _STRUCTURE_CHARGES.get(name, lambda p: p.dim))
+              _AXIOM_INPUTS[name])
        for name, checker, applies in _AXIOMS},
     "prelie": (("prelie",), None, "check_pre_lie", lambda p: (p.comul,),
                lambda p: p.dim),
@@ -213,7 +214,8 @@ def cmd_verify(args) -> Report:
     report.arg("input", args.input)
     field = _field_option(args.field)
     if args.input.startswith("builtin:"):
-        payload = _load_structure(args.input, field)
+        # Built unverified: the checks below are `builtin`'s own axioms.
+        payload = _unverified_builtin(args.input[len("builtin:"):], field or QQ)
         doc = Document(payload.kind, payload, {})
     else:
         if field is not None:

@@ -17,7 +17,11 @@ how it was built, `check_bialgebra_map` records its passes on i, and
 `check_module` drops the associativity identity when both records and C's
 proved associativity agree.  A copy, a pickle or a loaded file has no
 record and runs the identity; the comodule axioms and the compatibility
-always run.
+always run.  Likewise `pi_operator` records on Π how it was built, and
+`rb.check_rb_algebra` proves Π of weight -1 without evaluating a basis
+pair once i, π, H and C pass the checks its proof needs: Π is an
+idempotent whose image, the coinvariants, and kernel, C·i(H⁺), are closed
+under products.
 
 The constructed maps (convolutions, the action and coaction of that module,
 coinvariant projections, i and π of the tensor square) are built by pushing
@@ -44,8 +48,8 @@ from .record import Record
 from .structures import (AlgebraicStructure, AxiomVerdict, _batched,
                          _first_failure, _generators_within, _h_position,
                          _inherited_generators, _on_generators, _placed,
-                         _record_projection_action, _verdict,
-                         check_bialgebra_map, check_coassociativity,
+                         _record_pi_operator, _record_projection_action,
+                         _verdict, check_bialgebra_map, check_coassociativity,
                          check_comodule, check_module, tensor_product)
 from .tensorops import _matrix_of
 
@@ -365,11 +369,18 @@ def hopf_module_from_projection(pb: ProjectionBialgebra,
 def pi_operator(pb: ProjectionBialgebra, side: str = "right") -> Mat:
     """The convolution form of the coinvariant projection.
 
-    Π = id_C ⋆ (i∘S∘π) on the right, (i∘S∘π) ⋆ id_C on the left.
+    Π = id_C ⋆ (i∘S∘π) on the right, (i∘S∘π) ⋆ id_C on the left.  The
+    matrix records that it was built so, with `side` and pb's i, π, H and
+    C (`structures._record_pi_operator`), and `rb.check_rb_algebra` reads
+    its weight -1 off that record when i, π, H and C pass the checks its
+    proof needs (see there).  The matrix is immutable, so the record stays
+    true; a copy, a pickle or a loaded file has none.
     """
     eye = Mat.identity(pb.big.field, pb.big.dim)
     isp = pb.embed * pb.hopf.antipode * pb.project
-    return convolution(*_placed(_h_position(side), (eye,), (isp,)), pb.big)
+    pi = convolution(*_placed(_h_position(side), (eye,), (isp,)), pb.big)
+    _record_pi_operator(pi, side, pb.embed, pb.project, pb.hopf, pb.big)
+    return pi
 
 
 def tensor_square_projection(hopf: AlgebraicStructure) -> ProjectionBialgebra:

@@ -16,7 +16,8 @@ from .errors import BudgetExceededError, ShapeError
 from .fields import PrimeField
 from .linalg import Mat
 from .record import Record
-from .structures import AlgebraicStructure, DefectReport, _batched, _verdict
+from .structures import (AlgebraicStructure, DefectReport, _batched,
+                         _carried_rota_baxter, _verdict)
 
 
 class RBVerdict(Record):
@@ -59,10 +60,59 @@ def _check_operator_shape(s: AlgebraicStructure, op: Mat):
 
 
 def check_rb_algebra(s: AlgebraicStructure, p: Mat, weight) -> RBVerdict:
-    """Does P(x)P(y) = P(xP(y)) + P(P(x)y) + λP(xy) hold on all basis pairs?"""
+    """Does P(x)P(y) = P(xP(y)) + P(P(x)y) + λP(xy) hold on all basis pairs?
+
+    The convolution projection Π of a bialgebra C with a projection
+    (`hopfmod.pi_operator`: bialgebra maps i: H→C, π: C→H, π∘i = id)
+    carries its weight -1.  When λ is the field's -1 and the record on
+    `p` names C's multiplication as `s.mul`, and i, π, H and C pass the
+    checks below, the verdict is a pass with no pair evaluated
+    (`structures._carried_rota_baxter`).  On the right side, with
+    ρ(c) = c₁⊗π(c₂) = c₍₀₎⊗c₍₁₎ and Π(c) = c₁·i(S(π(c₂))):
+
+    1. ρ is coassociative, counital and multiplicative, and
+       ρ(i(h)) = i(h₁)⊗h₂: C is a bialgebra, π a bialgebra map and i a
+       comultiplicative one with π∘i = id.
+    2. Π(c) = c₍₀₎·i(S(c₍₁₎)), so, H being a Hopf algebra,
+       ρ(Π(c)) = c₍₀₎i(S(c₍₃₎))⊗c₍₁₎S(c₍₂₎) = Π(c)⊗1.  On the
+       coinvariants C^{coH} = {x : ρ(x) = x⊗1}, Π(x) = x·i(S(1)) = x.  So Π
+       is idempotent with image C^{coH}, which is closed under products
+       because ρ is multiplicative.
+    3. c = Π(c₍₀₎)·i(c₍₁₎), and Π(x·i(h)) = ε(h)x for x in C^{coH}, so
+       Π(c·i(h)) = Π(c)ε(h) and ker Π = C·i(H⁺) with H⁺ = ker ε.  This
+       is a left ideal, so it is closed under products.
+    4. Guo's criterion (L. Guo, *An Introduction to Rota-Baxter Algebra*,
+       2012, ch. 1): an idempotent P has weight -1 when its image and
+       kernel are closed under products.  Write x = x₁ + x₂ with x₁ in
+       im P and x₂ in ker P, and y likewise; then
+       P(x)P(y) - P(xP(y)) - P(P(x)y) + P(xy) =
+       (x₁y₁ - P(x₁y₁)) + P(x₂y₂), which is 0 here.
+
+    The left side mirrors this, with ρ(c) = π(c₁)⊗c₂, the left
+    coinvariants as image and the right ideal i(H⁺)·C as kernel, so both
+    sides ask the same of i, π, H and C:
+
+    - i and π pass `check_bialgebra_map` between exactly H and C: the
+      pass recorded for their multiplications is read by identity and
+      the other three identities are evaluated;
+    - π∘i is the identity, recomputed, since a raw `ProjectionBialgebra`
+      is not validated;
+    - H passes every axiom of `structures._AXIOMS`;
+    - C has a unit and a counit and passes `check_coassociativity` and
+      `check_unit_counit`;
+    - C is associative and Δ(ab) = Δ(a)Δ(b)
+      (`structures._generators_within`).
+
+    Each is charged against the n² basis inputs of the identity.  When
+    one fails or goes over budget, and for a copy, a pickle or a loaded
+    file, which carry no record, the identity is evaluated on all pairs,
+    so a failing verdict is the one it always was.
+    """
     mul = s.require("mul")
     _check_operator_shape(s, p)
     lam = s.field.coerce(weight)
+    if lam == -s.field.one and _carried_rota_baxter(mul, p, s.dim ** 2):
+        return RBVerdict(True, lam, "algebra")
 
     def residual(t):
         lhs = t.map_at(0, p).map_at(1, p).merge_at(0, mul)

@@ -385,7 +385,8 @@ def _unit_index(mul: Tensor3):
     return None
 
 
-def _proved(mul: Tensor3, charge, own_test: bool = True):
+def _proved(mul: Tensor3, charge, own_test: bool = True,
+            record: bool = True):
     """G of `mul` when `mul` is proved associative, else None.
 
     The one prover of associativity; `charge` is told the basis inputs
@@ -393,7 +394,8 @@ def _proved(mul: Tensor3, charge, own_test: bool = True):
 
     1. the G recorded under "light" on `mul` by an earlier proof;
     2. for a `tensor_product` whose factors are `_proved` (recursively, at
-       their size), G read off the factors (see `check_associativity`);
+       their size), G read off the factors (see `check_associativity`),
+       recorded on `mul` unless `record` is False;
     3. with `own_test`, Light's test on `mul`, whose pass records G.
 
     In 2, when the factors A, B have basis vectors e_u, e_v that are
@@ -418,6 +420,8 @@ def _proved(mul: Tensor3, charge, own_test: bool = True):
             nb = factors[1].dims[0]
             gens = sorted({g * nb + units[1] for g in ga}
                           | {units[0] * nb + h for h in gb})
+        if not record:
+            return tuple(gens)
         cache["light"] = tuple(gens)
     elif own_test:
         _light_test(mul, charge)
@@ -696,9 +700,83 @@ def _carried_associativity(mul: Tensor3, action: Mat, side: str,
     if built is None or built[0] != side:
         return False
     _, embed, big_mul = built
-    if (id(mul), id(big_mul)) not in _cache(embed).get("bialgebra-map", {}):
+    if not _map_passed(embed, mul, big_mul):
         return False
     return _inherited_generators(big_mul, budget) is not None
+
+
+def _record_pi_operator(pi: Mat, side: str, embed: Mat, project: Mat,
+                        hopf: AlgebraicStructure, big: AlgebraicStructure):
+    """Record that `pi` is Π = id ⋆ (i∘S∘π) on the right, (i∘S∘π) ⋆ id on
+    the left, for i = `embed`, π = `project`, H's antipode S and C's
+    maps (see `rb.check_rb_algebra`)."""
+    _cache(pi)["pi-operator"] = (side, embed, project, hopf, big)
+
+
+def _carried_rota_baxter(mul: Tensor3, p: Mat, budget: int) -> bool:
+    """Whether the records on `p` prove it a Rota-Baxter operator of weight
+    -1 over `mul`, the preconditions charged within `budget`.  The record
+    names i, π, H and C; the preconditions, the same on both sides, and
+    the proof are in `rb.check_rb_algebra`."""
+    built = _cache(p).get("pi-operator")
+    if built is None:
+        return False
+    _, embed, project, hopf, big = built
+    if big.mul is not mul:
+        return False
+    charge = _meter(budget, "precondition over budget")
+    try:
+        if not (_is_bialgebra_map(embed, hopf, big, charge)
+                and _is_bialgebra_map(project, big, hopf, charge)):
+            return False
+        charge(hopf.dim)
+        if project * embed != Mat.identity(hopf.field, hopf.dim):
+            return False
+        if not (_passes(hopf, _AXIOM_INPUTS, charge)  # every axiom
+                and _passes(big, ("coassociativity", "unit-counit"), charge)):
+            return False
+    except BudgetExceededError:
+        return False
+    return _generators_within(mul, budget, big.comul) is not None
+
+
+def _map_passed(f: Mat, src_mul: Tensor3, dst_mul: Tensor3) -> bool:
+    """Whether `check_bialgebra_map` recorded a pass of `f` from exactly
+    `src_mul` to exactly `dst_mul`."""
+    return (id(src_mul), id(dst_mul)) in _cache(f).get("bialgebra-map", {})
+
+
+def _is_bialgebra_map(f: Mat, src: AlgebraicStructure,
+                      dst: AlgebraicStructure, charge) -> bool:
+    """Whether `f` is a bialgebra map from `src` to `dst`: multiplicative
+    by the pass recorded for exactly their multiplications
+    (`_map_passed`), the other three identities of `check_bialgebra_map`
+    evaluated, their inputs charged."""
+    if not _map_passed(f, src.mul, dst.mul) or None in (
+            src.comul, src.unit, src.counit, dst.comul, dst.unit, dst.counit):
+        return False
+    charge(2 * src.dim + 1)
+    return _first_failure(_map_structure_parts(f, src, dst)).passed
+
+
+def _passes(s: AlgebraicStructure, names, charge) -> bool:
+    """Whether `s` has the maps of, and passes, each axiom of `_AXIOMS`
+    named in `names`, each one's full inputs (`_AXIOM_INPUTS`) charged
+    before it runs; associativity is asked of `_proved`."""
+    for name, checker, applies in _AXIOMS:
+        if name not in names:
+            continue
+        if not applies(s):
+            return False
+        inputs = _AXIOM_INPUTS[name]
+        if inputs is None:
+            if _proved(s.mul, charge) is None:
+                return False
+        else:
+            charge(inputs(s))
+            if not globals()[checker](s).passed:
+                return False
+    return True
 
 
 def check_bialgebra_map(f: Mat, src: AlgebraicStructure,
@@ -717,20 +795,62 @@ def check_bialgebra_map(f: Mat, src: AlgebraicStructure,
     - map-unit: (k, 0) for the e_k coefficient of f(1) - 1;
     - map-counit: (0, i) for ε(f(e_i)) - ε(e_i).
 
+    When both multiplications are proved associative (`_proved`, within
+    the identity's ns² inputs in all), f(ab) = f(a)f(b) is certified on
+    the pairs (a, g) with g in src's generating set G (`_on_generators`).
+    Let B = {b : f(ab) = f(a)f(b) for all a}, a subspace.  For b, b' in B,
+    f(a(bb')) = f((ab)b') = f(ab)f(b') = (f(a)f(b))f(b') = f(a)(f(b)f(b'))
+    = f(a)f(bb'), by src's associativity, b' ∈ B, b ∈ B, dst's
+    associativity and b' ∈ B again; so B is closed under products, and
+    G ⊆ B gives every word in G, which span src.  A nonzero residual runs
+    every other b, so a failing verdict is the full check's.  A G read off
+    a product's factors here is not recorded on the product (`_proved`),
+    so that validating i and π leaves C's record to the checks of C.
+
     A pass is recorded on `f` under "bialgebra-map", keyed by the ids of
     src.mul and dst.mul and holding both, so the ids stay unique; failures
-    are not recorded.  `check_module` reads it (see there).
+    are not recorded.  `check_module` and `rb.check_rb_algebra` read it
+    (see there).
     """
     for s in (src, dst):
         for attr in ("mul", "comul", "unit", "counit"):
             s.require(attr)
     if f.rows != dst.dim or f.cols != src.dim:
         raise ShapeError(f"map must be {dst.dim} x {src.dim}")
-    field, ns, nd = src.field, src.dim, dst.dim
+    ns = src.dim
 
     def multiplicative(t):
         return (t.merge_at(0, src.mul).map_at(0, f)
                 - t.map_at(0, f).map_at(1, f).merge_at(0, dst.mul))
+
+    charge = _meter(ns * ns, "precondition over budget")
+    try:
+        gens = _proved(src.mul, charge, record=False)
+        if gens is not None and _proved(dst.mul, charge, record=False) is None:
+            gens = None
+    except BudgetExceededError:
+        gens = None
+    identity, residuals, tags, *order = _on_generators(
+        "map-multiplicative", src.field, (ns, ns), 1, gens, multiplicative)
+
+    def position(k):
+        # A certified key comes back in (i, j, output) order through `order`.
+        i, j, out = order[0](k) if order else k
+        return out, i * ns + j
+
+    v = _first_failure([(identity, residuals, tags, position),
+                        *_map_structure_parts(f, src, dst)])
+    if v.passed:
+        _cache(f).setdefault("bialgebra-map", {})[
+            id(src.mul), id(dst.mul)] = (src.mul, dst.mul)
+    return v
+
+
+def _map_structure_parts(f: Mat, src: AlgebraicStructure,
+                         dst: AlgebraicStructure) -> list:
+    """The map-comultiplicative, map-unit and map-counit parts of
+    `check_bialgebra_map`, keyed as it reports them."""
+    field, ns, nd = src.field, src.dim, dst.dim
 
     def comultiplicative(t):
         return (t.map_at(0, f).split_at(0, dst.comul)
@@ -743,19 +863,13 @@ def check_bialgebra_map(f: Mat, src: AlgebraicStructure,
     def counital(t):
         return t.map_at(0, f).map_at(0, dst.counit) - t.map_at(0, src.counit)
 
-    v = _first_failure([
-        (*_batched("map-multiplicative", field, (ns, ns), multiplicative),
-         lambda k: (k[2], k[0] * ns + k[1])),
+    return [
         (*_batched("map-comultiplicative", field, (ns,), comultiplicative),
          lambda k: (k[1] * nd + k[2], k[0])),
         ("map-unit", unital(), 0, lambda k: (k[0], 0)),
         (*_batched("map-counit", field, (ns,), counital),
          lambda k: (k[1], k[0])),
-    ])
-    if v.passed:
-        _cache(f).setdefault("bialgebra-map", {})[
-            id(src.mul), id(dst.mul)] = (src.mul, dst.mul)
-    return v
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -1065,18 +1179,23 @@ def builtin(name: str, field=QQ) -> AlgebraicStructure:
     key = (name, field)
     if key in _builtin_cache:
         return _builtin_cache[key]
+    s = _unverified_builtin(name, field)
+    _assert_axioms(name, s)
+    _builtin_cache[key] = s
+    return s
+
+
+def _unverified_builtin(name: str, field=QQ) -> AlgebraicStructure:
+    """The fixture `builtin` returns, built afresh with no axiom checked,
+    for a caller that checks the axioms itself (`rbhopf verify`)."""
     if name.startswith("grouplike:"):
         dim = parse_decimal(name.split(":", 1)[1])
         if dim < 1:
             raise ValueError(f"grouplike dimension must be positive, got {dim}")
-        s = grouplike_coalgebra(field, dim)
-    elif name in _BUILTINS:
-        s = _BUILTINS[name](field)
-    else:
-        raise ValueError(f"unknown builtin {name!r}")
-    _assert_axioms(name, s)
-    _builtin_cache[key] = s
-    return s
+        return grouplike_coalgebra(field, dim)
+    if name in _BUILTINS:
+        return _BUILTINS[name](field)
+    raise ValueError(f"unknown builtin {name!r}")
 
 
 # The axioms of an `AlgebraicStructure`, in the order they run: each one's
@@ -1091,6 +1210,15 @@ _AXIOMS = (
      lambda s: s.mul is not None and s.comul is not None),
     ("antipode", "check_antipode", lambda s: s.antipode is not None),
 )
+
+# The basis inputs each axiom's full check evaluates on a structure of dim
+# n: the n² pairs of the bialgebra axiom and n for the others.
+# Associativity (None) charges what its Light's test schedules as it goes.
+_AXIOM_INPUTS = {"associativity": None,
+                 "coassociativity": lambda s: s.dim,
+                 "unit-counit": lambda s: s.dim,
+                 "bialgebra": lambda s: s.dim ** 2,
+                 "antipode": lambda s: s.dim}
 
 
 def _assert_axioms(name: str, s: AlgebraicStructure):
