@@ -10,25 +10,16 @@ executable here as `verify_projection_rb`.
 A bialgebra C with a projection onto a Hopf algebra H (bialgebra maps
 i: H→C, π: C→H, π∘i = id) becomes such a module via c·h = c·i(h) and
 ρ(c) = c₁⊗π(c₂); the associated projection is the convolution
-Π = id ⋆ (i∘S∘π).  Such a module carries its module associativity:
-c·(hh') = c·i(hh') = c·(i(h)i(h')) = (c·i(h))·i(h') once C is associative
-and i multiplicative.  `hopf_module_from_projection` records on the action
-how it was built, `check_bialgebra_map` records its passes on i, and
-`check_module` drops the associativity identity when both records and C's
-proved associativity agree.  A copy, a pickle or a loaded file has no
-record and runs the identity; the comodule axioms and the compatibility
-always run.  Likewise `pi_operator` records on Π how it was built, and
-`rb.check_rb_algebra` proves Π of weight -1 without evaluating a basis
-pair once i, π, H and C pass the checks its proof needs: Π is an
-idempotent whose image, the coinvariants, and kernel, C·i(H⁺), are closed
-under products.
+Π = id ⋆ (i∘S∘π).  `hopf_module_from_projection` and `pi_operator` record
+on the maps they build the projection they came from, and every
+Hopf-module identity of that module, and Π's weight -1, follow from one
+set of preconditions on i, π, H and C, proved once per projection
+(`structures._carried`): the checks then evaluate no basis input.  A
+copy, a pickle or a loaded file has no record and runs every identity.
 
-The constructed maps (convolutions, the action and coaction of that module,
-coinvariant projections, i and π of the tensor square) are built by pushing
-every basis vector at once, each tagged with its own index, through the
-same `TermSum` rewrites the checkers use (`tensorops._matrix_of`).  The
-validation of i and π (`check_bialgebra_map`) runs on the same sparse
-rewrites, so no library path forms a Kronecker product of dense matrices.
+Every constructed map is built by pushing all basis vectors at once, each
+tagged with its index, through the `TermSum` rewrites the checkers use
+(`tensorops._matrix_of`), so no path forms a dense Kronecker product.
 
 Each identity is written once for both sides.  The placement rule
 `structures._h_position` validates a side and gives H's factor position
@@ -46,11 +37,11 @@ from .linalg import Mat, Tensor3
 from .rb import RBVerdict, check_rb_coalgebra
 from .record import Record
 from .structures import (AlgebraicStructure, AxiomVerdict, _batched,
-                         _first_failure, _generators_within, _h_position,
-                         _inherited_generators, _on_generators, _placed,
-                         _record_pi_operator, _record_projection_action,
-                         _verdict, check_bialgebra_map, check_coassociativity,
-                         check_comodule, check_module, tensor_product)
+                         _carried, _first_failure, _generators_within,
+                         _h_position, _inherited_generators, _on_generators,
+                         _placed, _record_built, _verdict, check_bialgebra_map,
+                         check_coassociativity, check_comodule, check_module,
+                         tensor_product)
 from .tensorops import _matrix_of
 
 
@@ -119,7 +110,15 @@ def check_hopf_module(hm: HopfModule) -> AxiomVerdict:
     Δ(ab) = Δ(a)Δ(b): if it holds for h in {g, g'}, then ρ(m·(gg')) =
     ρ((m·g)·g') = ρ(m)Δ(g)Δ(g') = ρ(m)Δ(gg'), since M⊗H is an associative
     module over H⊗H; on the left, ρ((gg')·m) = Δ(g)Δ(g')ρ(m) likewise.
+
+    A module from `hopf_module_from_projection` whose records match
+    (`_carried_module`) passes with no identity evaluated: on the right,
+    (c·h)·h' = c·i(h)i(h') = c·i(hh'), c·1 = c·i(1) = c,
+    (ρ⊗id)ρ(c) = c₁⊗π(c₂)⊗π(c₃) = (id⊗Δ)ρ(c), (id⊗ε)ρ(c) = c and
+    ρ(c·i(h)) = c₁i(h₁)⊗π(c₂)π(i(h₂)) = ρ(c)Δ(h) (see there).
     """
+    if _carried_module(hm):
+        return AxiomVerdict(True)
     v = check_module(hm.hopf, hm.m_dim, hm.action, hm.side)
     if not v.passed:
         return v
@@ -175,9 +174,15 @@ def check_hopf_module_algebra(hm: HopfModule) -> AxiomVerdict:
     The coaction part, in m' on a generating set of M's multiplication
     when M and H are associative: ρ(m(nn')) = ρ((mn)n') = ρ(m)ρ(n)ρ(n') =
     ρ(m)ρ(nn'), since M⊗H (H⊗M on the left) is then an associative algebra.
+
+    A projection module whose records match (`_carried_module`) passes
+    with no identity evaluated: (cc')·i(h) = c(c'i(h)) and ρ(cc') =
+    c₁c'₁⊗π(c₂c'₂) = ρ(c)ρ(c') (see `hopf_module_from_projection`).
     """
     if hm.mul is None:
         raise ValueError("module carries no multiplication")
+    if _carried_module(hm, hm.m_dim ** 2 * (hm.hopf.dim + 1)):
+        return AxiomVerdict(True)
     v = check_hopf_module(hm)
     if not v.passed:
         return v
@@ -229,9 +234,15 @@ def check_hopf_module_coalgebra(hm: HopfModule) -> AxiomVerdict:
     axioms passed first, so Δ(m·(gg')) = Δ((m·g)·g') =
     (m₁·g₁)·g'₁ ⊗ (m₂·g₂)·g'₂ = m₁·(gg')₁ ⊗ m₂·(gg')₂, and on the left
     likewise.
+
+    A projection module whose records match (`_carried_module`) passes
+    with no identity evaluated: Δ(c·i(h)) = c₁i(h₁)⊗c₂i(h₂), (Δ⊗id)ρ(c) =
+    c₁⊗c₂⊗π(c₃) = (id⊗ρ)Δ(c) (see `hopf_module_from_projection`).
     """
     if hm.comul is None:
         raise ValueError("module carries no comultiplication")
+    if _carried_module(hm, hm.m_dim * (hm.hopf.dim + 2)):
+        return AxiomVerdict(True)
     v = check_hopf_module(hm)
     if not v.passed:
         return v
@@ -257,6 +268,16 @@ def check_hopf_module_coalgebra(hm: HopfModule) -> AxiomVerdict:
                        h_pos, gens,
                        _module_coalgebra_action(h_pos, hm.action, mcomul, hcomul)),
     ])
+
+
+def _carried_module(hm: HopfModule, extra: int = 0) -> bool:
+    """`structures._carried` for `hm`'s action and coaction, its side, H,
+    mul and comul, within `check_hopf_module`'s inputs plus `extra`."""
+    m, h = hm.m_dim, hm.hopf.dim
+    return _carried({"projection-action": hm.action,
+                     "projection-coaction": hm.coaction},
+                    m * (h * h + h + 3) + extra, hm.side, hm.hopf,
+                    hm.mul, hm.comul)
 
 
 def _module_coalgebra_action(h_pos: int, action: Mat, mcomul: Tensor3,
@@ -348,20 +369,38 @@ def hopf_module_from_projection(pb: ProjectionBialgebra,
     along, so the result supports both the module algebra and the module
     coalgebra checks.
 
-    The action records that it is C's multiplication after i at `side`
-    (`structures._record_projection_action`).  With i's record of a passed
-    `check_bialgebra_map` and C's associativity known, `check_module`
-    reads module associativity off them (see there).  The action is
-    immutable, so the record stays true; a copy has none.
+    The action and the coaction record the projection they came from
+    (`structures._record_built`); nothing is evaluated here.  The first
+    check that reads the records proves once what `structures._carried`
+    asks: i and π bialgebra maps, π∘i = id, H a Hopf algebra, C a
+    bialgebra.  Every identity of the `check_hopf_module*` checks
+    follows; on the right:
+
+    - module: (c·h)·h' = c·i(h)i(h') = c·i(hh') and c·1 = c·i(1) = c, by
+      C associative and unital and i multiplicative and unital;
+    - comodule: (ρ⊗id)ρ(c) = c₁⊗π(c₂)⊗π(c₃) = (id⊗Δ)ρ(c) and
+      (id⊗ε)ρ(c) = c₁ε(π(c₂)) = c, by Δ_C coassociative and counital and
+      π a coalgebra map;
+    - compatibility: ρ(c·i(h)) = c₁i(h₁)⊗π(c₂)π(i(h₂)) = ρ(c)Δ(h), by Δ_C
+      multiplicative, i comultiplicative, π multiplicative, π∘i = id;
+    - module algebra: (cc')·h = c(c'·h) and ρ(cc') = ρ(c)ρ(c');
+    - module coalgebra: Δ(c·h) = c₁·h₁⊗c₂·h₂, (Δ⊗id)ρ = (id⊗ρ)Δ, and
+      Δ_M = Δ_C is coassociative.
+
+    The left side mirrors each step through `structures._h_position`.
+    The maps are immutable, so the records stay true; a copy, a pickle or
+    a loaded file has none and runs every identity.
     """
     big, hopf = pb.big, pb.hopf
     field, n = big.field, big.dim
     h_pos = _h_position(side)
     action = _matrix_of(field, _placed(h_pos, (n,), (hopf.dim,)), lambda t: (
         t.map_at(h_pos, pb.embed).merge_at(0, big.mul)))
-    _record_projection_action(action, side, pb.embed, big.mul)
     coaction = _matrix_of(field, (n,), lambda t: (
         t.split_at(0, big.comul).map_at(h_pos, pb.project)))
+    _record_built({"projection-action": action,
+                   "projection-coaction": coaction},
+                  side, pb.embed, pb.project, hopf, big)
     return HopfModule(hopf, n, action, coaction, side,
                       mul=big.mul, comul=big.comul)
 
@@ -370,16 +409,17 @@ def pi_operator(pb: ProjectionBialgebra, side: str = "right") -> Mat:
     """The convolution form of the coinvariant projection.
 
     Π = id_C ⋆ (i∘S∘π) on the right, (i∘S∘π) ⋆ id_C on the left.  The
-    matrix records that it was built so, with `side` and pb's i, π, H and
-    C (`structures._record_pi_operator`), and `rb.check_rb_algebra` reads
-    its weight -1 off that record when i, π, H and C pass the checks its
-    proof needs (see there).  The matrix is immutable, so the record stays
-    true; a copy, a pickle or a loaded file has none.
+    matrix records the projection it was built from
+    (`structures._record_built`), and `rb.check_rb_algebra` reads its
+    weight -1 off that record when the projection's preconditions hold
+    (see there).  The matrix is immutable, so the record stays true; a
+    copy, a pickle or a loaded file has none.
     """
     eye = Mat.identity(pb.big.field, pb.big.dim)
     isp = pb.embed * pb.hopf.antipode * pb.project
     pi = convolution(*_placed(_h_position(side), (eye,), (isp,)), pb.big)
-    _record_pi_operator(pi, side, pb.embed, pb.project, pb.hopf, pb.big)
+    _record_built({"pi-operator": pi}, side, pb.embed, pb.project, pb.hopf,
+                  pb.big)
     return pi
 
 

@@ -17,7 +17,7 @@ from .fields import PrimeField
 from .linalg import Mat
 from .record import Record
 from .structures import (AlgebraicStructure, DefectReport, _batched,
-                         _carried_rota_baxter, _verdict)
+                         _carried, _verdict)
 
 
 class RBVerdict(Record):
@@ -64,10 +64,11 @@ def check_rb_algebra(s: AlgebraicStructure, p: Mat, weight) -> RBVerdict:
 
     The convolution projection Π of a bialgebra C with a projection
     (`hopfmod.pi_operator`: bialgebra maps i: H→C, π: C→H, π∘i = id)
-    carries its weight -1.  When λ is the field's -1 and the record on
-    `p` names C's multiplication as `s.mul`, and i, π, H and C pass the
-    checks below, the verdict is a pass with no pair evaluated
-    (`structures._carried_rota_baxter`).  On the right side, with
+    carries its weight -1.  When λ is the field's -1, the record on `p`
+    names C's multiplication as `s.mul`, and the projection's
+    preconditions hold (`structures._carried`: i and π bialgebra maps,
+    π∘i = id, H a Hopf algebra, C a bialgebra), the verdict is a pass
+    with no pair evaluated.  On the right side, with
     ρ(c) = c₁⊗π(c₂) = c₍₀₎⊗c₍₁₎ and Π(c) = c₁·i(S(π(c₂))):
 
     1. ρ is coassociative, counital and multiplicative, and
@@ -90,28 +91,17 @@ def check_rb_algebra(s: AlgebraicStructure, p: Mat, weight) -> RBVerdict:
 
     The left side mirrors this, with ρ(c) = π(c₁)⊗c₂, the left
     coinvariants as image and the right ideal i(H⁺)·C as kernel, so both
-    sides ask the same of i, π, H and C:
-
-    - i and π pass `check_bialgebra_map` between exactly H and C: the
-      pass recorded for their multiplications is read by identity and
-      the other three identities are evaluated;
-    - π∘i is the identity, recomputed, since a raw `ProjectionBialgebra`
-      is not validated;
-    - H passes every axiom of `structures._AXIOMS`;
-    - C has a unit and a counit and passes `check_coassociativity` and
-      `check_unit_counit`;
-    - C is associative and Δ(ab) = Δ(a)Δ(b)
-      (`structures._generators_within`).
-
-    Each is charged against the n² basis inputs of the identity.  When
-    one fails or goes over budget, and for a copy, a pickle or a loaded
-    file, which carry no record, the identity is evaluated on all pairs,
-    so a failing verdict is the one it always was.
+    sides ask the same of i, π, H and C.  The preconditions are charged
+    against the n² basis inputs of the identity.  When one fails or goes
+    over budget, and for a copy, a pickle or a loaded file, which carry
+    no record, the identity is evaluated on all pairs, so a failing
+    verdict is the one it always was.
     """
     mul = s.require("mul")
     _check_operator_shape(s, p)
     lam = s.field.coerce(weight)
-    if lam == -s.field.one and _carried_rota_baxter(mul, p, s.dim ** 2):
+    if lam == -s.field.one and _carried({"pi-operator": p}, s.dim ** 2,
+                                        mul=mul):
         return RBVerdict(True, lam, "algebra")
 
     def residual(t):

@@ -616,6 +616,8 @@ def check_comodule(hopf: AlgebraicStructure, m_dim: int, coaction: Mat,
     if coaction.rows != m_dim * h or coaction.cols != m_dim or \
             coaction.field != hopf.field:
         raise ShapeError(f"coaction must be {m_dim * h} x {m_dim}")
+    if _carried({"projection-coaction": coaction}, 2 * m_dim, side, hopf):
+        return AxiomVerdict(True)
 
     def coassoc(t):
         rho = t.split_map_at(0, coaction, out_dims)
@@ -643,23 +645,9 @@ def check_module(hopf: AlgebraicStructure, m_dim: int, action: Mat,
     ((m·h)·g)·g' = (m·(hg))·g' = m·((hg)g') = m·(h(gg')); on the left,
     (gg')·(h·m) = g·(g'·(h·m)) = g·((g'h)·m) = (g(g'h))·m = ((gg')h)·m.
 
-    An action built by `hopfmod.hopf_module_from_projection` carries its
-    associativity, and its part is dropped, when three records agree:
-
-    - the action's own, that it is c·h = c·i(h) on the right or
-      h·c = i(h)·c on the left, for a map i and C's multiplication, on
-      this `side`;
-    - i's, that `check_bialgebra_map` passed it from exactly H's
-      multiplication to that one of C's;
-    - C's G, known without a Light's test of C's own
-      (`_inherited_generators`) within the identity's m·h·h inputs.
-
-    C is then associative and i multiplicative, so on the right
-    (c·h)·h' = (c·i(h))·i(h') = c·(i(h)i(h')) = c·i(hh') = c·(hh'), and
-    on the left i(h)·(i(h')·c) = (i(h)i(h'))·c = i(hh')·c.  Anything
-    without matching records (a copy, a pickle, a loaded file, an i that
-    never passed, a replaced action, H or side) runs the certified
-    identity above, so no verdict depends on the records.
+    An action from `hopfmod.hopf_module_from_projection` carries both
+    axioms, and its coaction those of `check_comodule` (`_carried`; the
+    proof is in that constructor's docstring): none is evaluated.
     """
     mul = hopf.require("mul")
     h = hopf.dim
@@ -673,90 +661,71 @@ def check_module(hopf: AlgebraicStructure, m_dim: int, action: Mat,
                 - t.merge_at(h_pos, mul).merge_map_at(0, action))
 
     budget = m_dim * h * h
-    parts = []
-    if not _carried_associativity(mul, action, side, budget):
-        parts.append(_on_generators(
-            f"{side}-action-associativity", field,
-            _placed(h_pos, (m_dim,), (h, h)), 2 * h_pos,
-            _generators_within(mul, budget), assoc))
+    if _carried({"projection-action": action}, budget + m_dim, side, hopf):
+        return AxiomVerdict(True)
+    parts = [_on_generators(f"{side}-action-associativity", field,
+                            _placed(h_pos, (m_dim,), (h, h)), 2 * h_pos,
+                            _generators_within(mul, budget), assoc)]
     if hopf.unit is not None:
         parts.append(_batched(f"{side}-action-unital", field, (m_dim,), lambda t: (
             t.insert_at(h_pos, hopf.unit).merge_map_at(0, action) - t)))
     return _first_failure(parts)
 
 
-def _record_projection_action(action: Mat, side: str, embed: Mat,
-                              big_mul: Tensor3):
-    """Record that `action` is `big_mul` after `embed` at `side`: c·h =
-    c·i(h) on the right, h·c = i(h)·c on the left (see `check_module`)."""
-    _cache(action)["projection-action"] = (side, embed, big_mul)
+def _record_built(maps: dict, *built):
+    """Record on each map of `maps` (kind: map) that it is that kind of map,
+    "projection-action" c·i(h), "projection-coaction" c₁⊗π(c₂) or
+    "pi-operator" id ⋆ (i∘S∘π) on the right, of `built` = (side, i, π, H, C)."""
+    for kind, m in maps.items():
+        _cache(m)[kind] = built
 
 
-def _carried_associativity(mul: Tensor3, action: Mat, side: str,
-                           budget: int) -> bool:
-    """Whether the records on `action` prove it associative over `mul` on
-    `side` (see `check_module`), C's G charged within `budget`."""
-    built = _cache(action).get("projection-action")
-    if built is None or built[0] != side:
+def _carried(built: dict, budget: int, side=None, hopf=None, mul=None,
+             comul=None) -> bool:
+    """Whether every map of `built` (kind: map) carries the same record
+    (`_record_built`), at `side`, with `hopf` as H and `mul`, `comul` as
+    C's maps (each unless None), and the projection's preconditions hold:
+    i and π bialgebra maps (multiplicative by their pass recorded between
+    exactly H's and C's multiplications, the rest evaluated), π∘i = id, H
+    passing the five `_AXIOMS` and C coassociativity and unit-counit.
+    These are charged within `budget`, the inputs the caller would
+    otherwise evaluate, and a pass is recorded on i, keyed by the ids of
+    π, H and C, which are immutable and hold every map read; C
+    associative with Δ(ab) = Δ(a)Δ(b) is asked of `_generators_within`
+    on every call.  The identities carried follow
+    (`hopfmod.hopf_module_from_projection`, `rb.check_rb_algebra`).
+    """
+    records = [_cache(m).get(kind) for kind, m in built.items()]
+    if records[0] is None or any(r is not records[0] for r in records):
         return False
-    _, embed, big_mul = built
-    if not _map_passed(embed, mul, big_mul):
+    side_, embed, project, h, big = records[0]
+    if side not in (None, side_) or any(
+            x is not None and x is not y
+            for x, y in ((hopf, h), (mul, big.mul), (comul, big.comul))):
         return False
-    return _inherited_generators(big_mul, budget) is not None
-
-
-def _record_pi_operator(pi: Mat, side: str, embed: Mat, project: Mat,
-                        hopf: AlgebraicStructure, big: AlgebraicStructure):
-    """Record that `pi` is Π = id ⋆ (i∘S∘π) on the right, (i∘S∘π) ⋆ id on
-    the left, for i = `embed`, π = `project`, H's antipode S and C's
-    maps (see `rb.check_rb_algebra`)."""
-    _cache(pi)["pi-operator"] = (side, embed, project, hopf, big)
-
-
-def _carried_rota_baxter(mul: Tensor3, p: Mat, budget: int) -> bool:
-    """Whether the records on `p` prove it a Rota-Baxter operator of weight
-    -1 over `mul`, the preconditions charged within `budget`.  The record
-    names i, π, H and C; the preconditions, the same on both sides, and
-    the proof are in `rb.check_rb_algebra`."""
-    built = _cache(p).get("pi-operator")
-    if built is None:
-        return False
-    _, embed, project, hopf, big = built
-    if big.mul is not mul:
-        return False
-    charge = _meter(budget, "precondition over budget")
-    try:
-        if not (_is_bialgebra_map(embed, hopf, big, charge)
-                and _is_bialgebra_map(project, big, hopf, charge)):
+    proved = _cache(embed).setdefault("projection", {})
+    key = id(project), id(h), id(big)
+    if key not in proved:
+        charge = _meter(budget, "precondition over budget")
+        try:
+            for f, src, dst in ((embed, h, big), (project, big, h)):
+                if (id(src.mul), id(dst.mul)) not in _cache(f).get(
+                        "bialgebra-map", {}) or None in (
+                        src.comul, src.unit, src.counit, dst.comul, dst.unit,
+                        dst.counit):
+                    return False
+                charge(2 * src.dim + 1)
+                if not _first_failure(_map_structure_parts(f, src, dst)).passed:
+                    return False
+            charge(h.dim)
+            if project * embed != Mat.identity(h.field, h.dim) or not (
+                    _passes(h, _AXIOM_INPUTS, charge)
+                    and _passes(big, ("coassociativity", "unit-counit"), charge)):
+                return False
+        except BudgetExceededError:
             return False
-        charge(hopf.dim)
-        if project * embed != Mat.identity(hopf.field, hopf.dim):
-            return False
-        if not (_passes(hopf, _AXIOM_INPUTS, charge)  # every axiom
-                and _passes(big, ("coassociativity", "unit-counit"), charge)):
-            return False
-    except BudgetExceededError:
-        return False
-    return _generators_within(mul, budget, big.comul) is not None
-
-
-def _map_passed(f: Mat, src_mul: Tensor3, dst_mul: Tensor3) -> bool:
-    """Whether `check_bialgebra_map` recorded a pass of `f` from exactly
-    `src_mul` to exactly `dst_mul`."""
-    return (id(src_mul), id(dst_mul)) in _cache(f).get("bialgebra-map", {})
-
-
-def _is_bialgebra_map(f: Mat, src: AlgebraicStructure,
-                      dst: AlgebraicStructure, charge) -> bool:
-    """Whether `f` is a bialgebra map from `src` to `dst`: multiplicative
-    by the pass recorded for exactly their multiplications
-    (`_map_passed`), the other three identities of `check_bialgebra_map`
-    evaluated, their inputs charged."""
-    if not _map_passed(f, src.mul, dst.mul) or None in (
-            src.comul, src.unit, src.counit, dst.comul, dst.unit, dst.counit):
-        return False
-    charge(2 * src.dim + 1)
-    return _first_failure(_map_structure_parts(f, src, dst)).passed
+        proved[key] = (project, h, big)
+    return _generators_within(big.mul, budget, big.comul) is not None
 
 
 def _passes(s: AlgebraicStructure, names, charge) -> bool:
@@ -809,8 +778,7 @@ def check_bialgebra_map(f: Mat, src: AlgebraicStructure,
 
     A pass is recorded on `f` under "bialgebra-map", keyed by the ids of
     src.mul and dst.mul and holding both, so the ids stay unique; failures
-    are not recorded.  `check_module` and `rb.check_rb_algebra` read it
-    (see there).
+    are not recorded.  `_carried` reads it.
     """
     for s in (src, dst):
         for attr in ("mul", "comul", "unit", "counit"):

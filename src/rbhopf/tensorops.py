@@ -73,9 +73,10 @@ def _cache(m) -> dict:
     for `m`: on a multiplication, its G and factors (`structures._proved`)
     and the comultiplications proved multiplicative with it
     (`structures._generators_within`); on a map, the multiplications
-    between which `structures.check_bialgebra_map` passed it; on an action
-    built by `hopfmod.hopf_module_from_projection`, how it was built
-    (`structures.check_module` reads the last two).  All depend only on
+    between which `structures.check_bialgebra_map` passed it; on a map
+    built from a projection (an action, a coaction, Π), that projection
+    (`structures._record_built`), and on its i the projections whose
+    preconditions passed (`structures._carried`).  All depend only on
     `m`, which is immutable, and on objects the record holds.
     """
     fans = getattr(m, "_fans", None)

@@ -112,6 +112,11 @@ def test_several_slots_give_the_batched_verdict(p):
 def test_fresh_square_certifies_the_action_in_h_and_m(side, inputs_per_identity):
     hm = hopf_module_from_projection(fresh_square(), side)
     assert check_hopf_module_algebra(hm).passed
+    assert inputs_per_identity[f"{side}-module-algebra-action"] == 0
+    # A copied action has no record, and M keeps its factors.
+    copy = hm.replace(action=Mat.from_terms(hm.field, hm.action.dims,
+                                            dict(hm.action.terms)))
+    assert check_hopf_module_algebra(copy).passed
     # |G_H|·|G_M|·36 with G_H = (0, 1, 2) of S3 and G_M = (0, 1, 2, 6, 12).
     assert inputs_per_identity[f"{side}-module-algebra-action"] == 3 * 5 * 36
     assert _cache(hm.mul)["light"] == (0, 1, 2, 6, 12)

@@ -67,7 +67,14 @@ def test_fresh_module_evaluates_no_associativity_input(name, side,
     assert module_check(hm).passed
     assert check_hopf_module(hm).passed
     assert inputs_per_identity[f"{side}-action-associativity"] == 0
-    # The other identities still run.
+    # The records carry every other identity too.
+    assert inputs_per_identity[f"{side}-action-unital"] == 0
+    assert inputs_per_identity[f"{side}-hopf-module-compatibility"] == 0
+    assert inputs_per_identity[f"{side}-coaction-coassociativity"] == 0
+    # A copied action and coaction have no record: these identities run.
+    copy = hm.replace(action=copied(hm.action), coaction=copied(hm.coaction))
+    assert module_check(copy).passed
+    assert check_hopf_module(copy).passed
     assert inputs_per_identity[f"{side}-action-unital"] == 2 * hm.m_dim
     assert inputs_per_identity[f"{side}-hopf-module-compatibility"] > 0
     assert inputs_per_identity[f"{side}-coaction-coassociativity"] > 0
@@ -160,7 +167,8 @@ def test_only_passes_are_recorded(name, side, inputs_per_identity):
     assert "bialgebra-map" not in _cache(bad)
     raw = ProjectionBialgebra(pb.big, pb.hopf, bad, pb.project)
     hm = hopf_module_from_projection(raw, side)
-    assert _cache(hm.action)["projection-action"] == (side, bad, pb.big.mul)
+    assert _cache(hm.action)["projection-action"] == (side, bad, pb.project,
+                                                      pb.hopf, pb.big)
     got = module_check(hm)
     assert not got.passed
     assert got.defect.identity == f"{side}-action-associativity"

@@ -20,7 +20,7 @@ from itertools import product
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from rbhopf import (GF, QQ, AlgebraicStructure, Tensor3, builtin,
+from rbhopf import (GF, QQ, AlgebraicStructure, Mat, Tensor3, builtin,
                     check_associativity, check_bialgebra,
                     check_hopf_module_algebra, hopf_module_from_projection,
                     tensor_product, tensor_square_projection)
@@ -275,6 +275,11 @@ def test_bialgebra_axiom_is_certified_without_associativity_first(
 def test_module_algebra_coaction_is_certified(side, inputs_per_identity):
     hm = hopf_module_from_projection(fresh_square(), side)
     assert check_hopf_module_algebra(hm).passed
+    assert inputs_per_identity[f"{side}-module-algebra-coaction"] == 0
+    # A copied action has no record, and M keeps its factors.
+    copy = hm.replace(action=Mat.from_terms(hm.field, hm.action.dims,
+                                            dict(hm.action.terms)))
+    assert check_hopf_module_algebra(copy).passed
     assert inputs_per_identity[f"{side}-module-algebra-coaction"] == 5 * 36
     assert _cache(hm.mul)["light"] == (0, 1, 2, 6, 12)
 
