@@ -10,12 +10,14 @@ executable here as `verify_projection_rb`.
 A bialgebra C with a projection onto a Hopf algebra H (bialgebra maps
 i: H→C, π: C→H, π∘i = id) becomes such a module via c·h = c·i(h) and
 ρ(c) = c₁⊗π(c₂); the associated projection is the convolution
-Π = id ⋆ (i∘S∘π).  `hopf_module_from_projection` and `pi_operator` record
-on the maps they build the projection they came from, and every
-Hopf-module identity of that module, and Π's weight -1, follow from one
-set of preconditions on i, π, H and C, proved once per projection
-(`structures._carried`): the checks then evaluate no basis input.  A
-copy, a pickle or a loaded file has no record and runs every identity.
+Π = id ⋆ (i∘S∘π).  Every Hopf-module identity of that module, and Π's
+weight -1, follow from one set of preconditions on i, π, H and C.
+`projection_bialgebra` proves them once, where the projection is built,
+and records the proof on i; `hopf_module_from_projection` and
+`pi_operator` record on the maps they build the projection they came
+from, and the checks, reading both records (`structures._carried`),
+evaluate no basis input.  A projection built any other way, a copy, a
+pickle or a loaded file has no record and runs every identity.
 
 Every constructed map is built by pushing all basis vectors at once, each
 tagged with its index, through the `TermSum` rewrites the checkers use
@@ -39,9 +41,9 @@ from .record import Record
 from .structures import (AlgebraicStructure, AxiomVerdict, _batched,
                          _carried, _first_failure, _generators_within,
                          _h_position, _inherited_generators, _on_generators,
-                         _placed, _record_built, _verdict, check_bialgebra_map,
-                         check_coassociativity, check_comodule, check_module,
-                         tensor_product)
+                         _placed, _record_built, _record_projection, _verdict,
+                         check_bialgebra_map, check_coassociativity,
+                         check_comodule, check_module, tensor_product)
 from .tensorops import _matrix_of
 
 
@@ -339,7 +341,13 @@ def convolution(f: Mat, g: Mat, s: AlgebraicStructure) -> Mat:
 
 
 class ProjectionBialgebra(Record):
-    """A bialgebra C with bialgebra maps i: H→C, π: C→H and π∘i = id_H."""
+    """A bialgebra C with bialgebra maps i: H→C, π: C→H and π∘i = id_H.
+
+    Build it with `projection_bialgebra`, which validates the maps and
+    proves the preconditions its maps' checks read.  One built directly
+    or changed with `.replace` is not validated, and its maps carry
+    nothing: every check of them runs in full.
+    """
 
     big: AlgebraicStructure
     hopf: AlgebraicStructure
@@ -349,7 +357,18 @@ class ProjectionBialgebra(Record):
 
 def projection_bialgebra(big: AlgebraicStructure, hopf: AlgebraicStructure,
                          embed: Mat, project: Mat) -> ProjectionBialgebra:
-    """Validated constructor; raises PreconditionError on any failed invariant."""
+    """Validated constructor; raises PreconditionError on any failed invariant.
+
+    The invariants are that H has an antipode, i and π are bialgebra maps
+    (`check_bialgebra_map`) and π∘i = id.  Once they pass, the rest of the
+    preconditions of a carried verdict are proved here, once: H passes
+    the five axioms of a Hopf algebra and C coassociativity and
+    unit-counit.  When they pass too, the projection is recorded on i
+    (`structures._record_projection`), and the maps built from it carry
+    their identities (`hopf_module_from_projection`, `pi_operator`).  When
+    one fails, the projection is still returned, with no record, so every
+    check of a map built from it runs in full.
+    """
     hopf.require("antipode")
     for name, f, src, dst in (("i", embed, hopf, big), ("pi", project, big, hopf)):
         v = check_bialgebra_map(f, src, dst)
@@ -357,6 +376,7 @@ def projection_bialgebra(big: AlgebraicStructure, hopf: AlgebraicStructure,
             raise PreconditionError(f"{name} is not a bialgebra map: {v.defect}")
     if project * embed != Mat.identity(hopf.field, hopf.dim):
         raise PreconditionError("pi∘i is not the identity on H")
+    _record_projection(embed, project, hopf, big)
     return ProjectionBialgebra(big, hopf, embed, project)
 
 
@@ -370,11 +390,12 @@ def hopf_module_from_projection(pb: ProjectionBialgebra,
     coalgebra checks.
 
     The action and the coaction record the projection they came from
-    (`structures._record_built`); nothing is evaluated here.  The first
-    check that reads the records proves once what `structures._carried`
-    asks: i and π bialgebra maps, π∘i = id, H a Hopf algebra, C a
-    bialgebra.  Every identity of the `check_hopf_module*` checks
-    follows; on the right:
+    (`structures._record_built`); nothing is evaluated here.  What
+    `structures._carried` asks was proved by `projection_bialgebra`, which
+    recorded it on i: i and π bialgebra maps, π∘i = id, H a Hopf algebra,
+    C passing coassociativity and unit-counit.  C associative with Δ
+    multiplicative is asked on every check.  Every identity of the
+    `check_hopf_module*` checks follows; on the right:
 
     - module: (c·h)·h' = c·i(h)i(h') = c·i(hh') and c·1 = c·i(1) = c, by
       C associative and unital and i multiplicative and unital;
@@ -388,8 +409,10 @@ def hopf_module_from_projection(pb: ProjectionBialgebra,
       Δ_M = Δ_C is coassociative.
 
     The left side mirrors each step through `structures._h_position`.
-    The maps are immutable, so the records stay true; a copy, a pickle or
-    a loaded file has none and runs every identity.
+    The maps are immutable, so the records stay true; a copy, a pickle, a
+    loaded file, or the module of a `ProjectionBialgebra` built directly
+    or changed with `.replace`, carries no proved projection and runs
+    every identity.
     """
     big, hopf = pb.big, pb.hopf
     field, n = big.field, big.dim

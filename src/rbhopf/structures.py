@@ -680,20 +680,35 @@ def _record_built(maps: dict, *built):
         _cache(m)[kind] = built
 
 
+def _record_projection(embed: Mat, project: Mat, hopf: AlgebraicStructure,
+                       big: AlgebraicStructure):
+    """Record the projection (i, π, H, C) as proved when H passes every
+    axiom of `_AXIOMS` and C coassociativity and unit-counit.
+
+    `hopfmod.projection_bialgebra` calls this once it has passed i and π
+    as bialgebra maps and π∘i = id, so a record names a projection whose
+    every precondition holds.  It is written on i under "projection",
+    keyed by the ids of π, H and C and holding them, so the ids stay
+    unique; all are immutable.  A failure records nothing.
+    """
+    axioms = [(hopf, checker) for _, checker, _ in _AXIOMS] + [
+        (big, "check_coassociativity"), (big, "check_unit_counit")]
+    if all(globals()[checker](s).passed for s, checker in axioms):
+        _cache(embed).setdefault("projection", {})[
+            id(project), id(hopf), id(big)] = (project, hopf, big)
+
+
 def _carried(built: dict, budget: int, side=None, hopf=None, mul=None,
              comul=None) -> bool:
     """Whether every map of `built` (kind: map) carries the same record
     (`_record_built`), at `side`, with `hopf` as H and `mul`, `comul` as
-    C's maps (each unless None), and the projection's preconditions hold:
-    i and π bialgebra maps (multiplicative by their pass recorded between
-    exactly H's and C's multiplications, the rest evaluated), π∘i = id, H
-    passing the five `_AXIOMS` and C coassociativity and unit-counit.
-    These are charged within `budget`, the inputs the caller would
-    otherwise evaluate, and a pass is recorded on i, keyed by the ids of
-    π, H and C, which are immutable and hold every map read; C
-    associative with Δ(ab) = Δ(a)Δ(b) is asked of `_generators_within`
-    on every call.  The identities carried follow
-    (`hopfmod.hopf_module_from_projection`, `rb.check_rb_algebra`).
+    C's maps (each unless None), and that record's projection was proved
+    where it was built (`_record_projection`): i and π bialgebra maps,
+    π∘i = id, H passing the five `_AXIOMS` and C coassociativity and
+    unit-counit.  C associative with Δ(ab) = Δ(a)Δ(b) is asked of
+    `_generators_within`, within `budget`, on every call.  The identities
+    carried follow (`hopfmod.hopf_module_from_projection`,
+    `rb.check_rb_algebra`).
     """
     records = [_cache(m).get(kind) for kind, m in built.items()]
     if records[0] is None or any(r is not records[0] for r in records):
@@ -703,49 +718,9 @@ def _carried(built: dict, budget: int, side=None, hopf=None, mul=None,
             x is not None and x is not y
             for x, y in ((hopf, h), (mul, big.mul), (comul, big.comul))):
         return False
-    proved = _cache(embed).setdefault("projection", {})
-    key = id(project), id(h), id(big)
-    if key not in proved:
-        charge = _meter(budget, "precondition over budget")
-        try:
-            for f, src, dst in ((embed, h, big), (project, big, h)):
-                if (id(src.mul), id(dst.mul)) not in _cache(f).get(
-                        "bialgebra-map", {}) or None in (
-                        src.comul, src.unit, src.counit, dst.comul, dst.unit,
-                        dst.counit):
-                    return False
-                charge(2 * src.dim + 1)
-                if not _first_failure(_map_structure_parts(f, src, dst)).passed:
-                    return False
-            charge(h.dim)
-            if project * embed != Mat.identity(h.field, h.dim) or not (
-                    _passes(h, _AXIOM_INPUTS, charge)
-                    and _passes(big, ("coassociativity", "unit-counit"), charge)):
-                return False
-        except BudgetExceededError:
-            return False
-        proved[key] = (project, h, big)
-    return _generators_within(big.mul, budget, big.comul) is not None
-
-
-def _passes(s: AlgebraicStructure, names, charge) -> bool:
-    """Whether `s` has the maps of, and passes, each axiom of `_AXIOMS`
-    named in `names`, each one's full inputs (`_AXIOM_INPUTS`) charged
-    before it runs; associativity is asked of `_proved`."""
-    for name, checker, applies in _AXIOMS:
-        if name not in names:
-            continue
-        if not applies(s):
-            return False
-        inputs = _AXIOM_INPUTS[name]
-        if inputs is None:
-            if _proved(s.mul, charge) is None:
-                return False
-        else:
-            charge(inputs(s))
-            if not globals()[checker](s).passed:
-                return False
-    return True
+    proved = _cache(embed).get("projection", {})
+    return ((id(project), id(h), id(big)) in proved
+            and _generators_within(big.mul, budget, big.comul) is not None)
 
 
 def check_bialgebra_map(f: Mat, src: AlgebraicStructure,
@@ -775,50 +750,19 @@ def check_bialgebra_map(f: Mat, src: AlgebraicStructure,
     every other b, so a failing verdict is the full check's.  A G read off
     a product's factors here is not recorded on the product (`_proved`),
     so that validating i and π leaves C's record to the checks of C.
-
-    A pass is recorded on `f` under "bialgebra-map", keyed by the ids of
-    src.mul and dst.mul and holding both, so the ids stay unique; failures
-    are not recorded.  `_carried` reads it.
+    Nothing is recorded on `f`: `hopfmod.projection_bialgebra` records
+    the projection it validates (`_record_projection`).
     """
     for s in (src, dst):
         for attr in ("mul", "comul", "unit", "counit"):
             s.require(attr)
     if f.rows != dst.dim or f.cols != src.dim:
         raise ShapeError(f"map must be {dst.dim} x {src.dim}")
-    ns = src.dim
+    field, ns, nd = src.field, src.dim, dst.dim
 
     def multiplicative(t):
         return (t.merge_at(0, src.mul).map_at(0, f)
                 - t.map_at(0, f).map_at(1, f).merge_at(0, dst.mul))
-
-    charge = _meter(ns * ns, "precondition over budget")
-    try:
-        gens = _proved(src.mul, charge, record=False)
-        if gens is not None and _proved(dst.mul, charge, record=False) is None:
-            gens = None
-    except BudgetExceededError:
-        gens = None
-    identity, residuals, tags, *order = _on_generators(
-        "map-multiplicative", src.field, (ns, ns), 1, gens, multiplicative)
-
-    def position(k):
-        # A certified key comes back in (i, j, output) order through `order`.
-        i, j, out = order[0](k) if order else k
-        return out, i * ns + j
-
-    v = _first_failure([(identity, residuals, tags, position),
-                        *_map_structure_parts(f, src, dst)])
-    if v.passed:
-        _cache(f).setdefault("bialgebra-map", {})[
-            id(src.mul), id(dst.mul)] = (src.mul, dst.mul)
-    return v
-
-
-def _map_structure_parts(f: Mat, src: AlgebraicStructure,
-                         dst: AlgebraicStructure) -> list:
-    """The map-comultiplicative, map-unit and map-counit parts of
-    `check_bialgebra_map`, keyed as it reports them."""
-    field, ns, nd = src.field, src.dim, dst.dim
 
     def comultiplicative(t):
         return (t.map_at(0, f).split_at(0, dst.comul)
@@ -831,13 +775,29 @@ def _map_structure_parts(f: Mat, src: AlgebraicStructure,
     def counital(t):
         return t.map_at(0, f).map_at(0, dst.counit) - t.map_at(0, src.counit)
 
-    return [
+    charge = _meter(ns * ns, "precondition over budget")
+    try:
+        gens = _proved(src.mul, charge, record=False)
+        if gens is not None and _proved(dst.mul, charge, record=False) is None:
+            gens = None
+    except BudgetExceededError:
+        gens = None
+    identity, residuals, tags, *order = _on_generators(
+        "map-multiplicative", field, (ns, ns), 1, gens, multiplicative)
+
+    def position(k):
+        # A certified key comes back in (i, j, output) order through `order`.
+        i, j, out = order[0](k) if order else k
+        return out, i * ns + j
+
+    return _first_failure([
+        (identity, residuals, tags, position),
         (*_batched("map-comultiplicative", field, (ns,), comultiplicative),
          lambda k: (k[1] * nd + k[2], k[0])),
         ("map-unit", unital(), 0, lambda k: (k[0], 0)),
         (*_batched("map-counit", field, (ns,), counital),
          lambda k: (k[1], k[0])),
-    ]
+    ])
 
 
 # ---------------------------------------------------------------------------

@@ -72,12 +72,12 @@ def _cache(m) -> dict:
     It holds the readings of `m` (see `_reading`) and the facts recorded
     for `m`: on a multiplication, its G and factors (`structures._proved`)
     and the comultiplications proved multiplicative with it
-    (`structures._generators_within`); on a map, the multiplications
-    between which `structures.check_bialgebra_map` passed it; on a map
-    built from a projection (an action, a coaction, Π), that projection
-    (`structures._record_built`), and on its i the projections whose
-    preconditions passed (`structures._carried`).  All depend only on
-    `m`, which is immutable, and on objects the record holds.
+    (`structures._generators_within`); on a map built from a projection
+    (an action, a coaction, Π), that projection
+    (`structures._record_built`); and on the i of a projection, the
+    projections whose preconditions `hopfmod.projection_bialgebra` proved
+    (`structures._record_projection`).  All depend only on `m`, which is
+    immutable, and on objects the record holds.
     """
     fans = getattr(m, "_fans", None)
     if fans is None:

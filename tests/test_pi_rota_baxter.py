@@ -59,7 +59,7 @@ def stripped_verdict(check, s, *args):
 
 
 def pi_of(pb, side):
-    """Π of `pb` after validating i and π, which records their passes."""
+    """Π of `pb` after validating i and π, which records nothing."""
     for f, src, dst in ((pb.embed, pb.hopf, pb.big),
                         (pb.project, pb.big, pb.hopf)):
         check_bialgebra_map(f, src, dst)

@@ -1,15 +1,16 @@
 """Projection Hopf modules carry their module associativity.
 
 `hopf_module_from_projection` records on the action it builds that it is
-C's multiplication after i, and `check_bialgebra_map` records its passes
-on i.  When both records agree and C is known associative without a
-Light's test of its own, `check_module` drops its associativity identity:
-c·(hh') = c·i(hh') = c·(i(h)i(h')) = (c·i(h))·i(h').  On fresh tensor
-squares of sweedler4 and group:S3 the identity evaluates no basis input,
-on either side.  Everything without matching records (a copied action, a
-pickle, a loaded file, C's multiplication copied without its factors, a
-replaced H or side, an i that never passed) evaluates it, and every
-verdict must equal, by `repr`, the full check's on a copy with no record.
+C's multiplication after i, and `projection_bialgebra` records on i the
+projection it proved.  When both records agree and C is known associative
+without a Light's test of its own, `check_module` drops its associativity
+identity: c·(hh') = c·i(hh') = c·(i(h)i(h')) = (c·i(h))·i(h').  On fresh
+tensor squares of sweedler4 and group:S3 the identity evaluates no basis
+input, on either side.  Everything without matching records (a copied
+action, a pickle, a loaded file, C's multiplication copied without its
+factors, a replaced H or side, a projection built directly) evaluates it,
+and every verdict must equal, by `repr`, the full check's on a copy with
+no record.
 """
 
 import pickle
@@ -82,10 +83,9 @@ def test_fresh_module_evaluates_no_associativity_input(name, side,
 
 def test_the_map_record_names_both_multiplications():
     pb = tensor_square_projection(builtin("group:S3"))
-    assert _cache(pb.embed)["bialgebra-map"] == {
-        (id(pb.hopf.mul), id(pb.big.mul)): (pb.hopf.mul, pb.big.mul)}
-    assert _cache(pb.project)["bialgebra-map"] == {
-        (id(pb.big.mul), id(pb.hopf.mul)): (pb.big.mul, pb.hopf.mul)}
+    assert _cache(pb.embed)["projection"] == {
+        (id(pb.project), id(pb.hopf), id(pb.big)): (pb.project, pb.hopf,
+                                                    pb.big)}
 
 
 def from_terms_copy(pb, side, tmp_path):
@@ -164,7 +164,9 @@ def test_only_passes_are_recorded(name, side, inputs_per_identity):
     bad = moved_embed(pb)
     v = check_bialgebra_map(bad, pb.hopf, pb.big)
     assert not v.passed and v.defect.identity == "map-multiplicative"
-    assert "bialgebra-map" not in _cache(bad)
+    with pytest.raises(PreconditionError, match="i is not a bialgebra map"):
+        projection_bialgebra(pb.big, pb.hopf, bad, pb.project)
+    assert "projection" not in _cache(bad)
     raw = ProjectionBialgebra(pb.big, pb.hopf, bad, pb.project)
     hm = hopf_module_from_projection(raw, side)
     assert _cache(hm.action)["projection-action"] == (side, bad, pb.project,
@@ -200,7 +202,8 @@ def corpus_module(name, side, rng, moves):
     """The projection module of the square of `name` after `moves` moved
     entries, each in a seeded one of the action, the coaction, i, π and
     C's multiplication.  i and π are validated by `check_bialgebra_map`,
-    which records them when they pass."""
+    which records nothing: the module is carried only when i, π and C
+    are the square's own."""
     pb = tensor_square_projection(builtin(name))
     big, embed, project = pb.big, pb.embed, pb.project
     after = []
@@ -257,7 +260,7 @@ def test_c_not_known_associative_is_not_carried(inputs_per_identity):
     project = _matrix_of(field, (6, 3),
                          lambda t: t.map_at(1, n.counit).drop_at(1))
     pb = projection_bialgebra(big, h, embed, project)
-    assert (id(h.mul), id(big.mul)) in _cache(embed)["bialgebra-map"]
+    assert (id(project), id(h), id(big)) in _cache(embed)["projection"]
     for side in SIDES:
         hm = hopf_module_from_projection(pb, side)
         got = module_check(hm)

@@ -73,7 +73,8 @@ def assert_carried(hm, pi, big):
 
 
 def validated(pb):
-    """`pb` after `check_bialgebra_map` of i and π, which records passes."""
+    """`pb` after `check_bialgebra_map` of i and π, which records nothing:
+    a `ProjectionBialgebra` built directly is not carried."""
     for f, src, dst in ((pb.embed, pb.hopf, pb.big),
                         (pb.project, pb.big, pb.hopf)):
         check_bialgebra_map(f, src, dst)

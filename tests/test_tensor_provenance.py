@@ -266,6 +266,7 @@ def fresh_square():
 def test_bialgebra_axiom_is_certified_without_associativity_first(
         inputs_per_identity):
     pb = fresh_square()
+    inputs_per_identity.clear()
     assert check_bialgebra(pb.big).passed
     assert inputs_per_identity["comul-multiplicative"] == 5 * 36
     assert _cache(pb.big.mul)["light"] == (0, 1, 2, 6, 12)
