@@ -12,8 +12,8 @@ i: H→C, π: C→H, π∘i = id) becomes such a module via c·h = c·i(h) and
 ρ(c) = c₁⊗π(c₂); the associated projection is the convolution
 Π = id ⋆ (i∘S∘π).  Every Hopf-module identity of that module, and Π's
 weight -1, follow from one set of preconditions on i, π, H and C.
-`projection_bialgebra` proves them once, where the projection is built,
-and records the proof on i; `hopf_module_from_projection` and
+`projection_bialgebra` proves them all once, where the projection is
+built, and records the proof on i; `hopf_module_from_projection` and
 `pi_operator` record on the maps they build the projection they came
 from, and the checks, reading both records (`structures._carried`),
 evaluate no basis input.  A projection built any other way, a copy, a
@@ -183,7 +183,7 @@ def check_hopf_module_algebra(hm: HopfModule) -> AxiomVerdict:
     """
     if hm.mul is None:
         raise ValueError("module carries no multiplication")
-    if _carried_module(hm, hm.m_dim ** 2 * (hm.hopf.dim + 1)):
+    if _carried_module(hm):
         return AxiomVerdict(True)
     v = check_hopf_module(hm)
     if not v.passed:
@@ -243,7 +243,7 @@ def check_hopf_module_coalgebra(hm: HopfModule) -> AxiomVerdict:
     """
     if hm.comul is None:
         raise ValueError("module carries no comultiplication")
-    if _carried_module(hm, hm.m_dim * (hm.hopf.dim + 2)):
+    if _carried_module(hm):
         return AxiomVerdict(True)
     v = check_hopf_module(hm)
     if not v.passed:
@@ -272,14 +272,12 @@ def check_hopf_module_coalgebra(hm: HopfModule) -> AxiomVerdict:
     ])
 
 
-def _carried_module(hm: HopfModule, extra: int = 0) -> bool:
+def _carried_module(hm: HopfModule) -> bool:
     """`structures._carried` for `hm`'s action and coaction, its side, H,
-    mul and comul, within `check_hopf_module`'s inputs plus `extra`."""
-    m, h = hm.m_dim, hm.hopf.dim
+    mul and comul."""
     return _carried({"projection-action": hm.action,
                      "projection-coaction": hm.coaction},
-                    m * (h * h + h + 3) + extra, hm.side, hm.hopf,
-                    hm.mul, hm.comul)
+                    hm.side, hm.hopf, hm.mul, hm.comul)
 
 
 def _module_coalgebra_action(h_pos: int, action: Mat, mcomul: Tensor3,
@@ -362,12 +360,13 @@ def projection_bialgebra(big: AlgebraicStructure, hopf: AlgebraicStructure,
     The invariants are that H has an antipode, i and π are bialgebra maps
     (`check_bialgebra_map`) and π∘i = id.  Once they pass, the rest of the
     preconditions of a carried verdict are proved here, once: H passes
-    the five axioms of a Hopf algebra and C coassociativity and
-    unit-counit.  When they pass too, the projection is recorded on i
-    (`structures._record_projection`), and the maps built from it carry
-    their identities (`hopf_module_from_projection`, `pi_operator`).  When
-    one fails, the projection is still returned, with no record, so every
-    check of a map built from it runs in full.
+    the five axioms of a Hopf algebra, C coassociativity and unit-counit,
+    and C is associative, with G read from a record or C's factors, and
+    Δ(ab) = Δ(a)Δ(b) on G.  When they pass too, the projection is
+    recorded on i (`structures._record_projection`), and the maps built
+    from it carry their identities (`hopf_module_from_projection`,
+    `pi_operator`).  When one fails, the projection is still returned,
+    with no record, so every check of a map built from it runs in full.
     """
     hopf.require("antipode")
     for name, f, src, dst in (("i", embed, hopf, big), ("pi", project, big, hopf)):
@@ -393,9 +392,9 @@ def hopf_module_from_projection(pb: ProjectionBialgebra,
     (`structures._record_built`); nothing is evaluated here.  What
     `structures._carried` asks was proved by `projection_bialgebra`, which
     recorded it on i: i and π bialgebra maps, π∘i = id, H a Hopf algebra,
-    C passing coassociativity and unit-counit.  C associative with Δ
-    multiplicative is asked on every check.  Every identity of the
-    `check_hopf_module*` checks follows; on the right:
+    C coassociative and counital, associative and with Δ multiplicative.
+    Every identity of the `check_hopf_module*` checks follows; on the
+    right:
 
     - module: (c·h)·h' = c·i(h)i(h') = c·i(hh') and c·1 = c·i(1) = c, by
       C associative and unital and i multiplicative and unital;

@@ -67,10 +67,9 @@ def check_rb_algebra(s: AlgebraicStructure, p: Mat, weight) -> RBVerdict:
     carries its weight -1.  When λ is the field's -1, the record on `p`
     names C's multiplication as `s.mul`, and the projection's
     preconditions hold (`structures._carried`: i and π bialgebra maps,
-    π∘i = id, H a Hopf algebra, C a bialgebra; all but C's associativity
-    and Δ(ab) = Δ(a)Δ(b) proved by `hopfmod.projection_bialgebra`, those
-    two within the n² basis inputs of the identity), the verdict is a
-    pass with no pair evaluated.  On the right side, with
+    π∘i = id, H a Hopf algebra, C a bialgebra, all proved by
+    `hopfmod.projection_bialgebra`), the verdict is a pass with no pair
+    evaluated.  On the right side, with
     ρ(c) = c₁⊗π(c₂) = c₍₀₎⊗c₍₁₎ and Π(c) = c₁·i(S(π(c₂))):
 
     1. ρ is coassociative, counital and multiplicative, and
@@ -93,17 +92,16 @@ def check_rb_algebra(s: AlgebraicStructure, p: Mat, weight) -> RBVerdict:
 
     The left side mirrors this, with ρ(c) = π(c₁)⊗c₂, the left
     coinvariants as image and the right ideal i(H⁺)·C as kernel, so both
-    sides ask the same of i, π, H and C.  When one fails or goes over
-    budget, and for a copy, a pickle, a loaded file or the Π of a
-    projection not built by `projection_bialgebra`, which carry no
-    proved projection, the identity is evaluated on all pairs, so a
-    failing verdict is the one it always was.
+    sides ask the same of i, π, H and C.  When one fails, and for a copy,
+    a pickle, a loaded file or the Π of a projection not built by
+    `projection_bialgebra`, which carry no proved projection, the
+    identity is evaluated on all pairs, so a failing verdict is the one it
+    always was.
     """
     mul = s.require("mul")
     _check_operator_shape(s, p)
     lam = s.field.coerce(weight)
-    if lam == -s.field.one and _carried({"pi-operator": p}, s.dim ** 2,
-                                        mul=mul):
+    if lam == -s.field.one and _carried({"pi-operator": p}, mul=mul):
         return RBVerdict(True, lam, "algebra")
 
     def residual(t):

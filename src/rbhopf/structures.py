@@ -332,9 +332,7 @@ def check_associativity(s: AlgebraicStructure,
     own: (a⊗b)(c⊗d) = ac⊗bd, so ((a⊗b)(c⊗d))(e⊗f) = (ac)e⊗(bd)f and
     (a⊗b)((c⊗d)(e⊗f)) = a(ce)⊗b(df), equal whenever both factors are
     associative.  A call without `budget` therefore asks `_proved`, the
-    one prover the generator certificates of the other checkers use too:
-    it reads a G recorded on `s.mul`, or proves the factors (recursively,
-    at their size) and on a pass only computes G.  A product can be
+    one prover of associativity (see there).  A product can be
     associative when a factor is not (a zero multiplication on the other
     side), so a failing factor sends the product through Light's test
     unchanged, and its verdict is the one it always was.
@@ -350,8 +348,7 @@ def check_associativity(s: AlgebraicStructure,
     always did.
     """
     mul = s.require("mul")
-    if budget is None and _proved(mul, lambda count: None,
-                                  own_test=False) is not None:
+    if budget is None and _proved(mul, own_test=False) is not None:
         return AxiomVerdict(True)
     return _light_test(mul, _meter(
         budget, f"associativity on dim {s.dim} needs more than {budget} basis inputs"))
@@ -385,7 +382,7 @@ def _unit_index(mul: Tensor3):
     return None
 
 
-def _proved(mul: Tensor3, charge, own_test: bool = True,
+def _proved(mul: Tensor3, charge=lambda count: None, own_test: bool = True,
             record: bool = True):
     """G of `mul` when `mul` is proved associative, else None.
 
@@ -443,33 +440,35 @@ def _generators_within(mul: Tensor3, budget: int, comul: Tensor3 | None = None):
     """G of `mul` when a generator certificate may be used, else None.
 
     A certificate needs `mul` associative (`_proved`, whose G it uses)
-    and, when `comul` is given, Δ(ab) = Δ(a)Δ(b).  The comultiplications
-    proved multiplicative with `mul` are recorded under "multiplicative"
-    on `mul`, keyed by `id` and holding the comultiplication itself, so
-    the id stays unique: an equal Tensor3 is checked again rather than
-    hashed.  Each fact not recorded yet is proved on at most `budget`
-    basis inputs in all: the count of the identity to be certified, so
-    that a precondition costs no more than the full check it may replace.
-    None when one fails or the budget runs out; the caller then runs the
-    full check.
+    and, when `comul` is given, Δ(ab) = Δ(a)Δ(b) (`_multiplicative`).
+    Each fact not recorded yet is proved on at most `budget` basis inputs
+    in all: the count of the identity to be certified, so that a
+    precondition costs no more than the full check it may replace.  None
+    when one fails or the budget runs out; the caller then runs the full
+    check.
     """
     charge = _meter(budget, "precondition over budget")
     try:
         gens = _proved(mul, charge)
-        if gens is None or comul is None:
+        if gens is None or comul is None or _multiplicative(mul, comul, gens, charge):
             return gens
-        known = _cache(mul).setdefault("multiplicative", {})
-        if id(comul) in known:
-            return gens
+    except BudgetExceededError:
+        pass
+    return None
+
+
+def _multiplicative(mul: Tensor3, comul: Tensor3, gens, charge=lambda count: None):
+    """Whether Δ(ab) = Δ(a)Δ(b), certified on the G `gens` of `mul` (see
+    `check_bialgebra`).  A pass is recorded under "multiplicative" on
+    `mul`, keyed by `id` and holding `comul`, so the id stays unique."""
+    known = _cache(mul).setdefault("multiplicative", {})
+    if id(comul) not in known:
         charge(len(gens) * mul.dims[0])
         v = _verdict(*_on_generators("comul-multiplicative", mul.field, mul.dims[:2],
                                      1, gens, _comul_product(mul, comul), charge))
         if v.passed:
             known[id(comul)] = comul
-            return gens
-    except BudgetExceededError:
-        pass
-    return None
+    return id(comul) in known
 
 
 def _inherited_generators(mul: Tensor3, budget: int):
@@ -528,7 +527,7 @@ def check_bialgebra(s: AlgebraicStructure) -> AxiomVerdict:
     Δ(ab) = Δ(a)Δ(b) for all a and b in {g, g'}, then
     Δ(a(gg')) = Δ((ag)g') = Δ(a)Δ(g)Δ(g') = Δ(a)Δ(gg'), and likewise for ε.
     A pass of Δ(ab) = Δ(a)Δ(b) is recorded under "multiplicative" on the
-    multiplication (see `_generators_within`).
+    multiplication (see `_multiplicative`).
     """
     mul = s.require("mul")
     comul = s.require("comul")
@@ -616,7 +615,7 @@ def check_comodule(hopf: AlgebraicStructure, m_dim: int, coaction: Mat,
     if coaction.rows != m_dim * h or coaction.cols != m_dim or \
             coaction.field != hopf.field:
         raise ShapeError(f"coaction must be {m_dim * h} x {m_dim}")
-    if _carried({"projection-coaction": coaction}, 2 * m_dim, side, hopf):
+    if _carried({"projection-coaction": coaction}, side, hopf):
         return AxiomVerdict(True)
 
     def coassoc(t):
@@ -660,12 +659,11 @@ def check_module(hopf: AlgebraicStructure, m_dim: int, action: Mat,
         return (t.merge_map_at(1 - h_pos, action).merge_map_at(0, action)
                 - t.merge_at(h_pos, mul).merge_map_at(0, action))
 
-    budget = m_dim * h * h
-    if _carried({"projection-action": action}, budget + m_dim, side, hopf):
+    if _carried({"projection-action": action}, side, hopf):
         return AxiomVerdict(True)
     parts = [_on_generators(f"{side}-action-associativity", field,
                             _placed(h_pos, (m_dim,), (h, h)), 2 * h_pos,
-                            _generators_within(mul, budget), assoc)]
+                            _generators_within(mul, m_dim * h * h), assoc)]
     if hopf.unit is not None:
         parts.append(_batched(f"{side}-action-unital", field, (m_dim,), lambda t: (
             t.insert_at(h_pos, hopf.unit).merge_map_at(0, action) - t)))
@@ -683,31 +681,34 @@ def _record_built(maps: dict, *built):
 def _record_projection(embed: Mat, project: Mat, hopf: AlgebraicStructure,
                        big: AlgebraicStructure):
     """Record the projection (i, π, H, C) as proved when H passes every
-    axiom of `_AXIOMS` and C coassociativity and unit-counit.
+    axiom of `_AXIOMS`, C coassociativity and unit-counit, and C is
+    associative, with G read from a record or its factors (`_proved`, no
+    Light's test of C and no G recorded on it), and Δ(ab) = Δ(a)Δ(b).
 
     `hopfmod.projection_bialgebra` calls this once it has passed i and π
     as bialgebra maps and π∘i = id, so a record names a projection whose
     every precondition holds.  It is written on i under "projection",
     keyed by the ids of π, H and C and holding them, so the ids stay
-    unique; all are immutable.  A failure records nothing.
+    unique; all are immutable.  A failure records no projection.
     """
     axioms = [(hopf, checker) for _, checker, _ in _AXIOMS] + [
         (big, "check_coassociativity"), (big, "check_unit_counit")]
-    if all(globals()[checker](s).passed for s, checker in axioms):
+    if not all(globals()[checker](s).passed for s, checker in axioms):
+        return
+    gens = _proved(big.mul, own_test=False, record=False)
+    if gens is not None and _multiplicative(big.mul, big.comul, gens):
         _cache(embed).setdefault("projection", {})[
             id(project), id(hopf), id(big)] = (project, hopf, big)
 
 
-def _carried(built: dict, budget: int, side=None, hopf=None, mul=None,
-             comul=None) -> bool:
+def _carried(built: dict, side=None, hopf=None, mul=None, comul=None) -> bool:
     """Whether every map of `built` (kind: map) carries the same record
     (`_record_built`), at `side`, with `hopf` as H and `mul`, `comul` as
     C's maps (each unless None), and that record's projection was proved
     where it was built (`_record_projection`): i and π bialgebra maps,
-    π∘i = id, H passing the five `_AXIOMS` and C coassociativity and
-    unit-counit.  C associative with Δ(ab) = Δ(a)Δ(b) is asked of
-    `_generators_within`, within `budget`, on every call.  The identities
-    carried follow (`hopfmod.hopf_module_from_projection`,
+    π∘i = id, H passing the five `_AXIOMS`, C coassociative and counital,
+    associative and with Δ(ab) = Δ(a)Δ(b).  Nothing is evaluated here.
+    The identities carried follow (`hopfmod.hopf_module_from_projection`,
     `rb.check_rb_algebra`).
     """
     records = [_cache(m).get(kind) for kind, m in built.items()]
@@ -718,9 +719,7 @@ def _carried(built: dict, budget: int, side=None, hopf=None, mul=None,
             x is not None and x is not y
             for x, y in ((hopf, h), (mul, big.mul), (comul, big.comul))):
         return False
-    proved = _cache(embed).get("projection", {})
-    return ((id(project), id(h), id(big)) in proved
-            and _generators_within(big.mul, budget, big.comul) is not None)
+    return (id(project), id(h), id(big)) in _cache(embed).get("projection", {})
 
 
 def check_bialgebra_map(f: Mat, src: AlgebraicStructure,

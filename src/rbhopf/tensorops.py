@@ -72,7 +72,7 @@ def _cache(m) -> dict:
     It holds the readings of `m` (see `_reading`) and the facts recorded
     for `m`: on a multiplication, its G and factors (`structures._proved`)
     and the comultiplications proved multiplicative with it
-    (`structures._generators_within`); on a map built from a projection
+    (`structures._multiplicative`); on a map built from a projection
     (an action, a coaction, Π), that projection
     (`structures._record_built`); and on the i of a projection, the
     projections whose preconditions `hopfmod.projection_bialgebra` proved

@@ -18,10 +18,11 @@ import random
 import pytest
 
 from rbhopf import (GF, QQ, Mat, ProjectionBialgebra, builtin,
-                    check_bialgebra_map, check_hopf_module,
+                    check_bialgebra_map, check_comodule, check_hopf_module,
                     check_hopf_module_algebra, check_hopf_module_coalgebra,
-                    check_rb_algebra, hopf_module_from_projection,
-                    pi_operator, tensor_square_projection)
+                    check_module, check_rb_algebra,
+                    hopf_module_from_projection, pi_operator,
+                    tensor_square_projection)
 from rbhopf import tensorops
 from rbhopf.tensorops import _cache, _matrix_of
 from test_generator_certificates import full_check, moved
@@ -105,14 +106,46 @@ def test_fresh_module_evaluates_no_module_identity(name, inputs_per_identity,
             assert check(hm).passed
     assert not any(inputs_per_identity[f"{side}-{identity}"]
                    for side in SIDES for identity in MODULE_IDENTITIES)
-    # The preconditions ran once, for the first check: modules of the same
-    # projection built again read them.
+    # The preconditions ran once, where the projection was built: modules
+    # of the same projection built again read them too.
     modules = [hopf_module_from_projection(pb, side) for side in SIDES]
     rewritten[0] = 0
     for hm in modules:
         for check in MODULE_CHECKS:
             assert check(hm).passed
     assert rewritten[0] == 0
+
+
+# The checks that read one map's record, each run as the first check of a
+# fresh square.
+FIRST_CHECKS = {
+    "comodule": lambda hm, pi, big: check_comodule(hm.hopf, hm.m_dim,
+                                                   hm.coaction, hm.side),
+    "module": lambda hm, pi, big: check_module(hm.hopf, hm.m_dim, hm.action,
+                                               hm.side),
+    "rb-algebra": lambda hm, pi, big: check_rb_algebra(big, pi, -1),
+}
+
+
+@pytest.mark.parametrize("check", sorted(FIRST_CHECKS))
+@pytest.mark.parametrize("side", SIDES)
+@pytest.mark.parametrize("name", ["group:C2", "dual-group:C2", "sweedler4",
+                                  "group:S3"])
+def test_any_first_check_evaluates_no_basis_input(name, side, check,
+                                                  inputs_per_identity,
+                                                  rewritten):
+    """The preconditions were proved where the projection was built, so
+    which check runs first does not decide whether it is carried."""
+    pb = tensor_square_projection(builtin(name))
+    built = (hopf_module_from_projection(pb, side), pi_operator(pb, side),
+             pb.big)
+    copy = pickle.loads(pickle.dumps(built))
+    inputs_per_identity.clear()
+    rewritten[0] = 0
+    got = FIRST_CHECKS[check](*built)
+    assert got.passed
+    assert not inputs_per_identity and rewritten[0] == 0
+    assert repr(got) == repr(full_check(lambda: FIRST_CHECKS[check](*copy)))
 
 
 def test_second_rota_baxter_check_evaluates_no_precondition(

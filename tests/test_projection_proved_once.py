@@ -2,22 +2,25 @@
 
 `projection_bialgebra` validates i and π as bialgebra maps and π∘i = id,
 and then proves the rest of what a carried verdict rests on: H passes
-the five axioms of a Hopf algebra and C coassociativity and unit-counit.
-Only a full pass records the projection on i, and `structures._carried`
-only reads that record.  Here: a projection whose H or C fails a
-precondition is returned with no record, and its checks give the full
+the five axioms of a Hopf algebra, C coassociativity and unit-counit,
+and C is associative, with G read from a record or its factors, and
+Δ(ab) = Δ(a)Δ(b).  Only a full pass records the projection on i, and
+`structures._carried` only reads that record.  Here: a projection whose
+H or C fails a precondition, or whose C's multiplication is a copy with
+no factors, is returned with no record, and its checks give the full
 verdicts at no more work than the full check; a `ProjectionBialgebra`
 built directly, from maps that pass `check_bialgebra_map`, is not
 carried, and gives the carried verdicts by evaluating them.
 """
 
 import pickle
+from functools import partial
 
 import pytest
 
-from rbhopf import (ProjectionBialgebra, builtin, check_bialgebra_map,
-                    check_hopf_module_coalgebra, check_module,
-                    hopf_module_from_projection, pi_operator,
+from rbhopf import (ProjectionBialgebra, Tensor3, builtin,
+                    check_bialgebra_map, check_hopf_module_coalgebra,
+                    check_module, hopf_module_from_projection, pi_operator,
                     projection_bialgebra, tensor_product,
                     tensor_square_projection)
 from rbhopf.tensorops import _cache, _matrix_of
@@ -46,18 +49,22 @@ def s3_with_wrong_antipode():
     return projection_bialgebra(big, hopf, embed, project)
 
 
-def c2_over_klein_not_coassociative():
-    """`c2_over_klein` with C's comultiplication replaced by one that is
-    not coassociative, through which i and π are still bialgebra maps."""
+def c2_over_klein_replaced(how):
+    """`c2_over_klein` with C's comultiplication replaced by
+    `REPLACED[how]`, through which i and π are still bialgebra maps,
+    built again from copies of i and π."""
     pb = c2_over_klein()
-    big = pb.big.replace(**REPLACED["not-coassociative"](pb.big))
+    big = pb.big.replace(**REPLACED[how](pb.big))
     embed, project = (type(m).from_terms(m.field, m.dims, dict(m.terms))
                       for m in (pb.embed, pb.project))
     return projection_bialgebra(big, pb.hopf, embed, project)
 
 
 UNPROVED = {"wrong-antipode": s3_with_wrong_antipode,
-            "not-coassociative": c2_over_klein_not_coassociative}
+            "not-coassociative": partial(c2_over_klein_replaced,
+                                         "not-coassociative"),
+            "not-multiplicative": partial(c2_over_klein_replaced,
+                                          "not-multiplicative")}
 
 
 @pytest.mark.parametrize("side", SIDES)
@@ -101,3 +108,20 @@ def test_a_direct_projection_is_evaluated(name, side, inputs_per_identity):
                         pi_operator(carried, side), carried.big)
     assert all("passed=True" in v for v in expected)
     assert verdicts(hm, pi_operator(direct, side), big) == expected
+
+
+def test_a_copied_multiplication_is_not_proved():
+    """C's multiplication copied by `Tensor3.from_terms` records no
+    factors, and `projection_bialgebra` runs no Light's test of C, so it
+    finds no G of C and records no projection: every identity is
+    evaluated, and passes."""
+    h = builtin("group:S3")
+    big, embed, project = square_maps(h)
+    big = big.replace(mul=Tensor3.from_terms(h.field, big.mul.dims,
+                                             dict(big.mul.terms)))
+    pb = projection_bialgebra(big, h, embed, project)
+    assert (id(project), id(h), id(big)) not in _cache(embed).get("projection", {})
+    for side in SIDES:
+        got = assert_carried(hopf_module_from_projection(pb, side),
+                             pi_operator(pb, side), pb.big)
+        assert all("passed=True" in v for v in got)
