@@ -13,11 +13,12 @@ i: H→C, π: C→H, π∘i = id) becomes such a module via c·h = c·i(h) and
 Π = id ⋆ (i∘S∘π).  Every Hopf-module identity of that module, and Π's
 weight -1, follow from one set of preconditions on i, π, H and C.
 `projection_bialgebra` proves them all once, where the projection is
-built, and records the proof on i; `hopf_module_from_projection` and
-`pi_operator` record on the maps they build the projection they came
-from, and the checks, reading both records (`structures._carried`),
-evaluate no basis input.  A projection built any other way, a copy, a
-pickle or a loaded file has no record and runs every identity.
+built, and records the proof (`structures._record`);
+`hopf_module_from_projection` and `pi_operator` then record on the maps
+they build what each map carries, and every check of such a map is one
+lookup (`structures._recorded`) and evaluates no basis input.  A
+projection built any other way, a copy, a pickle or a loaded file has
+no record and runs every identity.
 
 Every constructed map is built by pushing all basis vectors at once, each
 tagged with its index, through the `TermSum` rewrites the checkers use
@@ -39,9 +40,9 @@ from .linalg import Mat, Tensor3
 from .rb import RBVerdict, check_rb_coalgebra
 from .record import Record
 from .structures import (AlgebraicStructure, AxiomVerdict, _batched,
-                         _carried, _first_failure, _generators_within,
-                         _h_position, _inherited_generators, _on_generators,
-                         _placed, _record_built, _record_projection, _verdict,
+                         _first_failure, _generators_within, _h_position,
+                         _inherited_generators, _on_generators, _placed,
+                         _record, _record_projection, _recorded, _verdict,
                          check_bialgebra_map, check_coassociativity,
                          check_comodule, check_module, tensor_product)
 from .tensorops import _matrix_of
@@ -113,7 +114,7 @@ def check_hopf_module(hm: HopfModule) -> AxiomVerdict:
     ρ((m·g)·g') = ρ(m)Δ(g)Δ(g') = ρ(m)Δ(gg'), since M⊗H is an associative
     module over H⊗H; on the left, ρ((gg')·m) = Δ(g)Δ(g')ρ(m) likewise.
 
-    A module from `hopf_module_from_projection` whose records match
+    A module from `hopf_module_from_projection` with its record
     (`_carried_module`) passes with no identity evaluated: on the right,
     (c·h)·h' = c·i(h)i(h') = c·i(hh'), c·1 = c·i(1) = c,
     (ρ⊗id)ρ(c) = c₁⊗π(c₂)⊗π(c₃) = (id⊗Δ)ρ(c), (id⊗ε)ρ(c) = c and
@@ -177,7 +178,7 @@ def check_hopf_module_algebra(hm: HopfModule) -> AxiomVerdict:
     when M and H are associative: ρ(m(nn')) = ρ((mn)n') = ρ(m)ρ(n)ρ(n') =
     ρ(m)ρ(nn'), since M⊗H (H⊗M on the left) is then an associative algebra.
 
-    A projection module whose records match (`_carried_module`) passes
+    A projection module with its record (`_carried_module`) passes
     with no identity evaluated: (cc')·i(h) = c(c'i(h)) and ρ(cc') =
     c₁c'₁⊗π(c₂c'₂) = ρ(c)ρ(c') (see `hopf_module_from_projection`).
     """
@@ -237,7 +238,7 @@ def check_hopf_module_coalgebra(hm: HopfModule) -> AxiomVerdict:
     (m₁·g₁)·g'₁ ⊗ (m₂·g₂)·g'₂ = m₁·(gg')₁ ⊗ m₂·(gg')₂, and on the left
     likewise.
 
-    A projection module whose records match (`_carried_module`) passes
+    A projection module with its record (`_carried_module`) passes
     with no identity evaluated: Δ(c·i(h)) = c₁i(h₁)⊗c₂i(h₂), (Δ⊗id)ρ(c) =
     c₁⊗c₂⊗π(c₃) = (id⊗ρ)Δ(c) (see `hopf_module_from_projection`).
     """
@@ -273,11 +274,13 @@ def check_hopf_module_coalgebra(hm: HopfModule) -> AxiomVerdict:
 
 
 def _carried_module(hm: HopfModule) -> bool:
-    """`structures._carried` for `hm`'s action and coaction, its side, H,
-    mul and comul."""
-    return _carried({"projection-action": hm.action,
-                     "projection-coaction": hm.coaction},
-                    hm.side, hm.hopf, hm.mul, hm.comul)
+    """Whether `hm`'s action and coaction were built together from a proved
+    projection on `hm`'s side and H (`hopf_module_from_projection`), with
+    C's multiplication and Δ as `hm`'s own (each unless None)."""
+    big = _recorded(f"{hm.side}-projection-module", hm.action, hm.coaction,
+                    hm.hopf)
+    return big is not None and all(x is None or x is y for x, y in (
+        (hm.mul, big.mul), (hm.comul, big.comul)))
 
 
 def _module_coalgebra_action(h_pos: int, action: Mat, mcomul: Tensor3,
@@ -388,11 +391,12 @@ def hopf_module_from_projection(pb: ProjectionBialgebra,
     along, so the result supports both the module algebra and the module
     coalgebra checks.
 
-    The action and the coaction record the projection they came from
-    (`structures._record_built`); nothing is evaluated here.  What
-    `structures._carried` asks was proved by `projection_bialgebra`, which
-    recorded it on i: i and π bialgebra maps, π∘i = id, H a Hopf algebra,
-    C coassociative and counital, associative and with Δ multiplicative.
+    Nothing is evaluated here.  When `projection_bialgebra` recorded the
+    projection as proved (i and π bialgebra maps, π∘i = id, H a Hopf
+    algebra, C coassociative and counital, associative and with Δ
+    multiplicative), the action and the coaction record that they carry
+    their identities at `side` over H, and the pair records C, whose
+    multiplication and Δ the module must have (`structures._record`).
     Every identity of the `check_hopf_module*` checks follows; on the
     right:
 
@@ -420,9 +424,10 @@ def hopf_module_from_projection(pb: ProjectionBialgebra,
         t.map_at(h_pos, pb.embed).merge_at(0, big.mul)))
     coaction = _matrix_of(field, (n,), lambda t: (
         t.split_at(0, big.comul).map_at(h_pos, pb.project)))
-    _record_built({"projection-action": action,
-                   "projection-coaction": coaction},
-                  side, pb.embed, pb.project, hopf, big)
+    if _recorded("projection", pb.embed, pb.project, hopf, big):
+        _record(f"{side}-projection-action", True, action, hopf)
+        _record(f"{side}-projection-coaction", True, coaction, hopf)
+        _record(f"{side}-projection-module", big, action, coaction, hopf)
     return HopfModule(hopf, n, action, coaction, side,
                       mul=big.mul, comul=big.comul)
 
@@ -430,18 +435,18 @@ def hopf_module_from_projection(pb: ProjectionBialgebra,
 def pi_operator(pb: ProjectionBialgebra, side: str = "right") -> Mat:
     """The convolution form of the coinvariant projection.
 
-    Π = id_C ⋆ (i∘S∘π) on the right, (i∘S∘π) ⋆ id_C on the left.  The
-    matrix records the projection it was built from
-    (`structures._record_built`), and `rb.check_rb_algebra` reads its
-    weight -1 off that record when the projection's preconditions hold
-    (see there).  The matrix is immutable, so the record stays true; a
-    copy, a pickle or a loaded file has none.
+    Π = id_C ⋆ (i∘S∘π) on the right, (i∘S∘π) ⋆ id_C on the left.  When
+    `projection_bialgebra` recorded the projection as proved, the matrix
+    records "pi-operator" with C's multiplication (`structures._record`),
+    and `rb.check_rb_algebra` reads its weight -1 off that record (see
+    there).  The matrix is immutable, so the record stays true; a copy, a
+    pickle or a loaded file has none.
     """
     eye = Mat.identity(pb.big.field, pb.big.dim)
     isp = pb.embed * pb.hopf.antipode * pb.project
     pi = convolution(*_placed(_h_position(side), (eye,), (isp,)), pb.big)
-    _record_built({"pi-operator": pi}, side, pb.embed, pb.project, pb.hopf,
-                  pb.big)
+    if _recorded("projection", pb.embed, pb.project, pb.hopf, pb.big):
+        _record("pi-operator", True, pi, pb.big.mul)
     return pi
 
 

@@ -17,7 +17,7 @@ from .fields import PrimeField
 from .linalg import Mat
 from .record import Record
 from .structures import (AlgebraicStructure, DefectReport, _batched,
-                         _carried, _verdict)
+                         _recorded, _verdict)
 
 
 class RBVerdict(Record):
@@ -64,12 +64,12 @@ def check_rb_algebra(s: AlgebraicStructure, p: Mat, weight) -> RBVerdict:
 
     The convolution projection Π of a bialgebra C with a projection
     (`hopfmod.pi_operator`: bialgebra maps i: H→C, π: C→H, π∘i = id)
-    carries its weight -1.  When λ is the field's -1, the record on `p`
-    names C's multiplication as `s.mul`, and the projection's
-    preconditions hold (`structures._carried`: i and π bialgebra maps,
-    π∘i = id, H a Hopf algebra, C a bialgebra, all proved by
-    `hopfmod.projection_bialgebra`), the verdict is a pass with no pair
-    evaluated.  On the right side, with
+    carries its weight -1.  When λ is the field's -1 and `p` has the
+    "pi-operator" record with `s.mul` (`structures._recorded`), which
+    `pi_operator` writes only for a projection whose preconditions
+    `hopfmod.projection_bialgebra` proved (i and π bialgebra maps,
+    π∘i = id, H a Hopf algebra, C a bialgebra), the verdict is a pass
+    with no pair evaluated.  On the right side, with
     ρ(c) = c₁⊗π(c₂) = c₍₀₎⊗c₍₁₎ and Π(c) = c₁·i(S(π(c₂))):
 
     1. ρ is coassociative, counital and multiplicative, and
@@ -101,7 +101,7 @@ def check_rb_algebra(s: AlgebraicStructure, p: Mat, weight) -> RBVerdict:
     mul = s.require("mul")
     _check_operator_shape(s, p)
     lam = s.field.coerce(weight)
-    if lam == -s.field.one and _carried({"pi-operator": p}, mul=mul):
+    if lam == -s.field.one and _recorded("pi-operator", p, mul):
         return RBVerdict(True, lam, "algebra")
 
     def residual(t):

@@ -174,6 +174,28 @@ def _first_failure(parts) -> AxiomVerdict:
     return AxiomVerdict(True)
 
 
+def _record(kind: str, value, *maps):
+    """Record the fact `kind` about `maps`, with `value`.
+
+    Stored in the first map's `tensorops._cache` under (kind, ids of the
+    other maps), with those maps held so their ids stay unique.  All maps
+    are immutable, so a record stays true.  The kinds: "light" (G) and
+    "factors" on a multiplication, "multiplicative" on (mul, Δ),
+    "projection" on (i, π, H, C), and what `hopfmod` builds from a
+    proved projection: "<side>-projection-action" on (action, H),
+    "<side>-projection-coaction" on (coaction, H),
+    "<side>-projection-module" (value C) on (action, coaction, H) and
+    "pi-operator" on (Π, C's mul)."""
+    first, *others = maps
+    _cache(first)[(kind, *map(id, others))] = (value, others)
+
+
+def _recorded(kind: str, *maps):
+    """The value `_record` stored for `kind` on `maps`, or None."""
+    first, *others = maps
+    return _cache(first).get((kind, *map(id, others)), (None,))[0]
+
+
 class AlgebraicStructure(Record):
     """A based space with optional mul/comul/unit/counit/antipode.
 
@@ -337,8 +359,8 @@ def check_associativity(s: AlgebraicStructure,
     side), so a failing factor sends the product through Light's test
     unchanged, and its verdict is the one it always was.
 
-    A pass records G under "light" on `s.mul`, so a call without `budget`
-    on a multiplication already proved associative does no work.
+    A pass records G as "light" on `s.mul` (`_record`), so a call without
+    `budget` on a multiplication already proved associative does no work.
     Failures are not recorded: their residual is a mutable dict.
 
     `budget`, when given, bounds the basis inputs the check hands to the
@@ -356,12 +378,12 @@ def check_associativity(s: AlgebraicStructure,
 
 def _light_test(mul: Tensor3, charge) -> AxiomVerdict:
     """Light's test on `mul` (see `check_associativity`), charging the
-    inputs it schedules; a pass records G under "light" on `mul`."""
+    inputs it schedules; a pass records G as "light" on `mul`."""
     gens = _generators(_algebra(mul), charge)
     v = _verdict(*_on_generators("associativity", mul.field, mul.dims, 1,
                                  gens, _associator(mul), charge))
     if v.passed:
-        _cache(mul)["light"] = tuple(gens)
+        _record("light", tuple(gens), mul)
     return v
 
 
@@ -382,17 +404,16 @@ def _unit_index(mul: Tensor3):
     return None
 
 
-def _proved(mul: Tensor3, charge=lambda count: None, own_test: bool = True,
-            record: bool = True):
+def _proved(mul: Tensor3, charge=lambda count: None, own_test: bool = True):
     """G of `mul` when `mul` is proved associative, else None.
 
     The one prover of associativity; `charge` is told the basis inputs
     each step schedules.  Three sources, in order:
 
-    1. the G recorded under "light" on `mul` by an earlier proof;
+    1. the G recorded as "light" on `mul` by an earlier proof;
     2. for a `tensor_product` whose factors are `_proved` (recursively, at
        their size), G read off the factors (see `check_associativity`),
-       recorded on `mul` unless `record` is False;
+       recorded on `mul`;
     3. with `own_test`, Light's test on `mul`, whose pass records G.
 
     In 2, when the factors A, B have basis vectors e_u, e_v that are
@@ -404,25 +425,23 @@ def _proved(mul: Tensor3, charge=lambda count: None, own_test: bool = True,
     Otherwise G is the closure `_generators` finds at product size,
     charging its products.  A failing factor falls through to 3.
     """
-    cache = _cache(mul)
-    if "light" in cache:
-        return cache["light"]
-    factors = cache.get("factors")
+    gens = _recorded("light", mul)
+    if gens is not None:
+        return gens
+    factors = _recorded("factors", mul)
     if factors is not None and all(_proved(f, charge) is not None for f in factors):
         units = list(map(_unit_index, factors))
         if None in units:
             gens = _generators(_algebra(mul), charge, triples=False)
         else:
-            ga, gb = (_cache(f)["light"] for f in factors)
+            ga, gb = (_recorded("light", f) for f in factors)
             nb = factors[1].dims[0]
             gens = sorted({g * nb + units[1] for g in ga}
                           | {units[0] * nb + h for h in gb})
-        if not record:
-            return tuple(gens)
-        cache["light"] = tuple(gens)
+        _record("light", tuple(gens), mul)
     elif own_test:
         _light_test(mul, charge)
-    return cache.get("light")
+    return _recorded("light", mul)
 
 
 def _comul_product(mul: Tensor3, comul: Tensor3):
@@ -457,18 +476,22 @@ def _generators_within(mul: Tensor3, budget: int, comul: Tensor3 | None = None):
     return None
 
 
-def _multiplicative(mul: Tensor3, comul: Tensor3, gens, charge=lambda count: None):
-    """Whether Δ(ab) = Δ(a)Δ(b), certified on the G `gens` of `mul` (see
-    `check_bialgebra`).  A pass is recorded under "multiplicative" on
-    `mul`, keyed by `id` and holding `comul`, so the id stays unique."""
-    known = _cache(mul).setdefault("multiplicative", {})
-    if id(comul) not in known:
-        charge(len(gens) * mul.dims[0])
-        v = _verdict(*_on_generators("comul-multiplicative", mul.field, mul.dims[:2],
-                                     1, gens, _comul_product(mul, comul), charge))
-        if v.passed:
-            known[id(comul)] = comul
-    return id(comul) in known
+def _multiplicative(mul: Tensor3, comul: Tensor3, gens,
+                    charge=lambda count: None) -> AxiomVerdict:
+    """The verdict of Δ(ab) = Δ(a)Δ(b), certified on the G `gens` of `mul`
+    (see `check_bialgebra`), or on all pairs when `gens` is None; the one
+    place it is evaluated.  A recorded pass is read first.  A pass is
+    recorded as "multiplicative" on (mul, Δ) only on all pairs or on the G
+    recorded for `mul`: on any other set it proves nothing."""
+    if _recorded("multiplicative", mul, comul):
+        return AxiomVerdict(True)
+    n = mul.dims[0]
+    charge(n * (n if gens is None else len(gens)))
+    v = _verdict(*_on_generators("comul-multiplicative", mul.field, mul.dims[:2],
+                                 1, gens, _comul_product(mul, comul), charge))
+    if v.passed and (gens is None or gens == _recorded("light", mul)):
+        _record("multiplicative", True, mul, comul)
+    return v
 
 
 def _inherited_generators(mul: Tensor3, budget: int):
@@ -526,19 +549,16 @@ def check_bialgebra(s: AlgebraicStructure) -> AxiomVerdict:
     the pairs (a, g) with g in a generating set G (`_on_generators`): if
     Δ(ab) = Δ(a)Δ(b) for all a and b in {g, g'}, then
     Δ(a(gg')) = Δ((ag)g') = Δ(a)Δ(g)Δ(g') = Δ(a)Δ(gg'), and likewise for ε.
-    A pass of Δ(ab) = Δ(a)Δ(b) is recorded under "multiplicative" on the
-    multiplication (see `_multiplicative`).
+    Δ(ab) = Δ(a)Δ(b) is `_multiplicative`'s, which reads and records it.
     """
     mul = s.require("mul")
     comul = s.require("comul")
     field, n = s.field, s.dim
     dims = (n, n)
     gens = _generators_within(mul, n * n)
-    v = _verdict(*_on_generators("comul-multiplicative", field, dims, 1, gens,
-                                 _comul_product(mul, comul)))
+    v = _multiplicative(mul, comul, gens)
     if not v.passed:
         return v
-    _cache(mul).setdefault("multiplicative", {})[id(comul)] = comul
     parts = []
     if s.counit is not None:
         counit = s.counit
@@ -615,7 +635,7 @@ def check_comodule(hopf: AlgebraicStructure, m_dim: int, coaction: Mat,
     if coaction.rows != m_dim * h or coaction.cols != m_dim or \
             coaction.field != hopf.field:
         raise ShapeError(f"coaction must be {m_dim * h} x {m_dim}")
-    if _carried({"projection-coaction": coaction}, side, hopf):
+    if _recorded(f"{side}-projection-coaction", coaction, hopf):
         return AxiomVerdict(True)
 
     def coassoc(t):
@@ -644,8 +664,9 @@ def check_module(hopf: AlgebraicStructure, m_dim: int, action: Mat,
     ((m·h)·g)·g' = (m·(hg))·g' = m·((hg)g') = m·(h(gg')); on the left,
     (gg')·(h·m) = g·(g'·(h·m)) = g·((g'h)·m) = (g(g'h))·m = ((gg')h)·m.
 
-    An action from `hopfmod.hopf_module_from_projection` carries both
-    axioms, and its coaction those of `check_comodule` (`_carried`; the
+    An action from `hopfmod.hopf_module_from_projection` of a proved
+    projection carries both axioms, and its coaction those of
+    `check_comodule`, each one record on the map, its side and H (the
     proof is in that constructor's docstring): none is evaluated.
     """
     mul = hopf.require("mul")
@@ -659,7 +680,7 @@ def check_module(hopf: AlgebraicStructure, m_dim: int, action: Mat,
         return (t.merge_map_at(1 - h_pos, action).merge_map_at(0, action)
                 - t.merge_at(h_pos, mul).merge_map_at(0, action))
 
-    if _carried({"projection-action": action}, side, hopf):
+    if _recorded(f"{side}-projection-action", action, hopf):
         return AxiomVerdict(True)
     parts = [_on_generators(f"{side}-action-associativity", field,
                             _placed(h_pos, (m_dim,), (h, h)), 2 * h_pos,
@@ -670,56 +691,26 @@ def check_module(hopf: AlgebraicStructure, m_dim: int, action: Mat,
     return _first_failure(parts)
 
 
-def _record_built(maps: dict, *built):
-    """Record on each map of `maps` (kind: map) that it is that kind of map,
-    "projection-action" c·i(h), "projection-coaction" c₁⊗π(c₂) or
-    "pi-operator" id ⋆ (i∘S∘π) on the right, of `built` = (side, i, π, H, C)."""
-    for kind, m in maps.items():
-        _cache(m)[kind] = built
-
-
 def _record_projection(embed: Mat, project: Mat, hopf: AlgebraicStructure,
                        big: AlgebraicStructure):
     """Record the projection (i, π, H, C) as proved when H passes every
     axiom of `_AXIOMS`, C coassociativity and unit-counit, and C is
     associative, with G read from a record or its factors (`_proved`, no
-    Light's test of C and no G recorded on it), and Δ(ab) = Δ(a)Δ(b).
+    Light's test of C), and Δ(ab) = Δ(a)Δ(b) (`_multiplicative`).
 
     `hopfmod.projection_bialgebra` calls this once it has passed i and π
     as bialgebra maps and π∘i = id, so a record names a projection whose
-    every precondition holds.  It is written on i under "projection",
-    keyed by the ids of π, H and C and holding them, so the ids stay
-    unique; all are immutable.  A failure records no projection.
+    every precondition holds.  It is recorded as "projection" on
+    (i, π, H, C) (`_record`); the maps built from it record what they
+    carry only when it is there.  A failure records no projection.
     """
     axioms = [(hopf, checker) for _, checker, _ in _AXIOMS] + [
         (big, "check_coassociativity"), (big, "check_unit_counit")]
     if not all(globals()[checker](s).passed for s, checker in axioms):
         return
-    gens = _proved(big.mul, own_test=False, record=False)
+    gens = _proved(big.mul, own_test=False)
     if gens is not None and _multiplicative(big.mul, big.comul, gens):
-        _cache(embed).setdefault("projection", {})[
-            id(project), id(hopf), id(big)] = (project, hopf, big)
-
-
-def _carried(built: dict, side=None, hopf=None, mul=None, comul=None) -> bool:
-    """Whether every map of `built` (kind: map) carries the same record
-    (`_record_built`), at `side`, with `hopf` as H and `mul`, `comul` as
-    C's maps (each unless None), and that record's projection was proved
-    where it was built (`_record_projection`): i and π bialgebra maps,
-    π∘i = id, H passing the five `_AXIOMS`, C coassociative and counital,
-    associative and with Δ(ab) = Δ(a)Δ(b).  Nothing is evaluated here.
-    The identities carried follow (`hopfmod.hopf_module_from_projection`,
-    `rb.check_rb_algebra`).
-    """
-    records = [_cache(m).get(kind) for kind, m in built.items()]
-    if records[0] is None or any(r is not records[0] for r in records):
-        return False
-    side_, embed, project, h, big = records[0]
-    if side not in (None, side_) or any(
-            x is not None and x is not y
-            for x, y in ((hopf, h), (mul, big.mul), (comul, big.comul))):
-        return False
-    return (id(project), id(h), id(big)) in _cache(embed).get("projection", {})
+        _record("projection", True, embed, project, hopf, big)
 
 
 def check_bialgebra_map(f: Mat, src: AlgebraicStructure,
@@ -746,11 +737,10 @@ def check_bialgebra_map(f: Mat, src: AlgebraicStructure,
     = f(a)f(bb'), by src's associativity, b' ∈ B, b ∈ B, dst's
     associativity and b' ∈ B again; so B is closed under products, and
     G ⊆ B gives every word in G, which span src.  A nonzero residual runs
-    every other b, so a failing verdict is the full check's.  A G read off
-    a product's factors here is not recorded on the product (`_proved`),
-    so that validating i and π leaves C's record to the checks of C.
-    Nothing is recorded on `f`: `hopfmod.projection_bialgebra` records
-    the projection it validates (`_record_projection`).
+    every other b, so a failing verdict is the full check's.  A G found
+    here is recorded on its multiplication (`_proved`); nothing is
+    recorded on `f`: `hopfmod.projection_bialgebra` records the
+    projection it validates (`_record_projection`).
     """
     for s in (src, dst):
         for attr in ("mul", "comul", "unit", "counit"):
@@ -776,8 +766,8 @@ def check_bialgebra_map(f: Mat, src: AlgebraicStructure,
 
     charge = _meter(ns * ns, "precondition over budget")
     try:
-        gens = _proved(src.mul, charge, record=False)
-        if gens is not None and _proved(dst.mul, charge, record=False) is None:
+        gens = _proved(src.mul, charge)
+        if gens is not None and _proved(dst.mul, charge) is None:
             gens = None
     except BudgetExceededError:
         gens = None
@@ -886,7 +876,7 @@ def tensor_product(a: AlgebraicStructure, b: AlgebraicStructure) -> AlgebraicStr
     """The tensor product structure on A ⊗ B (componentwise, no braiding).
 
     The product multiplication records the factor multiplications it was
-    built from, under "factors" in its cache.  Since (a⊗b)(c⊗d) = ac⊗bd,
+    built from, as "factors" (`_record`).  Since (a⊗b)(c⊗d) = ac⊗bd,
     the associator of A⊗B on basis triples is
     (ac)e⊗(bd)f - a(ce)⊗b(df), which vanishes when both factors are
     associative; `_proved` then proves the factors instead of the product
@@ -903,7 +893,7 @@ def tensor_product(a: AlgebraicStructure, b: AlgebraicStructure) -> AlgebraicStr
     mul = comul = None
     if a.mul is not None and b.mul is not None:
         mul = _tensor3_product(a.mul, b.mul)
-        _cache(mul)["factors"] = (a.mul, b.mul)
+        _record("factors", (a.mul, b.mul), mul)
     if a.comul is not None and b.comul is not None:
         comul = _tensor3_product(a.comul, b.comul)
     unit = a.unit.tensor(b.unit) if a.unit is not None and b.unit is not None else None

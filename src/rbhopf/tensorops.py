@@ -69,15 +69,11 @@ from .linalg import (Mat, Tensor3, Vec, _check_same_field, _Sparse,
 def _cache(m) -> dict:
     """The dict in `m`'s `_fans` slot, made on first use.
 
-    It holds the readings of `m` (see `_reading`) and the facts recorded
-    for `m`: on a multiplication, its G and factors (`structures._proved`)
-    and the comultiplications proved multiplicative with it
-    (`structures._multiplicative`); on a map built from a projection
-    (an action, a coaction, Π), that projection
-    (`structures._record_built`); and on the i of a projection, the
-    projections whose preconditions `hopfmod.projection_bialgebra` proved
-    (`structures._record_projection`).  All depend only on `m`, which is
-    immutable, and on objects the record holds.
+    It holds the readings of `m` (see `_reading`), keyed (role, b), and
+    the facts about `m` and other maps, keyed (kind, their ids), which
+    only `structures._record` writes and `structures._recorded` reads
+    (the kinds are listed there).  All depend only on `m`, which is
+    immutable, and on objects the entry holds.
     """
     fans = getattr(m, "_fans", None)
     if fans is None:

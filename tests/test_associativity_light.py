@@ -16,8 +16,7 @@ import pytest
 from rbhopf import (GF, QQ, AlgebraicStructure, BudgetExceededError, Tensor3,
                     builtin, tensor_product)
 from rbhopf import check_associativity, structures
-from rbhopf.structures import _generators, _verdict
-from rbhopf.tensorops import _cache
+from rbhopf.structures import _generators, _recorded, _verdict
 from conftest import per_basis, verdict_key
 
 
@@ -118,7 +117,7 @@ def test_light_test_work_bound_on_s3_tensor_square(monkeypatch):
     assert check_associativity(product).passed
     assert n not in at_dim and set(at_dim) == {6}
     assert sum(inputs) <= 3 * 6 * 6
-    assert _cache(product.mul)["light"] == tuple(gens)
+    assert _recorded("light", product.mul) == tuple(gens)
 
 
 def corrupted_s3():

@@ -28,8 +28,8 @@ from rbhopf import (GF, QQ, AlgebraicStructure, BudgetExceededError,
                     hopf_module_from_projection, regular_hopf_module,
                     tensor_square_projection)
 from rbhopf import hopfmod, structures, ydsmash
-from rbhopf.structures import _generators, _verdict
-from rbhopf.tensorops import TermSum, _cache, _matrix_of
+from rbhopf.structures import _generators, _recorded, _verdict
+from rbhopf.tensorops import TermSum, _matrix_of
 from conftest import patched_batching, per_basis, verdict_key
 
 CERTIFYING = (structures, hopfmod, ydsmash)
@@ -148,7 +148,7 @@ def test_bialgebra_axiom_on_random_comultiplications(p):
             (0, j): rng.randrange(p) for j in range(n)})))
         s = h.replace(comul=comul, counit=counit)
         got, answers = assert_matches_full(lambda: check_bialgebra(s))
-        assert answers == [_cache(h.mul)["light"]]
+        assert answers == [_recorded("light", h.mul)]
         seen[got.passed] += 1
     for name in ("group:C2", "group:C3", "group:S3", "dual-group:C2"):
         got, answers = assert_matches_full(
@@ -427,7 +427,24 @@ def test_multiplicative_comultiplications_are_known_by_identity():
     s = fresh_s3()
     twin = Tensor3(QQ, s.comul.dims, dict(s.comul.terms))
     assert twin == s.comul and twin is not s.comul
-    assert id(s.comul) not in _cache(s.mul).get("multiplicative", {})
+    assert _recorded("multiplicative", s.mul, s.comul) is None
     assert check_bialgebra(s).passed
-    assert id(s.comul) in _cache(s.mul).get("multiplicative", {})
-    assert id(twin) not in _cache(s.mul).get("multiplicative", {})
+    assert _recorded("multiplicative", s.mul, s.comul) is True
+    assert _recorded("multiplicative", s.mul, twin) is None
+
+
+def test_a_pass_forced_by_a_hook_is_not_recorded():
+    """group:C3's multiplication with Δ(e0) = e0⊗e0, Δ(e1) = e1⊗e0 and
+    Δ(e2) = e0⊗e2 is not multiplicative: Δ(e1e1) = e0⊗e2 but
+    Δ(e1)Δ(e1) = e2⊗e0.  It holds on every pair (a, e0), so a hook
+    answering G = {e0} forces a pass; that pass is not recorded, so the
+    real precondition and the check afterwards still fail."""
+    c3 = builtin("group:C3")
+    comul = Tensor3(QQ, (3, 3, 3), {(0, 0, 0): 1, (1, 1, 0): 1, (2, 0, 2): 1})
+    h = AlgebraicStructure(3, QQ, mul=c3.mul, comul=comul, unit=c3.unit)
+    with generators_answer(lambda mul, budget, comul=None: (0,)):
+        assert check_bialgebra(h).passed
+    assert GENERATORS_WITHIN(h.mul, 10 ** 6, comul) is None
+    got = check_bialgebra(h)
+    assert not got.passed and got.defect.identity == "comul-multiplicative"
+    assert repr(got) == repr(full_check(lambda: check_bialgebra(h)))

@@ -25,7 +25,8 @@ from rbhopf import (GF, QQ, Mat, ProjectionBialgebra, Tensor3, builtin,
                     tensor_product, tensor_square_projection)
 from rbhopf import rb
 from rbhopf.fileformat import load, save
-from rbhopf.tensorops import _cache, _matrix_of
+from rbhopf.structures import _recorded
+from rbhopf.tensorops import _matrix_of
 from test_generator_certificates import moved
 
 SIDES = ("right", "left")
@@ -82,8 +83,7 @@ def assert_full(s, pi, weight=-1):
 def test_fresh_square_evaluates_no_pair(name, side, rb_inputs):
     pb = tensor_square_projection(builtin(name))
     pi = pi_operator(pb, side)
-    assert _cache(pi)["pi-operator"] == (side, pb.embed, pb.project,
-                                         pb.hopf, pb.big)
+    assert _recorded("pi-operator", pi, pb.big.mul) is True
     assert check_rb_algebra(pb.big, pi, -1).passed
     assert rb_inputs["rb-algebra"] == 0
     v = check_rb_bialgebra(pb.big, pi, pi, -1, -1)
@@ -110,7 +110,7 @@ def test_copies_evaluate_every_pair(side, how, tmp_path, rb_inputs):
         save(pi, str(tmp_path / "pi.rbh"))
         s = load(str(tmp_path / "big.rbh")).payload
         pi = load(str(tmp_path / "pi.rbh")).payload
-    assert "pi-operator" not in _cache(pi)
+    assert _recorded("pi-operator", pi, s.mul) is None
     assert [repr(check_rb_algebra(s, pi, weight))
             for weight in (-1, 0)] == expected
     assert rb_inputs["rb-algebra"] == 2 * 16 ** 2

@@ -1,10 +1,10 @@
 """Projection Hopf modules carry their module associativity.
 
-`hopf_module_from_projection` records on the action it builds that it is
-C's multiplication after i, and `projection_bialgebra` records on i the
-projection it proved.  When both records agree and C is known associative
-without a Light's test of its own, `check_module` drops its associativity
-identity: c·(hh') = c·i(hh') = c·(i(h)i(h')) = (c·i(h))·i(h').  On fresh
+`projection_bialgebra` records the projection it proved, C associative
+without a Light's test of its own among its preconditions, and
+`hopf_module_from_projection` then records on the action it builds, C's
+multiplication after i, that it carries its identities.  With that
+record, `check_module` drops its associativity identity: c·(hh') = c·i(hh') = c·(i(h)i(h')) = (c·i(h))·i(h').  On fresh
 tensor squares of sweedler4 and group:S3 the identity evaluates no basis
 input, on either side.  Everything without matching records (a copied
 action, a pickle, a loaded file, C's multiplication copied without its
@@ -27,7 +27,8 @@ from rbhopf import (AlgebraicStructure, Mat, PreconditionError,
                     tensor_product, tensor_square_projection,
                     verify_projection_rb)
 from rbhopf.fileformat import load, save
-from rbhopf.tensorops import _cache, _matrix_of
+from rbhopf.structures import _recorded
+from rbhopf.tensorops import _matrix_of
 from conftest import verdict_key
 from test_generator_certificates import full_check, moved
 from test_tensor_provenance import inputs_per_identity  # noqa: F401
@@ -83,9 +84,8 @@ def test_fresh_module_evaluates_no_associativity_input(name, side,
 
 def test_the_map_record_names_both_multiplications():
     pb = tensor_square_projection(builtin("group:S3"))
-    assert _cache(pb.embed)["projection"] == {
-        (id(pb.project), id(pb.hopf), id(pb.big)): (pb.project, pb.hopf,
-                                                    pb.big)}
+    assert _recorded("projection", pb.embed, pb.project, pb.hopf,
+                     pb.big) is True
 
 
 def from_terms_copy(pb, side, tmp_path):
@@ -107,7 +107,7 @@ def fileformat_copy(pb, side, tmp_path):
 
 def mul_copy(pb, side, tmp_path):
     big = pb.big.replace(mul=copied(pb.big.mul))
-    assert "factors" not in _cache(big.mul)
+    assert _recorded("factors", big.mul) is None
     pb = projection_bialgebra(big, pb.hopf, pb.embed, pb.project)
     return hopf_module_from_projection(pb, side)
 
@@ -166,11 +166,12 @@ def test_only_passes_are_recorded(name, side, inputs_per_identity):
     assert not v.passed and v.defect.identity == "map-multiplicative"
     with pytest.raises(PreconditionError, match="i is not a bialgebra map"):
         projection_bialgebra(pb.big, pb.hopf, bad, pb.project)
-    assert "projection" not in _cache(bad)
+    assert _recorded("projection", bad, pb.project, pb.hopf, pb.big) is None
     raw = ProjectionBialgebra(pb.big, pb.hopf, bad, pb.project)
     hm = hopf_module_from_projection(raw, side)
-    assert _cache(hm.action)["projection-action"] == (side, bad, pb.project,
-                                                      pb.hopf, pb.big)
+    assert _recorded(f"{side}-projection-action", hm.action, pb.hopf) is None
+    assert _recorded(f"{side}-projection-module", hm.action, hm.coaction,
+                     pb.hopf) is None
     got = module_check(hm)
     assert not got.passed
     assert got.defect.identity == f"{side}-action-associativity"
@@ -260,7 +261,7 @@ def test_c_not_known_associative_is_not_carried(inputs_per_identity):
     project = _matrix_of(field, (6, 3),
                          lambda t: t.map_at(1, n.counit).drop_at(1))
     pb = projection_bialgebra(big, h, embed, project)
-    assert (id(project), id(h), id(big)) not in _cache(embed).get("projection", {})
+    assert _recorded("projection", embed, project, h, big) is None
     for side in SIDES:
         hm = hopf_module_from_projection(pb, side)
         got = module_check(hm)

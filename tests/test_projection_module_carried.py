@@ -1,11 +1,11 @@
 """Projection Hopf modules carry every Hopf-module identity.
 
 `hopf_module_from_projection` and `pi_operator` record on the action, the
-coaction and Π the projection (side, i, π, H, C) they were built from.
-`check_hopf_module`, `check_hopf_module_algebra`,
-`check_hopf_module_coalgebra` and `check_rb_algebra(C, Π, -1)` then pass
-with no identity evaluated once the projection's preconditions hold
-(`structures._carried`), proved once per projection.  Every verdict here
+coaction and Π what each carries, when the projection they were built
+from was proved (once per projection).  `check_hopf_module`,
+`check_hopf_module_algebra`, `check_hopf_module_coalgebra` and
+`check_rb_algebra(C, Π, -1)` then pass with no identity evaluated, each
+after one lookup (`structures._recorded`).  Every verdict here
 must equal, by `repr`, the full check's on a pickled copy, which carries no
 record: on fresh squares of group:C2, sweedler4 and group:S3 over QQ, GF(2)
 and GF(3), after moved entries of every map the records or the proof read,
@@ -24,7 +24,8 @@ from rbhopf import (GF, QQ, Mat, ProjectionBialgebra, builtin,
                     hopf_module_from_projection, pi_operator,
                     tensor_square_projection)
 from rbhopf import tensorops
-from rbhopf.tensorops import _cache, _matrix_of
+from rbhopf.structures import _recorded
+from rbhopf.tensorops import _matrix_of
 from test_generator_certificates import full_check, moved
 from test_pi_rota_baxter import (REPLACED, c2_over_klein, moved_embed,
                                  moved_project)
@@ -163,11 +164,15 @@ def test_second_rota_baxter_check_evaluates_no_precondition(
 def test_the_maps_share_one_record():
     pb = tensor_square_projection(builtin("group:S3"))
     hm = hopf_module_from_projection(pb, "left")
-    built = ("left", pb.embed, pb.project, pb.hopf, pb.big)
-    assert _cache(hm.action)["projection-action"] == built
-    assert (_cache(hm.coaction)["projection-coaction"]
-            is _cache(hm.action)["projection-action"])
-    assert _cache(pi_operator(pb, "left"))["pi-operator"] == built
+    other = hopf_module_from_projection(pb, "left")
+    assert _recorded("left-projection-module", hm.action, hm.coaction,
+                     pb.hopf) is pb.big
+    assert _recorded("left-projection-module", hm.action, other.coaction,
+                     pb.hopf) is None
+    assert _recorded("left-projection-action", hm.action, pb.hopf) is True
+    assert _recorded("left-projection-coaction", hm.coaction, pb.hopf) is True
+    assert _recorded("pi-operator", pi_operator(pb, "left"),
+                     pb.big.mul) is True
 
 
 # ---------------------------------------------------------------------------

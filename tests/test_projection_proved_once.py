@@ -4,8 +4,8 @@
 and then proves the rest of what a carried verdict rests on: H passes
 the five axioms of a Hopf algebra, C coassociativity and unit-counit,
 and C is associative, with G read from a record or its factors, and
-Δ(ab) = Δ(a)Δ(b).  Only a full pass records the projection on i, and
-`structures._carried` only reads that record.  Here: a projection whose
+Δ(ab) = Δ(a)Δ(b).  Only a full pass records the projection, and only
+then do the maps built from it record what they carry.  Here: a projection whose
 H or C fails a precondition, or whose C's multiplication is a copy with
 no factors, is returned with no record, and its checks give the full
 verdicts at no more work than the full check; a `ProjectionBialgebra`
@@ -23,7 +23,8 @@ from rbhopf import (ProjectionBialgebra, Tensor3, builtin,
                     check_module, hopf_module_from_projection, pi_operator,
                     projection_bialgebra, tensor_product,
                     tensor_square_projection)
-from rbhopf.tensorops import _cache, _matrix_of
+from rbhopf.structures import _recorded
+from rbhopf.tensorops import _matrix_of
 from test_pi_rota_baxter import REPLACED, c2_over_klein
 from test_projection_module_carried import (  # noqa: F401
     SIDES, assert_carried, rewritten, verdicts, wrong_antipode)
@@ -71,7 +72,8 @@ UNPROVED = {"wrong-antipode": s3_with_wrong_antipode,
 @pytest.mark.parametrize("how", sorted(UNPROVED))
 def test_a_failed_precondition_records_nothing(how, side):
     pb = UNPROVED[how]()
-    assert "projection" not in _cache(pb.embed)
+    assert _recorded("projection", pb.embed, pb.project, pb.hopf,
+                     pb.big) is None
     got = assert_carried(hopf_module_from_projection(pb, side),
                          pi_operator(pb, side), pb.big)
     assert any("passed=False" in v for v in got)
@@ -103,7 +105,8 @@ def test_a_direct_projection_is_evaluated(name, side, inputs_per_identity):
     assert check_module(h, hm.m_dim, hm.action, side).passed
     assert inputs_per_identity[f"{side}-action-associativity"] > 0
     carried = tensor_square_projection(h)
-    assert "projection" in _cache(carried.embed)
+    assert _recorded("projection", carried.embed, carried.project,
+                     carried.hopf, carried.big) is True
     expected = verdicts(hopf_module_from_projection(carried, side),
                         pi_operator(carried, side), carried.big)
     assert all("passed=True" in v for v in expected)
@@ -120,7 +123,7 @@ def test_a_copied_multiplication_is_not_proved():
     big = big.replace(mul=Tensor3.from_terms(h.field, big.mul.dims,
                                              dict(big.mul.terms)))
     pb = projection_bialgebra(big, h, embed, project)
-    assert (id(project), id(h), id(big)) not in _cache(embed).get("projection", {})
+    assert _recorded("projection", embed, project, h, big) is None
     for side in SIDES:
         got = assert_carried(hopf_module_from_projection(pb, side),
                              pi_operator(pb, side), pb.big)
