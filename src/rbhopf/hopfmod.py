@@ -15,8 +15,9 @@ weight -1, follow from one set of preconditions on i, π, H and C.
 `projection_bialgebra` proves them all once, where the projection is
 built, and records the proof (`structures._record`);
 `hopf_module_from_projection` and `pi_operator` then record on the maps
-they build what each map carries, and every check of such a map is one
-lookup (`structures._recorded`) and evaluates no basis input.  A
+they build what they carry, and each `check_hopf_module*` check of the
+module, like the Rota-Baxter check of Π, is one lookup
+(`structures._recorded`) and evaluates no basis input.  A
 projection built any other way, a copy, a pickle or a loaded file has
 no record and runs every identity.
 
@@ -41,10 +42,10 @@ from .rb import RBVerdict, check_rb_coalgebra
 from .record import Record
 from .structures import (AlgebraicStructure, AxiomVerdict, _batched,
                          _first_failure, _generators_within, _h_position,
-                         _inherited_generators, _on_generators, _placed,
-                         _record, _record_projection, _recorded, _verdict,
-                         check_bialgebra_map, check_coassociativity,
-                         check_comodule, check_module, tensor_product)
+                         _on_generators, _placed, _record, _record_projection,
+                         _recorded, _verdict, check_bialgebra_map,
+                         check_coassociativity, check_comodule, check_module,
+                         tensor_product)
 from .tensorops import _matrix_of
 
 
@@ -161,19 +162,6 @@ def check_hopf_module_algebra(hm: HopfModule) -> AxiomVerdict:
     axioms passed first, so (mm')·(gg') = ((mm')·g)·g' = (m(m'·g))·g' =
     m((m'·g)·g') = m(m'·(gg')), and on the left likewise.
 
-    When M is also known associative without a Light's test of its own (a
-    cached pass, or a tensor product of associative factors), the action
-    part is certified in a second slot too: the M factor at position 1,
-    m' on the right and m on the left, in M's generating set G_M.  Fix g
-    in G_H and let B_g = {m' : (mm')·g = m(m'·g) for all m}.  For m'₁, m'₂
-    in B_g, (m(m'₁m'₂))·g = ((mm'₁)m'₂)·g = (mm'₁)(m'₂·g) =
-    m(m'₁(m'₂·g)) = m((m'₁m'₂)·g), so B_g is a subspace closed under
-    products, G_M ⊆ B_g gives B_g = M, and the argument in h above covers
-    H.  On the left, B_g = {m : g·(mm') = (g·m)m' for all m'} likewise.
-    Each step lets the other M factor range over all of M, so only one M
-    slot is certified: on G_M × G_M the identity pins the map on products
-    of two generators but not on longer words.
-
     The coaction part, in m' on a generating set of M's multiplication
     when M and H are associative: ρ(m(nn')) = ρ((mn)n') = ρ(m)ρ(n)ρ(n') =
     ρ(m)ρ(nn'), since M⊗H (H⊗M on the left) is then an associative algebra.
@@ -210,13 +198,9 @@ def check_hopf_module_algebra(hm: HopfModule) -> AxiomVerdict:
         return lhs - rhs
 
     hgens = _generators_within(hmul, m_dim * m_dim * h)
-    slot, gens = 2 * h_pos, hgens
-    mgens = None if hgens is None else _inherited_generators(mmul, m_dim * m_dim * h)
-    if mgens is not None:
-        slot, gens = (slot, 1), (hgens, mgens)
     v = _verdict(*_on_generators(f"{hm.side}-module-algebra-action", hm.field,
                                  _placed(h_pos, (m_dim, m_dim), (h,)),
-                                 slot, gens, action_compat))
+                                 2 * h_pos, hgens, action_compat))
     if not v.passed:
         return v
     mgens = None if hgens is None else _generators_within(mmul, m_dim * m_dim)
@@ -394,10 +378,11 @@ def hopf_module_from_projection(pb: ProjectionBialgebra,
     Nothing is evaluated here.  When `projection_bialgebra` recorded the
     projection as proved (i and π bialgebra maps, π∘i = id, H a Hopf
     algebra, C coassociative and counital, associative and with Δ
-    multiplicative), the action and the coaction record that they carry
-    their identities at `side` over H, and the pair records C, whose
-    multiplication and Δ the module must have (`structures._record`).
-    Every identity of the `check_hopf_module*` checks follows; on the
+    multiplicative), one record on the action and the coaction, at
+    `side` over H, names C, whose multiplication and Δ the module must
+    have (`structures._record`).  The `check_hopf_module*` checks read it
+    (`_carried_module`); `check_module` and `check_comodule` of one map
+    read no record.  Every identity of those checks follows; on the
     right:
 
     - module: (c·h)·h' = c·i(h)i(h') = c·i(hh') and c·1 = c·i(1) = c, by
@@ -412,7 +397,7 @@ def hopf_module_from_projection(pb: ProjectionBialgebra,
       Δ_M = Δ_C is coassociative.
 
     The left side mirrors each step through `structures._h_position`.
-    The maps are immutable, so the records stay true; a copy, a pickle, a
+    The maps are immutable, so the record stays true; a copy, a pickle, a
     loaded file, or the module of a `ProjectionBialgebra` built directly
     or changed with `.replace`, carries no proved projection and runs
     every identity.
@@ -425,8 +410,6 @@ def hopf_module_from_projection(pb: ProjectionBialgebra,
     coaction = _matrix_of(field, (n,), lambda t: (
         t.split_at(0, big.comul).map_at(h_pos, pb.project)))
     if _recorded("projection", pb.embed, pb.project, hopf, big):
-        _record(f"{side}-projection-action", True, action, hopf)
-        _record(f"{side}-projection-coaction", True, coaction, hopf)
         _record(f"{side}-projection-module", big, action, coaction, hopf)
     return HopfModule(hopf, n, action, coaction, side,
                       mul=big.mul, comul=big.comul)

@@ -165,8 +165,9 @@ def search_rb_operators(s: AlgebraicStructure, side: str, weight,
     n = s.dim
     total = field.p ** (n * n)
     if total > budget:
+        # As a power: past 4,300 digits str() of an int raises ValueError.
         raise BudgetExceededError(
-            f"{total} candidates exceed the budget of {budget}")
+            f"{field.p}^{n * n} candidates exceed the budget of {budget}")
     found = []
     for flat in product(range(field.p), repeat=n * n):
         op = Mat(field, tuple(flat[i * n:(i + 1) * n] for i in range(n)), cols=n)

@@ -87,64 +87,52 @@ def _batched(identity: str, field, dims: tuple, residual):
     return identity, batches, len(dims) - lead
 
 
-def _on_generators(identity: str, field, dims: tuple, slot, gens,
+def _on_generators(identity: str, field, dims: tuple, slot: int, gens,
                    residual, charge=lambda count: None):
     """A lazy verdict part like `_batched`, certified on generators.
 
-    `slot` names one input factor and `gens` its indices, or `slot` is a
-    tuple of factors and `gens` the tuple of their index sets; one factor
-    is the one-element case.  For an identity that holds for all inputs
-    once it holds on the certified grid, the inputs whose indices in the
-    slots form a combination in the product of `gens` (the checkers'
-    docstrings prove this for theirs), `residual` runs on one batch per
-    combination c: every basis input with c in the slots, tagged with its
-    other indices.  If any residual is nonzero, the same batches run for
-    every combination outside the grid, and `charge` is told their inputs
-    first; the keys are put back in (input indices..., output indices...)
-    order, so the verdict is the one `_batched` gives.  With `gens` None
-    the part is `_batched`'s.
+    `slot` names one input factor and `gens` its indices.  For an identity
+    that holds for all inputs once it holds on those with an index of
+    `gens` in the slot (the checkers' docstrings prove this for theirs),
+    `residual` runs on one batch per g in `gens`: every basis input with g
+    in the slot, tagged with its other indices.  If any residual is
+    nonzero, the same batches run for every other index of the slot, and
+    `charge` is told their inputs first; the keys are put back in
+    (input indices..., output indices...) order, so the verdict is the one
+    `_batched` gives.  With `gens` None the part is `_batched`'s.
     """
     if gens is None:
         return _batched(identity, field, dims, residual)
-    if isinstance(slot, int):
-        slot, gens = (slot,), (gens,)
-    slots, gens = zip(*sorted(zip(slot, gens)))
-    others = tuple(d for i, d in enumerate(dims) if i not in slots)
+    others = dims[:slot] + dims[slot + 1:]
     rests = list(product(*map(range, others)))
     tagged = dims + others
     one = field.one
 
-    def batch(c):
+    def batch(g):
         axes = list(map(range, dims))
-        for i, g in zip(slots, c):
-            axes[i] = (g,)
+        axes[slot] = (g,)
         # Both products run in lexicographic order of the other indices.
         return residual(TermSum._trusted(field, tagged, {
             x + r: one for x, r in zip(product(*axes), rests)}))
 
     def residuals():
         failed = False
-        for c in product(*gens):
-            res = batch(c)
+        for g in gens:
+            res = batch(g)
             failed = failed or not res.is_zero()
-            yield c, res
+            yield (g,), res
         if failed:
-            grid = set(product(*gens))
-            rest = [c for c in product(*(range(dims[i]) for i in slots))
-                    if c not in grid]
+            grid = set(gens)
+            rest = [g for g in range(dims[slot]) if g not in grid]
             charge(len(rest) * len(rests))
-            for c in rest:
-                yield c, batch(c)
+            for g in rest:
+                yield (g,), batch(g)
 
     def key(k):
-        # Keys arrive as (c..., other indices..., output...).
-        x = list(k[len(slots):len(slots) + len(others)])
-        for i, g in zip(slots, k):
-            x.insert(i, g)
-        return tuple(x) + k[len(slots) + len(others):]
+        # Keys arrive as (g, other indices..., output...).
+        return k[1:slot + 1] + k[:1] + k[slot + 1:]
 
-    leading = slots == tuple(range(len(slots)))
-    return identity, residuals(), len(others), None if leading else key
+    return identity, residuals(), len(others), key if slot else None
 
 
 def _meter(budget: int | None, message: str):
@@ -180,12 +168,10 @@ def _record(kind: str, value, *maps):
     Stored in the first map's `tensorops._cache` under (kind, ids of the
     other maps), with those maps held so their ids stay unique.  All maps
     are immutable, so a record stays true.  The kinds: "light" (G) and
-    "factors" on a multiplication, "multiplicative" on (mul, Δ),
+    "factors" on a multiplication, "multiplicative" on (Δ, mul),
     "projection" on (i, π, H, C), and what `hopfmod` builds from a
-    proved projection: "<side>-projection-action" on (action, H),
-    "<side>-projection-coaction" on (coaction, H),
-    "<side>-projection-module" (value C) on (action, coaction, H) and
-    "pi-operator" on (Π, C's mul)."""
+    proved projection: "<side>-projection-module" (value C) on
+    (action, coaction, H) and "pi-operator" on (Π, C's mul)."""
     first, *others = maps
     _cache(first)[(kind, *map(id, others))] = (value, others)
 
@@ -481,28 +467,18 @@ def _multiplicative(mul: Tensor3, comul: Tensor3, gens,
     """The verdict of Δ(ab) = Δ(a)Δ(b), certified on the G `gens` of `mul`
     (see `check_bialgebra`), or on all pairs when `gens` is None; the one
     place it is evaluated.  A recorded pass is read first.  A pass is
-    recorded as "multiplicative" on (mul, Δ) only on all pairs or on the G
-    recorded for `mul`: on any other set it proves nothing."""
-    if _recorded("multiplicative", mul, comul):
+    recorded as "multiplicative" on (Δ, mul), so that it goes with Δ, only
+    on all pairs or on the G recorded for `mul`: on any other set it
+    proves nothing."""
+    if _recorded("multiplicative", comul, mul):
         return AxiomVerdict(True)
     n = mul.dims[0]
     charge(n * (n if gens is None else len(gens)))
     v = _verdict(*_on_generators("comul-multiplicative", mul.field, mul.dims[:2],
                                  1, gens, _comul_product(mul, comul), charge))
     if v.passed and (gens is None or gens == _recorded("light", mul)):
-        _record("multiplicative", True, mul, comul)
+        _record("multiplicative", True, comul, mul)
     return v
-
-
-def _inherited_generators(mul: Tensor3, budget: int):
-    """G of `mul` when it is `_proved` without a Light's test of its own
-    (a recorded G, or a tensor product of associative factors, charged
-    within `budget`), else None."""
-    try:
-        return _proved(mul, _meter(budget, "precondition over budget"),
-                       own_test=False)
-    except BudgetExceededError:
-        return None
 
 
 def check_coassociativity(s: AlgebraicStructure) -> AxiomVerdict:
@@ -635,8 +611,6 @@ def check_comodule(hopf: AlgebraicStructure, m_dim: int, coaction: Mat,
     if coaction.rows != m_dim * h or coaction.cols != m_dim or \
             coaction.field != hopf.field:
         raise ShapeError(f"coaction must be {m_dim * h} x {m_dim}")
-    if _recorded(f"{side}-projection-coaction", coaction, hopf):
-        return AxiomVerdict(True)
 
     def coassoc(t):
         rho = t.split_map_at(0, coaction, out_dims)
@@ -663,11 +637,6 @@ def check_module(hopf: AlgebraicStructure, m_dim: int, action: Mat,
     (m·h)·x = m·(hx) for all m, h and x in {g, g'}, then (m·h)·(gg') =
     ((m·h)·g)·g' = (m·(hg))·g' = m·((hg)g') = m·(h(gg')); on the left,
     (gg')·(h·m) = g·(g'·(h·m)) = g·((g'h)·m) = (g(g'h))·m = ((gg')h)·m.
-
-    An action from `hopfmod.hopf_module_from_projection` of a proved
-    projection carries both axioms, and its coaction those of
-    `check_comodule`, each one record on the map, its side and H (the
-    proof is in that constructor's docstring): none is evaluated.
     """
     mul = hopf.require("mul")
     h = hopf.dim
@@ -680,8 +649,6 @@ def check_module(hopf: AlgebraicStructure, m_dim: int, action: Mat,
         return (t.merge_map_at(1 - h_pos, action).merge_map_at(0, action)
                 - t.merge_at(h_pos, mul).merge_map_at(0, action))
 
-    if _recorded(f"{side}-projection-action", action, hopf):
-        return AxiomVerdict(True)
     parts = [_on_generators(f"{side}-action-associativity", field,
                             _placed(h_pos, (m_dim,), (h, h)), 2 * h_pos,
                             _generators_within(mul, m_dim * h * h), assoc)]

@@ -3,6 +3,8 @@ import os
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
+
 from rbhopf import QQ, Mat, builtin, example54_p1, example54_q
 from rbhopf import cli
 from rbhopf.cli import main
@@ -291,9 +293,15 @@ def test_search_dim1_via_cli(tmp_path):
     assert "scanned 2" in out and "found 2" in out  # the zero map and id
 
 
-def test_search_budget_exit_3():
-    code, _, err = run("search", "builtin:grouplike:2", "--field", "Fp:3",
-                       "--side", "coalgebra", "--weight", "0", "--budget", "8")
+@pytest.mark.parametrize("argv", [
+    ("builtin:grouplike:2", "--field", "Fp:3", "--side", "coalgebra",
+     "--weight", "0", "--budget", "8"),
+    # 2^14400 candidates: a decimal of over 4,300 digits.
+    ("builtin:grouplike:120", "--field", "Fp:2", "--side", "coalgebra",
+     "--weight", "1"),
+], ids=["small", "huge"])
+def test_search_budget_exit_3(argv):
+    code, _, err = run("search", *argv)
     assert code == 3
 
 

@@ -29,7 +29,7 @@ from rbhopf import (GF, QQ, AlgebraicStructure, BudgetExceededError,
                     tensor_square_projection)
 from rbhopf import hopfmod, structures, ydsmash
 from rbhopf.structures import _generators, _recorded, _verdict
-from rbhopf.tensorops import TermSum, _matrix_of
+from rbhopf.tensorops import TermSum, _cache, _matrix_of
 from conftest import patched_batching, per_basis, verdict_key
 
 CERTIFYING = (structures, hopfmod, ydsmash)
@@ -427,10 +427,23 @@ def test_multiplicative_comultiplications_are_known_by_identity():
     s = fresh_s3()
     twin = Tensor3(QQ, s.comul.dims, dict(s.comul.terms))
     assert twin == s.comul and twin is not s.comul
-    assert _recorded("multiplicative", s.mul, s.comul) is None
+    assert _recorded("multiplicative", s.comul, s.mul) is None
     assert check_bialgebra(s).passed
-    assert _recorded("multiplicative", s.mul, s.comul) is True
-    assert _recorded("multiplicative", s.mul, twin) is None
+    assert _recorded("multiplicative", s.comul, s.mul) is True
+    assert _recorded("multiplicative", twin, s.mul) is None
+
+
+def test_records_do_not_pile_up_on_a_shared_multiplication():
+    """The "multiplicative" record lives on Δ, so checking many fresh
+    comultiplications against one `builtin` multiplication adds nothing
+    to that multiplication's cache."""
+    c3 = builtin("group:C3")
+    entries = len(_cache(c3.mul))
+    for _ in range(200):
+        c = Tensor3(QQ, c3.comul.dims, dict(c3.comul.terms))
+        assert check_bialgebra(c3.replace(comul=c)).passed
+        assert _recorded("multiplicative", c, c3.mul) is True
+    assert len(_cache(c3.mul)) == entries
 
 
 def test_a_pass_forced_by_a_hook_is_not_recorded():

@@ -1,11 +1,12 @@
 """Projection Hopf modules carry every Hopf-module identity.
 
-`hopf_module_from_projection` and `pi_operator` record on the action, the
-coaction and Π what each carries, when the projection they were built
-from was proved (once per projection).  `check_hopf_module`,
+`hopf_module_from_projection` and `pi_operator` record on the pair of
+action and coaction, and on Π, what they carry, when the projection they
+were built from was proved (once per projection).  `check_hopf_module`,
 `check_hopf_module_algebra`, `check_hopf_module_coalgebra` and
 `check_rb_algebra(C, Π, -1)` then pass with no identity evaluated, each
-after one lookup (`structures._recorded`).  Every verdict here
+after one lookup (`structures._recorded`); `check_module` and
+`check_comodule` of one map read no record.  Every verdict here
 must equal, by `repr`, the full check's on a pickled copy, which carries no
 record: on fresh squares of group:C2, sweedler4 and group:S3 over QQ, GF(2)
 and GF(3), after moved entries of every map the records or the proof read,
@@ -117,13 +118,13 @@ def test_fresh_module_evaluates_no_module_identity(name, inputs_per_identity,
     assert rewritten[0] == 0
 
 
-# The checks that read one map's record, each run as the first check of a
-# fresh square.
+# The checks that read a record, each run as the first check of a fresh
+# square.
 FIRST_CHECKS = {
-    "comodule": lambda hm, pi, big: check_comodule(hm.hopf, hm.m_dim,
-                                                   hm.coaction, hm.side),
-    "module": lambda hm, pi, big: check_module(hm.hopf, hm.m_dim, hm.action,
-                                               hm.side),
+    "hopf-module": lambda hm, pi, big: check_hopf_module(hm),
+    "hopf-module-algebra": lambda hm, pi, big: check_hopf_module_algebra(hm),
+    "hopf-module-coalgebra":
+        lambda hm, pi, big: check_hopf_module_coalgebra(hm),
     "rb-algebra": lambda hm, pi, big: check_rb_algebra(big, pi, -1),
 }
 
@@ -149,6 +150,24 @@ def test_any_first_check_evaluates_no_basis_input(name, side, check,
     assert repr(got) == repr(full_check(lambda: FIRST_CHECKS[check](*copy)))
 
 
+@pytest.mark.parametrize("side", SIDES)
+def test_one_map_check_evaluates_its_identities(side, inputs_per_identity):
+    """The record names the action and the coaction together, so the
+    check of either map alone runs in full."""
+    pb = tensor_square_projection(builtin("group:S3"))
+    hm = hopf_module_from_projection(pb, side)
+    copy = pickle.loads(pickle.dumps(hm))
+    for identity, check in (
+            ("action-associativity", lambda hm: check_module(
+                hm.hopf, hm.m_dim, hm.action, hm.side)),
+            ("coaction-coassociativity", lambda hm: check_comodule(
+                hm.hopf, hm.m_dim, hm.coaction, hm.side))):
+        inputs_per_identity.clear()
+        got = check(hm)
+        assert got.passed and inputs_per_identity[f"{side}-{identity}"] > 0
+        assert repr(got) == repr(full_check(lambda: check(copy)))
+
+
 def test_second_rota_baxter_check_evaluates_no_precondition(
         inputs_per_identity, rewritten):
     pb = tensor_square_projection(builtin("group:S3"))
@@ -169,8 +188,6 @@ def test_the_maps_share_one_record():
                      pb.hopf) is pb.big
     assert _recorded("left-projection-module", hm.action, other.coaction,
                      pb.hopf) is None
-    assert _recorded("left-projection-action", hm.action, pb.hopf) is True
-    assert _recorded("left-projection-coaction", hm.coaction, pb.hopf) is True
     assert _recorded("pi-operator", pi_operator(pb, "left"),
                      pb.big.mul) is True
 
