@@ -28,7 +28,7 @@ import time
 
 from . import fileformat
 from .errors import BudgetExceededError
-from .fields import QQ, field_from_name
+from .fields import QQ, field_from_name, parse_decimal
 from .fileformat import Document, load, save
 from .structures import (_AXIOM_INPUTS, _AXIOMS, _unverified_builtin, builtin,
                          builtin_names, check_coassociativity)
@@ -101,13 +101,19 @@ def _field_option(value: str | None):
     return None if value is None else field_from_name(value)
 
 
+def _load_file(path: str, field_flag):
+    """The document at `path`; a file names its own field, so `--field`
+    beside it is refused."""
+    if field_flag is not None:
+        raise InputError("--field applies only to builtin: references")
+    return load(path)
+
+
 def _load_structure(ref: str, field_flag):
     """A structure payload from builtin:NAME or a file path."""
     if ref.startswith("builtin:"):
         return builtin(ref[len("builtin:"):], field_flag or QQ)
-    if field_flag is not None:
-        raise InputError("--field applies only to builtin: references")
-    doc = load(ref)
+    doc = _load_file(ref, field_flag)
     if doc.kind not in fileformat.STRUCTURE_KINDS:
         raise InputError(f"{ref} is a {doc.kind} file, not a structure")
     return doc.payload
@@ -161,9 +167,9 @@ VERIFY_BUDGET = 10 ** 6
 # for a module algebra also its action compatibility, m²·h; for a
 # Yetter-Drinfeld coalgebra of dim c, module associativity, c·h²; for a
 # braiding form, BR2 and BR3, h³.  The generator certificates
-# (`structures._on_generators`) usually evaluate far fewer, but when a
-# precondition fails or exceeds its own budget the full check runs, so the
-# pre-charges stay at that worst case: the fallback path.
+# (`structures._batched` given `gens`) usually evaluate far fewer, but
+# when a precondition fails or exceeds its own budget the full check runs,
+# so the pre-charges stay at that worst case: the fallback path.
 _CHECKS = {
     **{name: (fileformat.STRUCTURE_KINDS, applies, checker, None,
               _AXIOM_INPUTS[name])
@@ -209,30 +215,43 @@ def _run_check(name: str, doc: Document, report: Report):
         raise InputError(f"check {name}: {exc}") from None
 
 
+def _named_checks(spec: str, kind: str) -> list[str]:
+    """The checks `--checks spec` names, each known and applying to `kind`."""
+    names = [name for item in spec.split(",")
+             for name in _CHECK_GROUPS.get(item.strip(), (item.strip(),))]
+    for name in names:
+        if name not in _CHECKS:
+            raise InputError(f"unknown check {name!r}")
+        if kind not in _CHECKS[name][0]:
+            raise InputError(f"check {name!r} does not apply to kind {kind!r}")
+    return names
+
+
 def cmd_verify(args) -> Report:
     report = Report("verify")
     report.arg("input", args.input)
     field = _field_option(args.field)
     if args.input.startswith("builtin:"):
+        name = args.input[len("builtin:"):]
+        family, _, size = name.partition(":")
+        n = parse_decimal(size) if family == "grouplike" else 0
+        if n > VERIFY_BUDGET:
+            # A coalgebra of dim n, each of whose checks charges n: refused
+            # before it is built, once the --checks names are validated.
+            first = (_named_checks(args.checks, "coalgebra")[0]
+                     if args.checks else "coassociativity")
+            raise BudgetExceededError(f"{first} on dim {n} needs {n} basis "
+                                      f"inputs, more than {VERIFY_BUDGET}")
         # Built unverified: the checks below are `builtin`'s own axioms.
-        payload = _unverified_builtin(args.input[len("builtin:"):], field or QQ)
+        payload = _unverified_builtin(name, field or QQ)
         doc = Document(payload.kind, payload, {})
     else:
-        if field is not None:
-            raise InputError("--field applies only to builtin: references")
-        doc = load(args.input)
+        doc = _load_file(args.input, field)
     if doc.kind == "operator":
         raise InputError("an operator file has nothing to verify on its own; "
                          "use rb-check")
     if args.checks:
-        names = [name for item in args.checks.split(",")
-                 for name in _CHECK_GROUPS.get(item.strip(), (item.strip(),))]
-        for name in names:
-            if name not in _CHECKS:
-                raise InputError(f"unknown check {name!r}")
-            if doc.kind not in _CHECKS[name][0]:
-                raise InputError(f"check {name!r} does not apply to kind "
-                                 f"{doc.kind!r}")
+        names = _named_checks(args.checks, doc.kind)
     else:
         names = [name for name, (kinds, default, *_) in _CHECKS.items()
                  if doc.kind in kinds and (default is None or default(doc.payload))]
@@ -288,7 +307,7 @@ def _resolve_yd(args, field):
             raise InputError("--yd adjoint needs --hopf")
         from .ydsmash import adjoint_yd
         return adjoint_yd(hopf)
-    doc = load(args.yd)
+    doc = _load_file(args.yd, field)
     if doc.kind != "yd":
         raise InputError(f"{args.yd} is a {doc.kind} file, not a yd structure")
     return doc.payload
@@ -321,7 +340,7 @@ def cmd_construct(args) -> Report:
     elif args.what in ("projection-right", "projection-left"):
         side = args.what.rsplit("-", 1)[1]
         if args.module:
-            doc = load(args.module)
+            doc = _load_file(args.module, field)
             if doc.kind != "module":
                 raise InputError(f"{args.module} is not a module file")
             hm = doc.payload

@@ -42,10 +42,9 @@ from .rb import RBVerdict, check_rb_coalgebra
 from .record import Record
 from .structures import (AlgebraicStructure, AxiomVerdict, _batched,
                          _first_failure, _generators_within, _h_position,
-                         _on_generators, _placed, _record, _record_projection,
-                         _recorded, _verdict, check_bialgebra_map,
-                         check_coassociativity, check_comodule, check_module,
-                         tensor_product)
+                         _placed, _record, _record_projection, _recorded,
+                         _verdict, check_bialgebra_map, check_coassociativity,
+                         check_comodule, check_module, tensor_product)
 from .tensorops import _matrix_of
 
 
@@ -110,7 +109,7 @@ def check_hopf_module(hm: HopfModule) -> AxiomVerdict:
     """Module axioms, comodule axioms, and ρ(m·h) = ρ(m)Δ(h) (or the left analogue).
 
     Once the module axioms pass, the compatibility is certified on a
-    generating set G of H (`_on_generators`) when H is associative and
+    generating set G of H (`_batched`) when H is associative and
     Δ(ab) = Δ(a)Δ(b): if it holds for h in {g, g'}, then ρ(m·(gg')) =
     ρ((m·g)·g') = ρ(m)Δ(g)Δ(g') = ρ(m)Δ(gg'), since M⊗H is an associative
     module over H⊗H; on the left, ρ((gg')·m) = Δ(g)Δ(g')ρ(m) likewise.
@@ -147,8 +146,8 @@ def check_hopf_module(hm: HopfModule) -> AxiomVerdict:
         return lhs - rhs
 
     gens = _generators_within(mul, hm.m_dim * hopf.dim, comul)
-    return _verdict(*_on_generators(f"{hm.side}-hopf-module-compatibility",
-                                    hm.field, out_dims, h_pos, gens, compat))
+    return _verdict(*_batched(f"{hm.side}-hopf-module-compatibility",
+                              hm.field, out_dims, compat, h_pos, gens))
 
 
 def check_hopf_module_algebra(hm: HopfModule) -> AxiomVerdict:
@@ -157,7 +156,7 @@ def check_hopf_module_algebra(hm: HopfModule) -> AxiomVerdict:
     Right side: (mm')·h = m(m'·h) and ρ(mm') = m₍₀₎m'₍₀₎ ⊗ m₍₁₎m'₍₁₎.
     Left side: h·(mm') = (h·m)m' and ρ(mm') = m₍₋₁₎m'₍₋₁₎ ⊗ m₍₀₎m'₍₀₎.
 
-    Both are certified on generating sets (`_on_generators`).  The action
+    Both are certified on generating sets (`_batched`).  The action
     part, in h on a generating set G_H of an associative H: the module
     axioms passed first, so (mm')·(gg') = ((mm')·g)·g' = (m(m'·g))·g' =
     m((m'·g)·g') = m(m'·(gg')), and on the left likewise.
@@ -198,15 +197,15 @@ def check_hopf_module_algebra(hm: HopfModule) -> AxiomVerdict:
         return lhs - rhs
 
     hgens = _generators_within(hmul, m_dim * m_dim * h)
-    v = _verdict(*_on_generators(f"{hm.side}-module-algebra-action", hm.field,
-                                 _placed(h_pos, (m_dim, m_dim), (h,)),
-                                 2 * h_pos, hgens, action_compat))
+    v = _verdict(*_batched(f"{hm.side}-module-algebra-action", hm.field,
+                           _placed(h_pos, (m_dim, m_dim), (h,)),
+                           action_compat, 2 * h_pos, hgens))
     if not v.passed:
         return v
     mgens = None if hgens is None else _generators_within(mmul, m_dim * m_dim)
-    return _verdict(*_on_generators(f"{hm.side}-module-algebra-coaction",
-                                    hm.field, (m_dim, m_dim), 1, mgens,
-                                    coaction_compat))
+    return _verdict(*_batched(f"{hm.side}-module-algebra-coaction",
+                              hm.field, (m_dim, m_dim), coaction_compat, 1,
+                              mgens))
 
 
 def check_hopf_module_coalgebra(hm: HopfModule) -> AxiomVerdict:
@@ -217,7 +216,7 @@ def check_hopf_module_coalgebra(hm: HopfModule) -> AxiomVerdict:
     m₁₍₋₁₎ ⊗ m₁₍₀₎ ⊗ m₂ and Δ(h·m) = h₁·m₁ ⊗ h₂·m₂.
 
     The action part is certified in h on a generating set of an
-    associative H with Δ(ab) = Δ(a)Δ(b) (`_on_generators`): the module
+    associative H with Δ(ab) = Δ(a)Δ(b) (`_batched`): the module
     axioms passed first, so Δ(m·(gg')) = Δ((m·g)·g') =
     (m₁·g₁)·g'₁ ⊗ (m₂·g₂)·g'₂ = m₁·(gg')₁ ⊗ m₂·(gg')₂, and on the left
     likewise.
@@ -251,9 +250,9 @@ def check_hopf_module_coalgebra(hm: HopfModule) -> AxiomVerdict:
     return _first_failure([
         _batched(f"{hm.side}-module-coalgebra-coaction", hm.field, (m_dim,),
                  coaction_compat),
-        _on_generators(f"{hm.side}-module-coalgebra-action", hm.field, out_dims,
-                       h_pos, gens,
-                       _module_coalgebra_action(h_pos, hm.action, mcomul, hcomul)),
+        _batched(f"{hm.side}-module-coalgebra-action", hm.field, out_dims,
+                 _module_coalgebra_action(h_pos, hm.action, mcomul, hcomul),
+                 h_pos, gens),
     ])
 
 

@@ -15,12 +15,13 @@ coalgebras, and a 3-dimensional bialgebra with a unit but no counit.
 from __future__ import annotations
 
 from itertools import islice, permutations, product
+from math import prod
 
 from .errors import BudgetExceededError, ShapeError
 from .fields import QQ, parse_decimal
 from .linalg import Mat, Tensor3, Vec, _Echelon
 from .record import Record
-from .tensorops import TermSum, _cache, _matrix_of, _reading, basis_batches
+from .tensorops import TermSum, _cache, _matrix_of, _reading, tagged_basis
 
 
 class DefectReport(Record):
@@ -52,7 +53,7 @@ def _verdict(identity: str, residuals, tags: int = 0, key=None) -> AxiomVerdict:
     """Collect residual TermSums into a verdict.
 
     `residuals` yields (input prefix tuple, TermSum).  The last `tags` factors of
-    each TermSum are the rest of the input indices (see `basis_batches`);
+    each TermSum are the rest of the input indices (see `_batched`);
     they move in front of the output indices, so every residual key reads
     (input indices..., output indices...) however the inputs were batched.
     A `key` function, when given, then maps each such key to the one the
@@ -73,58 +74,52 @@ def _verdict(identity: str, residuals, tags: int = 0, key=None) -> AxiomVerdict:
     return AxiomVerdict(False, DefectReport(identity, entries, next(iter(entries))))
 
 
-def _batched(identity: str, field, dims: tuple, residual):
+def _batched(identity: str, field, dims: tuple, residual, slot: int = 0,
+             gens=None, charge=lambda count: None):
     """A lazy verdict part: `residual` run on tagged batches of basis inputs.
 
     `residual` is written for one basis tensor of shape `dims`; it receives
-    each tagged batch of `basis_batches` instead: one per leading basis
-    index when there are several input factors (a batch then holds
-    dim^(k-1) inputs), a single batch of all inputs when there is one.
-    Returns the arguments of `_verdict`.
-    """
-    lead = 1 if len(dims) > 1 else 0
-    batches = ((p, residual(t)) for p, t in basis_batches(field, dims, lead))
-    return identity, batches, len(dims) - lead
+    sums of basis inputs instead, each input tagged with the rest of its
+    indices as trailing factors (see `tensorops`).  With `gens` None there
+    is one batch per leading index (dim^(k-1) inputs each) when there are
+    k > 1 input factors, a single batch of all inputs when there is one.
 
-
-def _on_generators(identity: str, field, dims: tuple, slot: int, gens,
-                   residual, charge=lambda count: None):
-    """A lazy verdict part like `_batched`, certified on generators.
-
-    `slot` names one input factor and `gens` its indices.  For an identity
-    that holds for all inputs once it holds on those with an index of
-    `gens` in the slot (the checkers' docstrings prove this for theirs),
-    `residual` runs on one batch per g in `gens`: every basis input with g
-    in the slot, tagged with its other indices.  If any residual is
+    Otherwise `slot` names one input factor and `gens` its indices.  For an
+    identity that holds for all inputs once it holds on those with an
+    index of `gens` in the slot (the checkers' docstrings prove this for
+    theirs), there is one batch per g in `gens`.  If any residual is
     nonzero, the same batches run for every other index of the slot, and
     `charge` is told their inputs first; the keys are put back in
-    (input indices..., output indices...) order, so the verdict is the one
-    `_batched` gives.  With `gens` None the part is `_batched`'s.
+    (input indices..., output indices...) order, so the verdict is the
+    full check's.  Returns the arguments of `_verdict`, key included.
     """
+    whole = gens is None and len(dims) == 1
     if gens is None:
-        return _batched(identity, field, dims, residual)
+        slot = 0
     others = dims[:slot] + dims[slot + 1:]
-    rests = list(product(*map(range, others)))
-    tagged = dims + others
     one = field.one
 
     def batch(g):
         axes = list(map(range, dims))
         axes[slot] = (g,)
         # Both products run in lexicographic order of the other indices.
-        return residual(TermSum._trusted(field, tagged, {
-            x + r: one for x, r in zip(product(*axes), rests)}))
+        return residual(TermSum._trusted(field, dims + others, {
+            x + r: one for x, r in zip(product(*axes),
+                                       product(*map(range, others)))}))
 
     def residuals():
+        if whole:
+            yield (), residual(tagged_basis(field, dims))
+            return
         failed = False
-        for g in gens:
+        for g in range(dims[0]) if gens is None else gens:
             res = batch(g)
             failed = failed or not res.is_zero()
             yield (g,), res
-        if failed:
+        if failed and gens is not None:
             grid = set(gens)
             rest = [g for g in range(dims[slot]) if g not in grid]
-            charge(len(rest) * len(rests))
+            charge(len(rest) * prod(others))
             for g in rest:
                 yield (g,), batch(g)
 
@@ -132,7 +127,7 @@ def _on_generators(identity: str, field, dims: tuple, slot: int, gens,
         # Keys arrive as (g, other indices..., output...).
         return k[1:slot + 1] + k[:1] + k[slot + 1:]
 
-    return identity, residuals(), len(others), key if slot else None
+    return identity, residuals(), len(others) + whole, key if slot else None
 
 
 def _meter(budget: int | None, message: str):
@@ -331,7 +326,7 @@ def check_associativity(s: AlgebraicStructure,
     This needs no unit and holds over any field.  `_generators` picks G,
     and the identity is evaluated on the |G|·n² basis triples (x, g, y),
     one batch of e_x⊗e_g⊗e_y tagged (x, y) per generator g
-    (`_on_generators`).  If any residual is nonzero, the same batches run
+    (`_batched`).  If any residual is nonzero, the same batches run
     for every other middle index b, so a failure costs the n³ triples of
     the full check and its verdict (residual over all basis triples,
     witness its first key) is the one the full check reports.
@@ -366,8 +361,8 @@ def _light_test(mul: Tensor3, charge) -> AxiomVerdict:
     """Light's test on `mul` (see `check_associativity`), charging the
     inputs it schedules; a pass records G as "light" on `mul`."""
     gens = _generators(_algebra(mul), charge)
-    v = _verdict(*_on_generators("associativity", mul.field, mul.dims, 1,
-                                 gens, _associator(mul), charge))
+    v = _verdict(*_batched("associativity", mul.field, mul.dims,
+                           _associator(mul), 1, gens, charge))
     if v.passed:
         _record("light", tuple(gens), mul)
     return v
@@ -474,8 +469,8 @@ def _multiplicative(mul: Tensor3, comul: Tensor3, gens,
         return AxiomVerdict(True)
     n = mul.dims[0]
     charge(n * (n if gens is None else len(gens)))
-    v = _verdict(*_on_generators("comul-multiplicative", mul.field, mul.dims[:2],
-                                 1, gens, _comul_product(mul, comul), charge))
+    v = _verdict(*_batched("comul-multiplicative", mul.field, mul.dims[:2],
+                           _comul_product(mul, comul), 1, gens, charge))
     if v.passed and (gens is None or gens == _recorded("light", mul)):
         _record("multiplicative", True, comul, mul)
     return v
@@ -522,7 +517,7 @@ def check_bialgebra(s: AlgebraicStructure) -> AxiomVerdict:
     if a unit exists, Δ(1) = 1⊗1; if both exist, ε(1) = 1.
 
     When the multiplication is associative, the first two are certified on
-    the pairs (a, g) with g in a generating set G (`_on_generators`): if
+    the pairs (a, g) with g in a generating set G (`_batched`): if
     Δ(ab) = Δ(a)Δ(b) for all a and b in {g, g'}, then
     Δ(a(gg')) = Δ((ag)g') = Δ(a)Δ(g)Δ(g') = Δ(a)Δ(gg'), and likewise for ε.
     Δ(ab) = Δ(a)Δ(b) is `_multiplicative`'s, which reads and records it.
@@ -543,8 +538,8 @@ def check_bialgebra(s: AlgebraicStructure) -> AxiomVerdict:
             return (t.merge_at(0, mul).map_at(0, counit)
                     - t.map_at(0, counit).map_at(1, counit).drop_at(1))
 
-        parts.append(_on_generators("counit-multiplicative", field, dims, 1,
-                                    gens, counit_mult))
+        parts.append(_batched("counit-multiplicative", field, dims,
+                              counit_mult, 1, gens))
     if s.unit is not None:
         unit = s.unit
 
@@ -633,7 +628,7 @@ def check_module(hopf: AlgebraicStructure, m_dim: int, action: Mat,
     """Associativity and (when 1 exists) unitality of a module action.
 
     When H is associative, associativity is certified on a generating set
-    G of H (`_on_generators`), in h' on the right and h on the left.  If
+    G of H (`_batched`), in h' on the right and h on the left.  If
     (m·h)·x = m·(hx) for all m, h and x in {g, g'}, then (m·h)·(gg') =
     ((m·h)·g)·g' = (m·(hg))·g' = m·((hg)g') = m·(h(gg')); on the left,
     (gg')·(h·m) = g·(g'·(h·m)) = g·((g'h)·m) = (g(g'h))·m = ((gg')h)·m.
@@ -649,9 +644,9 @@ def check_module(hopf: AlgebraicStructure, m_dim: int, action: Mat,
         return (t.merge_map_at(1 - h_pos, action).merge_map_at(0, action)
                 - t.merge_at(h_pos, mul).merge_map_at(0, action))
 
-    parts = [_on_generators(f"{side}-action-associativity", field,
-                            _placed(h_pos, (m_dim,), (h, h)), 2 * h_pos,
-                            _generators_within(mul, m_dim * h * h), assoc)]
+    parts = [_batched(f"{side}-action-associativity", field,
+                      _placed(h_pos, (m_dim,), (h, h)), assoc, 2 * h_pos,
+                      _generators_within(mul, m_dim * h * h))]
     if hopf.unit is not None:
         parts.append(_batched(f"{side}-action-unital", field, (m_dim,), lambda t: (
             t.insert_at(h_pos, hopf.unit).merge_map_at(0, action) - t)))
@@ -698,7 +693,7 @@ def check_bialgebra_map(f: Mat, src: AlgebraicStructure,
 
     When both multiplications are proved associative (`_proved`, within
     the identity's ns² inputs in all), f(ab) = f(a)f(b) is certified on
-    the pairs (a, g) with g in src's generating set G (`_on_generators`).
+    the pairs (a, g) with g in src's generating set G (`_batched`).
     Let B = {b : f(ab) = f(a)f(b) for all a}, a subspace.  For b, b' in B,
     f(a(bb')) = f((ab)b') = f(ab)f(b') = (f(a)f(b))f(b') = f(a)(f(b)f(b'))
     = f(a)f(bb'), by src's associativity, b' ∈ B, b ∈ B, dst's
@@ -738,20 +733,20 @@ def check_bialgebra_map(f: Mat, src: AlgebraicStructure,
             gens = None
     except BudgetExceededError:
         gens = None
-    identity, residuals, tags, *order = _on_generators(
-        "map-multiplicative", field, (ns, ns), 1, gens, multiplicative)
+    identity, residuals, tags, order = _batched(
+        "map-multiplicative", field, (ns, ns), multiplicative, 1, gens)
 
     def position(k):
         # A certified key comes back in (i, j, output) order through `order`.
-        i, j, out = order[0](k) if order else k
+        i, j, out = order(k) if order else k
         return out, i * ns + j
 
     return _first_failure([
         (identity, residuals, tags, position),
-        (*_batched("map-comultiplicative", field, (ns,), comultiplicative),
+        (*_batched("map-comultiplicative", field, (ns,), comultiplicative)[:3],
          lambda k: (k[1] * nd + k[2], k[0])),
         ("map-unit", unital(), 0, lambda k: (k[0], 0)),
-        (*_batched("map-counit", field, (ns,), counital),
+        (*_batched("map-counit", field, (ns,), counital)[:3],
          lambda k: (k[1], k[0])),
     ])
 

@@ -22,12 +22,13 @@ product when either factor is that object; equal values that are other
 objects are still multiplied, so the skip is only a shortcut.
 
 Rewrites address factors by position from the front, so a sum may carry
-extra trailing factors that no rewrite touches.  `basis_batches` uses them
-as tags: it sums many basis inputs into one TermSum, each input carrying its
-own remaining indices as trailing factors, so an identity written for one
-basis tensor is evaluated on a whole batch in one rewrite chain, and the
-tags of each output term name the input it came from.  `permute` likewise
-reorders only the leading factors its order names.
+extra trailing factors that no rewrite touches.  `tagged_basis` and the
+checkers' batches (`structures._batched`) use them as tags: they sum many
+basis inputs into one TermSum, each input carrying its own remaining
+indices as trailing factors, so an identity written for one basis tensor
+is evaluated on a whole batch in one rewrite chain, and the tags of each
+output term name the input it came from.  `permute` likewise reorders
+only the leading factors its order names.
 
 When a map is monomial, every input has exactly one output with
 coefficient `one`, as for the structure constants, counit and antipode of a
@@ -310,33 +311,17 @@ class TermSum(_Sparse):
             (flatten_index(key, dims),): v for key, v in self.terms.items()})
 
 
-def basis_batches(field, dims, lead: int = 1):
-    """Every basis tensor of shape `dims`, summed per leading index.
-
-    Yields (prefix, TermSum) in lexicographic order of the first `lead`
-    indices.  The TermSum holds e_prefix⊗e_rest ⊗ e_rest for every completion
-    `rest`: the input's remaining indices ride along as trailing tag factors
-    of shape dims[lead:].  A rewrite chain written for one basis tensor of
-    `dims` touches only leading factors, so it evaluates the whole batch in
-    one pass, and each output term's tags name the input it came from.
-    """
-    dims = tuple(dims)
-    rests = list(product(*map(range, dims[lead:])))
-    tagged = dims + dims[lead:]
-    one = field.one
-    for prefix in product(*map(range, dims[:lead])):
-        yield prefix, TermSum._trusted(field, tagged,
-                                       {prefix + r + r: one for r in rests})
-
-
 def tagged_basis(field, dims) -> TermSum:
     """All basis tensors of shape `dims` in one sum, each tagged with its index.
 
-    The single batch of `basis_batches(field, dims, lead=0)`: a rewrite chain
-    run on it builds every column of a linear map at once.
+    The sum holds e_idx ⊗ e_idx for every index idx: the input's indices
+    ride along as trailing tag factors, so a rewrite chain run on it builds
+    every column of a linear map at once.
     """
-    (_, batch), = basis_batches(field, dims, lead=0)
-    return batch
+    dims = tuple(dims)
+    one = field.one
+    return TermSum._trusted(field, dims + dims, {
+        idx + idx: one for idx in product(*map(range, dims))})
 
 
 def _matrix_of(field, in_dims: tuple[int, ...], image) -> Mat:

@@ -30,9 +30,8 @@ from .linalg import Mat, Tensor3, Vec, kron_index
 from .rb import RBVerdict, check_rb_coalgebra
 from .record import Record
 from .structures import (AlgebraicStructure, AxiomVerdict, _batched,
-                         _first_failure, _generators_within, _on_generators,
-                         _verdict, check_coassociativity, check_comodule,
-                         check_module)
+                         _first_failure, _generators_within, _verdict,
+                         check_coassociativity, check_comodule, check_module)
 from .tensorops import _matrix_of, tagged_basis
 
 
@@ -105,7 +104,7 @@ def check_yd_coalgebra(ydc: YDModuleCoalgebra) -> AxiomVerdict:
     c₍₋₁₎ ⊗ c₍₀₎₁ ⊗ c₍₀₎₂ = c₁₍₋₁₎c₂₍₋₁₎ ⊗ c₁₍₀₎ ⊗ c₂₍₀₎.
 
     The action part is certified in h on a generating set of an
-    associative H with Δ(ab) = Δ(a)Δ(b) (`_on_generators`): the module
+    associative H with Δ(ab) = Δ(a)Δ(b) (`_batched`): the module
     axioms passed first, so Δ((gg')·c) = Δ(g·(g'·c)) =
     g₁·(g'₁·c₁) ⊗ g₂·(g'₂·c₂) = (gg')₁·c₁ ⊗ (gg')₂·c₂.
     """
@@ -132,8 +131,9 @@ def check_yd_coalgebra(ydc: YDModuleCoalgebra) -> AxiomVerdict:
 
     gens = _generators_within(hmul, hopf.dim * cstr.dim, hcomul)
     return _first_failure([
-        _on_generators("module-coalgebra", ydc.field, out_dims, 0, gens,
-                       _module_coalgebra_action(0, ydc.action, ccomul, hcomul)),
+        _batched("module-coalgebra", ydc.field, out_dims,
+                 _module_coalgebra_action(0, ydc.action, ccomul, hcomul),
+                 0, gens),
         _batched("comodule-coalgebra", ydc.field, (cstr.dim,), comodule_coalgebra),
     ])
 

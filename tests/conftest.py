@@ -77,18 +77,20 @@ def random_sparse_mat(field, rows, cols):
                         lambda e: Mat(field, e, cols=cols))
 
 
-def per_basis(identity, field, dims, residual):
+def per_basis(identity, field, dims, residual, *certificate):
     """Test-only reference for `structures._batched`: one basis input at a time.
 
     The residual chain runs on each basis tensor e_idx of shape `dims`, in
     lexicographic order of idx, with no tag factors: the evaluation the
-    checkers did before batching.  Returns the arguments of `_verdict`.
+    checkers did before batching.  The certificate arguments (slot, gens,
+    charge) are ignored: evaluating every input is the full check.
+    Returns the arguments of `_verdict`.
     """
     def residuals():
         for idx in product(*map(range, dims)):
             yield idx, residual(TermSum.basis(field, dims, idx))
 
-    return identity, residuals(), 0
+    return identity, residuals(), 0, None
 
 
 def verdict_key(v):

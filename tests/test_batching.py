@@ -1,7 +1,7 @@
 """Batched basis evaluation against the per-basis reference.
 
 Every checker evaluates its identity on tagged batches of basis inputs
-(`tensorops.basis_batches`).  These tests corrupt one structure constant of
+(`structures._batched`).  These tests corrupt one structure constant of
 a fixture and demand that each checker's verdict (passed, identity,
 residual, witness) is the one the per-basis evaluation in
 `conftest.per_basis` gives, part by part and as a whole.
@@ -11,9 +11,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from rbhopf import (GF, QQ, AlgebraicStructure, CoquasitriangularForm, Mat,
-                    TermSum, Tensor3, YDModuleCoalgebra, adjoint_yd, builtin,
-                    check_antipode, check_associativity, check_bialgebra,
-                    check_coassociativity, check_comodule,
+                    TermSum, Tensor3, Vec, YDModuleCoalgebra, adjoint_yd,
+                    builtin, check_antipode, check_associativity,
+                    check_bialgebra, check_coassociativity, check_comodule,
                     check_coquasitriangular, check_hopf_module,
                     check_hopf_module_algebra, check_hopf_module_coalgebra,
                     check_module, check_pre_lie, check_rb_algebra,
@@ -29,12 +29,12 @@ TARGETS = ("mul", "comul", "action", "coaction", "operator", "sigma")
 BATCHED = structures._batched
 
 
-def checked_part(identity, field, dims, residual):
+def checked_part(identity, field, dims, residual, *certificate):
     """`_batched`, after asserting that this part agrees with `per_basis`."""
-    fast = _verdict(*BATCHED(identity, field, dims, residual))
+    fast = _verdict(*BATCHED(identity, field, dims, residual, *certificate))
     slow = _verdict(*per_basis(identity, field, dims, residual))
     assert verdict_key(fast) == verdict_key(slow), identity
-    return BATCHED(identity, field, dims, residual)
+    return BATCHED(identity, field, dims, residual, *certificate)
 
 
 def mat_entries(m: Mat) -> dict:
@@ -130,8 +130,10 @@ def test_batched_checkers_match_per_basis_reference(name, field, target, side,
 
 
 def test_batches_tag_every_input_once():
-    from rbhopf.tensorops import basis_batches, tagged_basis
-    batches = list(basis_batches(QQ, (2, 3, 2)))
+    from rbhopf.tensorops import tagged_basis
+    _, batches, tags, key = BATCHED("id", QQ, (2, 3, 2), lambda t: t)
+    batches = list(batches)
+    assert (tags, key) == (2, None)
     assert [p for p, _ in batches] == [(0,), (1,)]
     for (i,), t in batches:
         assert t.dims == (2, 3, 2, 3, 2)
@@ -191,3 +193,27 @@ def test_single_factor_checker_builds_one_batch(name, monkeypatch):
     monkeypatch.setattr(TermSum, "split_at", counting)
     assert check_coassociativity(h).passed
     assert len(calls) == 3
+
+
+def test_a_failing_part_stops_the_check(monkeypatch):
+    """Parts are lazy: once one fails, no residual of a later part runs."""
+    ran = []
+    batched = structures._batched
+
+    def recording(identity, field, dims, residual, *certificate):
+        def recorded(t):
+            ran.append(identity)
+            return residual(t)
+
+        return batched(identity, field, dims, recorded, *certificate)
+
+    monkeypatch.setattr(structures, "_batched", recording)
+    h = builtin("group:S3")
+    bad_unit = h.replace(unit=Vec.basis(h.field, h.dim, 1))
+    assert check_unit_counit(bad_unit).defect.identity == "left-unit"
+    assert ran == ["left-unit"]
+    ran.clear()
+    # S = id fails S(a₁)a₂ = ε(a)1 on the 3-cycles, and so a₁S(a₂).
+    bad_antipode = h.replace(antipode=Mat.identity(h.field, h.dim))
+    assert check_antipode(bad_antipode).defect.identity == "antipode-left"
+    assert ran == ["antipode-left"]

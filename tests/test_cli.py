@@ -6,7 +6,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from rbhopf import QQ, Mat, builtin, example54_p1, example54_q
-from rbhopf import cli
+from rbhopf import cli, structures
 from rbhopf.cli import main
 from rbhopf.fileformat import load, save
 from rbhopf.structures import _generators, cyclic_group_algebra
@@ -370,6 +370,30 @@ def test_verify_budget_edges_per_check(monkeypatch):
                                  (3, "antipode", 3)):
         monkeypatch.setattr(cli, "VERIFY_BUDGET", budget)
         assert run("verify", "builtin:sweedler4", "--checks", checks)[0] == code
+
+
+def test_verify_refuses_a_large_grouplike_before_building_it(monkeypatch):
+    """Every check of grouplike:<n> charges n, so n over the budget exits 3
+    with nothing built; a bad --checks name still exits 2."""
+    start = time.perf_counter()
+    assert run("verify", "builtin:grouplike:3000000")[:2] == (3, "")
+    assert time.perf_counter() - start < 1
+    monkeypatch.setattr(cli, "VERIFY_BUDGET", 5)
+    assert run("verify", "builtin:grouplike:5")[0] == 0
+
+    def unbuilt(field, dim):
+        raise AssertionError(f"grouplike:{dim} was built")
+
+    monkeypatch.setattr(structures, "grouplike_coalgebra", unbuilt)
+    assert run("verify", "builtin:grouplike:6") == (
+        3, "", "error: coassociativity on dim 6 needs 6 basis inputs, more "
+               "than 5\n")
+    for checks, code, message in (
+            ("unit-counit", 3, "unit-counit on dim 6 needs 6"),
+            ("bogus", 2, "unknown check 'bogus'"),
+            ("hopf-module", 2, "does not apply to kind")):
+        got = run("verify", "builtin:grouplike:6", "--checks", checks)
+        assert got[:2] == (code, "") and message in got[2], checks
 
 
 def test_verify_budget_bounds_module_checks(tmp_path):

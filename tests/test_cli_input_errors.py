@@ -96,3 +96,20 @@ def test_builtin_grouplike_dimension_is_ascii_decimal(tmp_path, dim):
                         "coalgebra", "--weight", "0", "--field", "Fp:2",
                         "--out-dir", tmp_path / "ops"),
                        "not a decimal integer")
+
+
+@pytest.mark.parametrize("what, source", [
+    ("smash", "--yd"), ("projection-right", "--yd"),
+    ("projection-right", "--module")])
+def test_field_beside_a_file_is_refused(tmp_path, what, source):
+    """A file names its own field; `--field` beside one would be ignored."""
+    from rbhopf import adjoint_yd, regular_hopf_module
+    h = builtin("sweedler4")
+    payload = (adjoint_yd(h) if source == "--yd"
+               else regular_hopf_module(h, "right"))
+    path, out = tmp_path / "in.rbh", tmp_path / "x.rbh"
+    save(payload, path, refs={"hopf": "builtin:sweedler4"})
+    assert_input_error(("construct", what, source, path, "--field", "Fp:3",
+                        "-o", out),
+                       "--field applies only to builtin: references")
+    assert not out.exists()

@@ -4,14 +4,14 @@ The multiplicative identities (module associativity, the bialgebra axiom,
 Hopf-module compatibility, the module-algebra action and coaction, and the
 module-coalgebra action of Hopf modules and Yetter-Drinfeld coalgebras)
 are evaluated only for one argument in a generating set G once their
-preconditions hold (`structures._on_generators`).  Every verdict here must
-equal, by `verdict_key` and by `repr`, the one the full check gives: with
-`_generators_within` answering None every checker runs its `_batched`
-check, and on small inputs also one basis input at a time
-(`conftest.per_basis`).  Random algebras, modules and Hopf modules over
-F_2 and F_3 are compared, and the 36-dimensional tensor square of S3 with
-one action or coaction entry moved; each precondition is broken once, where
-the certificate must not be used.
+preconditions hold (`structures._batched` given `gens`).  Every verdict
+here must equal, by `verdict_key` and by `repr`, the one the full check
+gives: with `_generators_within` answering None every checker runs its
+`_batched` check on all inputs, and on small inputs also one basis input
+at a time (`conftest.per_basis`).  Random algebras, modules and Hopf
+modules over F_2 and F_3 are compared, and the 36-dimensional tensor
+square of S3 with one action or coaction entry moved; each precondition is
+broken once, where the certificate must not be used.
 """
 
 import random

@@ -1,16 +1,15 @@
 """The module-algebra action certified in H's slot, and the certificates
 it must not be mistaken for.
 
-`check_hopf_module_algebra` evaluates (mm')·h = m(m'·h) (h·(mm') =
-(h·m)m' on the left) only for h in a generating set G_H of H, whatever
-is known of M's multiplication.  Every verdict here must equal, by
-`verdict_key` and by `repr`, the full check's.  `_on_generators` in one
-slot is compared with `_batched` on random identities; the S3⊗S3 module
-algebra is counted fresh and as copies with no record; seeded failures,
-some whose first failure lies outside M's generating set G_M, are
-compared with the full check; and two certificates in M's slots, both M
-slots at once and G_M of a non-associative M, are shown to pass failing
-inputs.
+`check_hopf_module_algebra` evaluates (mm')·h = m(m'·h) (h·(mm') = (h·m)m'
+on the left) only for h in a generating set G_H of H, whatever is known of
+M's multiplication.  Every verdict here must equal, by `verdict_key` and
+by `repr`, the full check's.  `_batched` given one slot is compared with
+`_batched` on all inputs, on random identities; the S3⊗S3 module algebra
+is counted fresh and as copies with no record; seeded failures, some whose
+first failure lies outside M's generating set G_M, are compared with the
+full check; and two certificates in M's slots, both M slots at once and
+G_M of a non-associative M, are shown to pass failing inputs.
 """
 
 import random
@@ -23,8 +22,8 @@ from rbhopf import (GF, QQ, AlgebraicStructure, HopfModule, Mat, Tensor3,
                     builtin, check_associativity, check_hopf_module,
                     check_hopf_module_algebra, hopf_module_from_projection,
                     regular_hopf_module)
-from rbhopf.structures import (_batched, _generators, _h_position,
-                               _on_generators, _placed, _recorded, _verdict)
+from rbhopf.structures import (_batched, _generators, _h_position, _placed,
+                               _recorded, _verdict)
 from rbhopf.tensorops import TermSum
 from conftest import verdict_key
 from test_generator_certificates import full_check, moved
@@ -82,8 +81,8 @@ def test_one_slot_gives_the_batched_verdict(p):
         residual = random_residual(rng, field, dims)
         expected = _verdict(*_batched("id", field, dims, residual))
         charges = []
-        got = _verdict(*_on_generators("id", field, dims, slot, gens, residual,
-                                       charges.append))
+        got = _verdict(*_batched("id", field, dims, residual, slot, gens,
+                                 charges.append))
         on_grid = not expected.passed and any(
             k[slot] in gens for k in expected.defect.residual)
         # The certificate's contract: it fails exactly when the grid does,

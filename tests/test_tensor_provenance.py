@@ -229,9 +229,9 @@ def test_second_unbudgeted_call_evaluates_nothing(monkeypatch):
 @pytest.fixture
 def inputs_per_identity(monkeypatch):
     """Basis inputs evaluated per identity, counted through the residual
-    each checker hands to `_batched` or `_on_generators`."""
+    each checker hands to `_batched`."""
     counts = Counter()
-    batched, on_generators = structures._batched, structures._on_generators
+    batched = structures._batched
 
     def count(identity, residual):
         if getattr(residual, "counted", False):
@@ -244,17 +244,12 @@ def inputs_per_identity(monkeypatch):
         counted.counted = True
         return counted
 
-    def counting_batched(identity, field, dims, residual):
-        return batched(identity, field, dims, count(identity, residual))
-
-    def counting_on_generators(identity, field, dims, slot, gens, residual,
-                               *rest):
-        return on_generators(identity, field, dims, slot, gens,
-                             count(identity, residual), *rest)
+    def counting_batched(identity, field, dims, residual, *certificate):
+        return batched(identity, field, dims, count(identity, residual),
+                       *certificate)
 
     for m in (structures, hopfmod):
         monkeypatch.setattr(m, "_batched", counting_batched)
-        monkeypatch.setattr(m, "_on_generators", counting_on_generators)
     return counts
 
 
