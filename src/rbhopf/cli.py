@@ -233,8 +233,8 @@ def cmd_verify(args) -> Report:
     field = _field_option(args.field)
     if args.input.startswith("builtin:"):
         name = args.input[len("builtin:"):]
-        family, _, size = name.partition(":")
-        n = parse_decimal(size) if family == "grouplike" else 0
+        n = (parse_decimal(name[len("grouplike:"):])
+             if name.startswith("grouplike:") else 0)
         if n > VERIFY_BUDGET:
             # A coalgebra of dim n, each of whose checks charges n: refused
             # before it is built, once the --checks names are validated.

@@ -98,6 +98,14 @@ def test_builtin_grouplike_dimension_is_ascii_decimal(tmp_path, dim):
                        "not a decimal integer")
 
 
+@pytest.mark.parametrize("name, message", [
+    ("grouplike", "unknown builtin 'grouplike'"),
+    ("grouplike:٢", "not a decimal integer"),
+    ("grouplike:0", "grouplike dimension must be positive")])
+def test_verify_names_a_bad_grouplike_builtin(name, message):
+    assert_input_error(("verify", f"builtin:{name}"), message)
+
+
 @pytest.mark.parametrize("what, source", [
     ("smash", "--yd"), ("projection-right", "--yd"),
     ("projection-right", "--module")])
